@@ -88,12 +88,14 @@ def _report_rows(report):
 def _bench_config(workers: int) -> PipelineConfig:
     """Pipeline config used by both the cold and warm arms.
 
-    ``min_pairs_per_shard=0`` forces the pooled step-2 engine at bench
-    scale (same precedent as ``bench_step2_scaling``'s sharded modes):
-    without it the cold path drops to the in-process small-workload
-    fallback and never pays the pool spawn + bank staging that warm
-    serving amortises, so the comparison would be between two different
-    engines instead of between per-request and per-boot setup cost.
+    ``min_pairs_per_shard=0`` matters to the cold arm only — the floor is
+    applied by the one-shot ``ShardedStep2Executor.run`` alone, never by
+    the warm pool.  It forces the pooled step-2 engine at bench scale
+    (same precedent as ``bench_step2_scaling``'s sharded modes): without
+    it the cold path drops to the in-process small-workload fallback and
+    never pays the pool spawn + bank staging that warm serving amortises,
+    so the comparison would be between two different routes instead of
+    between per-request and per-boot setup cost.
     """
     return PipelineConfig(workers=workers, min_pairs_per_shard=0)
 

@@ -308,8 +308,9 @@ def _released_names(
 
     Direct ``name.close()``/``name.unlink()`` calls count, as do calls
     ``helper(name)`` whose callee the release fixpoint proves closes and/or
-    unlinks that parameter (or its elements) — which is how the executor's
-    ``finally: _release_segments(segments)`` is accepted.
+    unlinks that parameter (or its elements) — so ``finally:
+    _release_segment(shm)``, or a helper looping over a segment list, is
+    accepted.
     """
     out: dict[str, frozenset[str]] = {}
 

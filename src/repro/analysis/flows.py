@@ -17,9 +17,9 @@ neutralise the taint.
 
 **Resource-release summaries** (:class:`ReleaseAnalysis`).  For RC102 the
 question "does this ``finally`` block release the segment?" must look
-through helpers: ``_release_segments(segments)`` releases because it loops
-over its parameter calling ``_release_segment``, which calls ``.close()``
-and ``.unlink()``.  :meth:`ReleaseAnalysis.releases` answers, per function
+through helpers: a ``_release_segments(segments)`` releases because it
+loops over its parameter calling ``_release_segment``, which calls
+``.close()`` and ``.unlink()``.  :meth:`ReleaseAnalysis.releases` answers, per function
 and parameter position, which of ``close``/``unlink`` are (transitively)
 applied to that argument or its elements.
 
@@ -336,7 +336,7 @@ class ReleaseAnalysis:
     ``releases(qualname)[i]`` is the subset of ``{"close", "unlink"}``
     applied — directly, elementwise via a loop, or through a project call —
     to parameter *i* of the function.  Used by RC102 to accept cleanup
-    helpers like ``_release_segments``.
+    helpers like ``_release_segment``.
     """
 
     _METHODS: frozenset[str] = frozenset({"close", "unlink"})

@@ -14,7 +14,7 @@ RC002     Every ``np.zeros/empty/full/arange/array`` in a hot-path package
           the batched kernel from the PE simulator.
 RC003     No mutable default arguments anywhere.
 RC004     Timing goes through ``time.perf_counter`` (see
-          :mod:`repro.util.timing`); ``time.time()`` is not monotonic and
+          :class:`repro.obs.trace.Timer`); ``time.time()`` is not monotonic and
           must never feed a performance table.
 RC005     Public functions in ``core/``, ``extend/`` and ``index/`` are
           fully type-annotated, so the mypy gate actually covers the hot
@@ -405,7 +405,7 @@ class WallClockRule(Rule):
     code = "RC004"
     summary = (
         "time.time() is not monotonic; use time.perf_counter() or "
-        "time.monotonic() (repro.util.timing.Stopwatch)"
+        "time.monotonic() (repro.obs.trace.Timer)"
     )
 
     #: Monotonic clocks the rule accepts.  ``perf_counter`` is the project
@@ -423,7 +423,7 @@ class WallClockRule(Rule):
                     ctx,
                     node,
                     "time.time() is banned; use time.perf_counter() or "
-                    "time.monotonic() (repro.util.timing.Stopwatch)",
+                    "time.monotonic() (repro.obs.trace.Timer)",
                 )
             elif isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:

@@ -1,39 +1,52 @@
-"""Sharded multiprocess step-2 execution.
+"""The step-2 engine: one worker protocol over a bank staged once.
 
-The paper scales step 2 by partitioning the workload across two FPGAs
-driven by independent host processes (Table 3); Nguyen & Lavenier's
-fine-grained parallelization generalises the same idea to N compute
-units.  :class:`ShardedStep2Executor` is that architecture in software:
+The paper scales step 2 with one host protocol that drives N compute
+units over banks staged once in board memory (Table 3); Nguyen &
+Lavenier's fine-grained parallelization generalises the same protocol.
+This module is that protocol in software, and its only implementation:
 
-* the joint index's shared-key list is cut into ``workers`` contiguous,
-  pair-balanced shards (:func:`~repro.core.partition.split_entries_contiguous`
-  — shards ↔ FPGAs);
-* the two bank buffers are published once in POSIX shared memory, so
-  worker processes map them instead of unpickling per-task copies (the
-  analogue of banks staged once in board SRAM);
-* each worker drives the batched engine
-  (:class:`~repro.extend.batched.BatchedUngappedEngine`) over its shard's
-  entry lists (batch ↔ one PE-array fill);
-* dispatch is supervised (:class:`~repro.core.supervisor.ShardSupervisor`):
-  a crashed, hung or corrupted worker is retried on a fresh pool under a
-  pair-count-derived deadline, and a shard whose retries run out is scored
-  by the in-process engine — the run completes identically, just slower;
-* results merge on the host **in shard order**, which — because shards
-  are contiguous runs of the ascending shared-key list — reproduces the
-  single-process emission order bit for bit, whatever path scored each
-  shard.
+* **staging** — bank 1 (the large side: the translated genome, or a
+  server's resident bank) is copied once into one POSIX shared-memory
+  segment, with a CRC recorded at staging (:class:`StagedBank`);
+* **initializer** — every pool worker maps that one segment for its
+  lifetime and resets SIGTERM/SIGINT to the default (:func:`_init_worker`);
+* **shard planner** — the joint index's shared-key list is cut into
+  contiguous, pair-balanced shards (:func:`_plan_shards` — shards ↔
+  FPGAs);
+* **task** — a shard ships as ``(shard, attempt, request_id, query_bytes,
+  *entry arrays)``: bank 0 (the small query side) rides every task as raw
+  bytes, and the worker digest-checks its bank-1 view against the staging
+  CRC before it drives the batched engine
+  (:class:`~repro.extend.batched.BatchedUngappedEngine`) over the shard
+  (:func:`_score_shard`);
+* **supervision** — dispatch is supervised
+  (:class:`~repro.core.supervisor.ShardSupervisor`): a crashed, hung or
+  corrupted worker is retried on a fresh pool under a pair-count-derived
+  deadline, and a shard whose retries run out is scored in-process
+  (:func:`_score_local`) — the run completes identically, just slower;
+* **merge** — results merge on the host **in shard order**
+  (:func:`_merge`), which — because shards are contiguous runs of the
+  ascending shared-key list — reproduces the single-process emission
+  order bit for bit, whatever path scored each shard.  The merge is also
+  where a run becomes observable: retrospective ``step2.shard`` spans
+  with the workers' spans adopted under them, the step-2 metrics and
+  supervision health, one :class:`~repro.core.profile.ShardTiming` per
+  shard and the detsan shard details.
 
-Per-shard wall time, entry/pair/hit counts, batch shapes and dispatch
-attempts are exposed as :class:`~repro.core.profile.ShardTiming` records,
-and the supervision counters as :class:`~repro.core.profile.RunHealth`.
+:class:`Step2Engine` ties these together (:meth:`Step2Engine.score_pooled`,
+:meth:`Step2Engine.score_local`), and two front ends drive it.
+:meth:`ShardedStep2Executor.run` is the one-shot: stage bank 1, supervise
+one run on a fresh pool, stop the pool, release the segment.
+:class:`repro.serve.pool.WarmPool` stages its resident bank once and hands
+one pool from request to request.  Outputs, health counters and shard
+timings of the two therefore agree by construction.
 
 Deterministic fault injection (:mod:`repro.core.faults`) hooks into the
-worker task: a :class:`~repro.core.faults.FaultPlan` addressed by
-``(shard, attempt)`` can crash the process, stall it, truncate its result
-arrays or corrupt its bank view.  Bank views are digest-checked before
-every scoring pass, so corruption — injected or real — is detected and the
-view re-mapped from the clean shared segment rather than silently scoring
-garbage.
+task: a :class:`~repro.core.faults.FaultPlan` addressed by ``(shard,
+attempt)`` can crash the process, stall it, truncate its result arrays or
+corrupt its bank-1 view.  The digest check catches the corruption —
+injected or real — and re-maps the view from the clean segment rather
+than silently scoring garbage.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ import os
 import signal
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
@@ -61,14 +75,22 @@ from ..obs import trace as obstrace
 from .faults import BankCorruption, FaultKind, FaultPlan, FaultSpec, bank_digest
 from .partition import split_entries_contiguous
 from .profile import RunHealth, ShardTiming
-from .supervisor import DeadlineExceeded, ShardSupervisor, SupervisorConfig
+from .supervisor import (
+    DeadlineExceeded,
+    ShardOutcome,
+    ShardSupervisor,
+    SupervisorConfig,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.context import BaseContext
     from multiprocessing.shared_memory import SharedMemory
 
 __all__ = [
     "ShardedStep2Executor",
+    "StagedBank",
+    "Step2Engine",
     "live_segment_names",
     "release_all_segments",
     "install_signal_cleanup",
@@ -95,12 +117,38 @@ _LIVE_SEGMENTS: dict[str, tuple[int, SharedMemory]] = {}
 #: silent score corruption in every worker.
 _BANK_VIEW_SPEC = ArraySpec(dtype=np.uint8, ndim=1)
 
+#: One shard's entry lists: ``(offsets0, counts0, offsets1, counts1)``.
+ShardArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Observability payload riding a shard result: (exported worker spans,
+#: serialized worker metrics), or None when the worker was not observed.
+ObsPayload = tuple[tuple[dict[str, Any], ...], dict[str, Any]]
+
+#: Task payload: (shard id, hit offsets0/offsets1/scores, (entries, pairs,
+#: cells, hits), wall seconds, batches, max batch pairs, obs payload).
+#: Consumers slice (``result[:8]``) rather than unpack the exact length,
+#: so the layout can keep growing at the tail.
+ShardResult = tuple[
+    int,
+    np.ndarray,
+    np.ndarray,
+    np.ndarray,
+    tuple[int, int, int, int],
+    float,
+    int,
+    int,
+    Any,
+]
+
+#: One step-2 run: merged hits, one timing per shard, supervision health.
+Step2Run = tuple[UngappedHits, list[ShardTiming], RunHealth]
+
 
 def _pool_context() -> tuple[BaseContext, bool]:
     """Multiprocessing context for the pool.
 
     Prefer ``fork``: workers then share the parent's resource tracker, and
-    the parent's single create/unlink pair manages each segment.  Where
+    the parent's single create/unlink pair manages the segment.  Where
     fork does not exist (Windows) fall back to ``spawn``; there every
     worker runs its own tracker, whose attach-time registration must be
     undone or it unlinks the segment when the worker exits.  Returns
@@ -145,80 +193,67 @@ def _attach_shared(name: str, unregister: bool) -> SharedMemory:
 
 
 def _init_worker(
-    name0: str,
-    size0: int,
-    name1: str,
-    size1: int,
+    name: str,
+    size: int,
     config: UngappedConfig,
     unregister: bool,
-    fault_plan: FaultPlan | None = None,
-    digest0: int | None = None,
-    digest1: int | None = None,
-    obs_enabled: bool = False,
+    fault_plan: FaultPlan | None,
+    digest: int,
+    obs_enabled: bool,
 ) -> None:
-    """Pool initializer: map both bank buffers and keep the config."""
+    """Pool initializer: map the staged bank-1 segment and keep the config."""
+    # Workers forked after a server installed its SIGTERM/SIGINT drain
+    # handler inherit it — a worker that catches SIGTERM survives kills
+    # and starts a drain of its own.  Workers die when told to.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     # Shed any fork-inherited ambient tracer/registry: recordings into
     # those copy-on-write snapshots would be unreachable from the parent.
     # When observability is on, each *task* builds fresh per-process
     # buffers and ships them back through the result tuple instead.
     obstrace.reset()
     obsmetrics.reset()
-    # Likewise shed the fork-inherited segment registry: these segments
-    # belong to the parent, and the pid stamps alone already stop a worker
-    # from unlinking them — clearing also drops the stale references.
+    # Likewise shed the fork-inherited segment registry: the segment
+    # belongs to the parent, and the pid stamps alone already stop a worker
+    # from unlinking it — clearing also drops the stale references.
     _LIVE_SEGMENTS.clear()
-    shm0 = _attach_shared(name0, unregister)
-    shm1 = _attach_shared(name1, unregister)
-    _WORKER["shm"] = (shm0, shm1)  # keep alive for the process lifetime
-    _WORKER["sizes"] = (size0, size1)
-    buf0 = np.ndarray((size0,), dtype=np.uint8, buffer=shm0.buf)
-    buf1 = np.ndarray((size1,), dtype=np.uint8, buffer=shm1.buf)
-    check_array("step-2 worker bank-0 view", buf0, _BANK_VIEW_SPEC)
-    check_array("step-2 worker bank-1 view", buf1, _BANK_VIEW_SPEC)
-    _WORKER["buf0"] = buf0
-    _WORKER["buf1"] = buf1
-    _WORKER["config"] = config
-    _WORKER["fault_plan"] = fault_plan
-    _WORKER["obs"] = obs_enabled
-    _WORKER["digests"] = (
-        (digest0, digest1) if digest0 is not None and digest1 is not None else None
+    shm = _attach_shared(name, unregister)
+    view = np.ndarray((size,), dtype=np.uint8, buffer=shm.buf)
+    check_array("step-2 worker bank-1 view", view, _BANK_VIEW_SPEC)
+    _WORKER.clear()
+    _WORKER.update(
+        shm=shm,  # keep alive for the process lifetime
+        bank1=view,
+        config=config,
+        fault_plan=fault_plan,
+        digest=digest,
+        obs=obs_enabled,
     )
 
 
-def _verify_bank_views() -> None:
-    """Digest-check both bank views; re-map and raise on corruption.
+def _verified_bank1() -> np.ndarray:
+    """The worker's bank-1 view, digest-checked against the staging CRC.
 
-    The shared segments themselves are owned by the parent and never
-    written after staging, so a digest mismatch means *this process's view*
-    went bad (an injected ``CORRUPT_BANK`` fault, or real memory damage).
-    The view is re-created from the clean segment so the **next** dispatch
-    to this process succeeds, then the current dispatch is rejected — the
-    supervisor retries it rather than accept silently-corrupt scores.
+    The segment is owned by the parent and holds the staged bytes (a
+    server's CRC self-heal restores exactly those), so a mismatch means
+    *this process's view* went bad — an injected ``CORRUPT_BANK`` fault, or
+    real memory damage.  The view is re-created from the segment so the
+    **next** dispatch to this process succeeds, then the current dispatch
+    is rejected — the supervisor retries it rather than accept
+    silently-corrupt scores.
     """
-    digests = _WORKER.get("digests")
-    if digests is None:
-        return
-    shm0, shm1 = _WORKER["shm"]
-    size0, size1 = _WORKER["sizes"]
-    corrupt: list[str] = []
-    for key, shm, size, expect in (
-        ("buf0", shm0, size0, digests[0]),
-        ("buf1", shm1, size1, digests[1]),
-    ):
-        if bank_digest(_WORKER[key]) == expect:
-            continue
-        fresh = np.ndarray((size,), dtype=np.uint8, buffer=shm.buf)
-        if bank_digest(fresh) != expect:  # pragma: no cover - shm itself bad
-            raise BankCorruption(
-                f"shared bank segment behind {key} is corrupt beyond repair"
-            )
-        _WORKER[key] = fresh
-        corrupt.append(key)
-    if corrupt:
-        raise BankCorruption(
-            f"step-2 worker bank view(s) {', '.join(corrupt)} failed the "
-            "digest check; views re-mapped from the shared segment"
-        )
+    view: np.ndarray = _WORKER["bank1"]
+    expect = _WORKER["digest"]
+    if bank_digest(view) == expect:
+        return view
+    fresh = np.ndarray(view.shape, dtype=np.uint8, buffer=_WORKER["shm"].buf)
+    if bank_digest(fresh) != expect:  # pragma: no cover - shm itself bad
+        raise BankCorruption("shared bank-1 segment is corrupt beyond repair")
+    _WORKER["bank1"] = fresh
+    raise BankCorruption(
+        "step-2 worker bank-1 view failed the digest check; view re-mapped "
+        "from the shared segment"
+    )
 
 
 def _apply_worker_fault(spec: FaultSpec, shard: int) -> None:
@@ -231,33 +266,12 @@ def _apply_worker_fault(spec: FaultSpec, shard: int) -> None:
         time.sleep(spec.hang_seconds)
     elif spec.kind is FaultKind.CORRUPT_BANK:
         plan: FaultPlan = _WORKER["fault_plan"]
-        bad = _WORKER["buf0"].copy()
+        bad = _WORKER["bank1"].copy()
         n = min(64, bad.shape[0])
         # XOR with odd bytes guarantees at least one flipped bit per byte,
         # so the digest check cannot coincidentally pass.
         bad[:n] ^= plan.corruption(shard, n) | np.uint8(1)
-        _WORKER["buf0"] = bad  # private copy: shm stays clean for peers
-
-
-#: Observability payload riding a shard result: (exported worker spans,
-#: serialized worker metrics), or None when the worker was not observed.
-ObsPayload = tuple[tuple[dict[str, Any], ...], dict[str, Any]]
-
-#: ``_score_shard`` payload: (shard id, hit offsets0/offsets1/scores,
-#: (entries, pairs, cells, hits), wall seconds, batches, max batch pairs,
-#: obs payload).  Consumers slice (``result[:8]``) rather than unpack the
-#: exact length, so the layout can keep growing at the tail.
-ShardResult = tuple[
-    int,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    tuple[int, int, int, int],
-    float,
-    int,
-    int,
-    Any,
-]
+        _WORKER["bank1"] = bad  # private copy: shm stays clean for peers
 
 
 def _package_hits(
@@ -285,56 +299,55 @@ def _package_hits(
 def _score_shard(
     shard: int,
     attempt: int,
+    request_id: str | None,
+    query_bytes: bytes,
     offsets0: np.ndarray,
     counts0: np.ndarray,
     offsets1: np.ndarray,
     counts1: np.ndarray,
 ) -> ShardResult:
-    """Worker task: batched-score one shard against the mapped buffers.
+    """Pool task: batched-score one shard against the staged bank-1 view.
 
     ``attempt`` is the supervisor's dispatch counter for this shard; it
     exists so an injected :class:`~repro.core.faults.FaultPlan` can address
     "shard 2, first attempt" deterministically regardless of which process
-    picks the task up.
+    picks the task up.  Bank 0 arrives as *query_bytes* — the small side of
+    the comparison, so shipping it per task costs less than staging it.
 
     When the parent enabled observability, the shard is scored inside a
     fresh per-process tracer/registry whose contents ride back in the
     result tuple — the parent adopts the spans under its shard span and
     merges the metrics (worker ``perf_counter`` readings are meaningless
-    in the parent, so spans are rebased there, not here).
+    in the parent, so spans are rebased there, not here).  *request_id*
+    rides along so those spans carry the originating request's identity.
     """
     t0 = obstrace.clock()
-    plan: FaultPlan | None = _WORKER.get("fault_plan")
+    plan: FaultPlan | None = _WORKER["fault_plan"]
     spec = plan.worker_fault(shard, attempt) if plan is not None else None
     if spec is not None:
         _apply_worker_fault(spec, shard)
-    _verify_bank_views()
-
-    def scored() -> tuple[BatchedUngappedEngine, UngappedHits]:
-        # The config rode the pool initargs with its backend name already
-        # resolved to a concrete registry key by the parent, so every
-        # worker honors the parent's backend choice.
-        scorer = BatchedUngappedEngine(_WORKER["config"])
-        return scorer, scorer.run_stream(
-            _WORKER["buf0"],
-            _WORKER["buf1"],
-            EntryBlock(offsets0, counts0, offsets1, counts1),
-        )
-
+    bank1 = _verified_bank1()
+    bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
+    block = EntryBlock(offsets0, counts0, offsets1, counts1)
+    # The config rode the pool initargs with its backend name already
+    # resolved to a concrete registry key by the parent, so every worker
+    # honors the parent's backend choice.
+    engine = BatchedUngappedEngine(_WORKER["config"])
     obs_payload: ObsPayload | None = None
-    if _WORKER.get("obs"):
+    if _WORKER["obs"]:
         tracer = obstrace.Tracer()
         registry = obsmetrics.MetricsRegistry()
+        ident = {} if request_id is None else {"request_id": request_id}
         with obstrace.activate(tracer), obsmetrics.activate(registry):
             with obstrace.span(
-                "step2.worker", shard=shard, attempt=attempt, pid=os.getpid()
+                "step2.worker", shard=shard, attempt=attempt, pid=os.getpid(),
+                **ident,
             ):
-                engine, hits = scored()
+                hits = engine.run_stream(bank0, bank1, block)
         obs_payload = (tuple(tracer.export()), registry.to_dict())
     else:
-        engine, hits = scored()
-    wall = obstrace.clock() - t0
-    result = _package_hits(shard, hits, wall, engine, obs_payload)
+        hits = engine.run_stream(bank0, bank1, block)
+    result = _package_hits(shard, hits, obstrace.clock() - t0, engine, obs_payload)
     if spec is not None and spec.kind is FaultKind.TRUNCATE:
         drop = max(1, int(spec.drop))
         # Short result arrays against untruncated stats: the supervisor's
@@ -343,25 +356,22 @@ def _score_shard(
     return result
 
 
-def _score_shard_local(
+def _score_local(
     config: UngappedConfig,
-    buf0: np.ndarray,
-    buf1: np.ndarray,
+    bank0: np.ndarray,
+    bank1: np.ndarray,
     shard: int,
-    payload: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    arrays: ShardArrays,
 ) -> ShardResult:
-    """In-process scorer used for the supervisor's last-resort fallback.
+    """In-process scorer: the in-process route and the pool's last resort.
 
-    Runs the identical batched engine over the identical payload against
-    the parent's own (never-shared) bank buffers, so its result is
-    bit-identical to what a healthy worker would have returned.  Runs in
-    the parent, where the ambient tracer/registry (if any) are live — the
-    worker span is recorded directly, no result-channel payload needed.
+    Runs the identical batched engine over the identical shard payload
+    against the host's own (never-shared) bank buffers, so its result is
+    bit-identical to what a healthy worker would have returned.
     """
     t0 = obstrace.clock()
     engine = BatchedUngappedEngine(config)
-    with obstrace.span("step2.worker", shard=shard, via="local"):
-        hits = engine.run_stream(buf0, buf1, EntryBlock(*payload))
+    hits = engine.run_stream(bank0, bank1, EntryBlock(*arrays))
     return _package_hits(shard, hits, obstrace.clock() - t0, engine)
 
 
@@ -383,15 +393,17 @@ def _publish_shard_metrics(
         registry.counter("step2_retry_wall_seconds_total").inc(retry_wall)
 
 
-def _publish_health_metrics(
-    registry: obsmetrics.MetricsRegistry, health: RunHealth
-) -> None:
-    """Expose the supervision counters as one labelled counter family.
+def _publish_health_metrics(health: RunHealth) -> None:
+    """Expose a run's supervision counters as one labelled counter family.
 
-    Every kind is published (zeros included) so a fault-free run exposes
-    the same series set as a faulty one — dashboards and diffs never have
-    to special-case missing series.
+    Every run publishes exactly once — completed or cut off by its
+    deadline — into the active registry.  Every kind is published (zeros
+    included) so a fault-free run exposes the same series set as a faulty
+    one — dashboards and diffs never have to special-case missing series.
     """
+    registry = obsmetrics.active()
+    if registry is None:
+        return
     for kind, value in (
         ("retries", health.retries),
         ("timeouts", health.timeouts),
@@ -404,6 +416,120 @@ def _publish_health_metrics(
         ("small_workload_fallbacks", health.small_workload_fallbacks),
     ):
         registry.counter("step2_supervisor_events_total", kind=kind).inc(value)
+
+
+def _plan_shards(
+    index: TwoBankIndex, workers: int
+) -> tuple[dict[int, ShardArrays], dict[int, int]]:
+    """Shard planner: contiguous, pair-balanced work lists, keyed by shard.
+
+    Never cuts more shards than there are entries — a worker with an empty
+    range costs a process spawn for zero pairs — and never keeps an empty
+    range (possible under extreme pair skew).  Returns each shard's entry
+    arrays and its pair count.
+    """
+    counts = index.pair_counts()
+    ranges = split_entries_contiguous(index, max(1, min(workers, index.n_shared_keys)))
+    live = [(s, lo, hi) for s, (lo, hi) in enumerate(ranges) if hi > lo]
+    arrays = {s: index.shard_arrays(lo, hi) for s, lo, hi in live}
+    pairs = {s: int(counts[lo:hi].sum()) for s, lo, hi in live}
+    return arrays, pairs
+
+
+def _merge(
+    outcomes: list[ShardOutcome],
+    health: RunHealth,
+    backend: str,
+    request_id: str | None,
+) -> tuple[UngappedHits, list[ShardTiming]]:
+    """Fold accepted shard results, in shard order, into one run.
+
+    Beyond concatenating the hit arrays this is where a run becomes
+    observable: the supervision health and per-shard step-2 metrics land
+    in the active registry, each shard gets a retrospective
+    ``step2.shard`` span with its worker's spans adopted under it, a
+    :class:`~repro.core.profile.ShardTiming` row and a detsan detail.
+    """
+    tracer = obstrace.active()
+    registry = obsmetrics.active()
+    _publish_health_metrics(health)
+    ident = {} if request_id is None else {"request_id": request_id}
+    stats = UngappedStats()
+    timings: list[ShardTiming] = []
+    for outcome in outcomes:
+        # Slice, never exact-unpack: the tuple grows at the tail (the obs
+        # payload today) without every consumer changing shape.
+        shard, o0, o1, sc, (entries, pairs, cells, hits_n), wall, \
+            batches, max_batch = outcome.result[:8]
+        obs_payload = outcome.result[8] if len(outcome.result) > 8 else None
+        if detsan.active() is not None:
+            # Per-shard digests are diagnostics (shard counts differ
+            # across worker counts), recorded as non-compared detail.
+            detsan.record_detail(
+                "shard",
+                shard=shard,
+                via=outcome.via,
+                attempts=outcome.attempts,
+                hits=hits_n,
+                digest=detsan.shard_digest([o0, o1, sc]),
+            )
+        if tracer is not None:
+            # Retrospective shard span: the wall is known and the merge
+            # happens right after completion, so backdate the span to end
+            # now.  Worker spans reparent under it with their timeline
+            # rebased onto this span's start (worker perf_counter origins
+            # are per-process).
+            shard_span = tracer.record(
+                "step2.shard",
+                wall,
+                shard=shard,
+                via=outcome.via,
+                attempts=outcome.attempts,
+                pairs=pairs,
+                hits=hits_n,
+                retry_wall_seconds=outcome.retry_wall_seconds,
+                **ident,
+            )
+            if obs_payload is not None and obs_payload[0]:
+                worker_spans = obs_payload[0]
+                tracer.adopt(
+                    worker_spans,
+                    shard_span.span_id,
+                    rebase=(worker_spans[0]["start"], shard_span.start),
+                )
+        if registry is not None:
+            if obs_payload is not None:
+                registry.merge(obs_payload[1])
+            _publish_shard_metrics(
+                registry, pairs, cells, hits_n, wall,
+                retry_wall=outcome.retry_wall_seconds,
+            )
+        stats.merge(UngappedStats(entries, pairs, cells, hits_n))
+        timings.append(
+            ShardTiming(
+                shard=shard,
+                entries=entries,
+                pairs=pairs,
+                hits=hits_n,
+                wall_seconds=wall,
+                batches=batches,
+                max_batch_pairs=max_batch,
+                attempts=outcome.attempts,
+                via=outcome.via,
+                retry_wall_seconds=outcome.retry_wall_seconds,
+                backend=backend,
+            )
+        )
+    results = [o.result for o in outcomes]
+    if len(results) == 1:
+        # One shard (the in-process route): nothing to concatenate.
+        offsets0, offsets1, scores = results[0][1:4]
+    else:
+        with allocsan.measure("step2.merge"):
+            offsets0 = np.concatenate([r[1] for r in results])
+            offsets1 = np.concatenate([r[2] for r in results])
+            scores = np.concatenate([r[3] for r in results]).astype(np.int32)
+    return UngappedHits(offsets0, offsets1, scores, stats), timings
 
 
 def _track_segment(shm: SharedMemory) -> None:
@@ -429,7 +555,7 @@ def release_all_segments() -> None:
     Registered with :mod:`atexit` at import and chained onto SIGTERM by
     :func:`install_signal_cleanup`.  Idempotent — the per-run
     ``try/finally`` in :meth:`ShardedStep2Executor._run_pool` untracks
-    segments as it releases them, so on a clean run this finds nothing.
+    the segment as it releases it, so on a clean run this finds nothing.
     Never raises: it runs on the way down, where a cleanup error must not
     mask the original exit reason.
     """
@@ -497,50 +623,50 @@ def _release_segment(shm: SharedMemory) -> None:
         shm.unlink()
 
 
-def _release_segments(segments: list[SharedMemory]) -> None:
-    """Release every segment independently.
+class StagedBank:
+    """Bank 1 staged once in shared memory: the segment every worker maps.
 
-    One segment's cleanup failure must not skip the others (the historical
-    bug: ``shm0.close()`` raising leaked ``shm1`` entirely).  The first
-    failure is re-raised after all segments were attempted.
+    The engine's staging helper: copies *buffer* into a fresh segment
+    (tracked for exit-time cleanup) and records the CRC every pool task
+    checks its view against.  :attr:`view` is the owner's writable window
+    onto the segment — a server's CRC self-heal re-stages through it.
+    The owner calls :meth:`release` exactly once.
     """
-    first: BaseException | None = None
-    for shm in segments:
-        try:
-            _release_segment(shm)
-        except BaseException as exc:  # noqa: BLE001 - must try every segment
-            _log.warning("shared-memory cleanup failed for %s: %r", shm.name, exc)
-            if first is None:
-                first = exc
-    if first is not None:
-        raise first
+
+    def __init__(self, buffer: np.ndarray) -> None:
+        from multiprocessing import shared_memory
+
+        check_array("step-2 bank-1 buffer", buffer, _BANK_VIEW_SPEC)
+        #: CRC-32 of the staged bytes.
+        self.digest = bank_digest(buffer)
+        self.shm: SharedMemory = shared_memory.SharedMemory(
+            create=True, size=max(1, buffer.nbytes)
+        )
+        _track_segment(self.shm)
+        self.view = np.ndarray(buffer.shape, dtype=np.uint8, buffer=self.shm.buf)
+        self.view[:] = buffer
+
+    def release(self) -> None:
+        """Close and unlink the segment."""
+        _release_segment(self.shm)
 
 
-class ShardedStep2Executor:
-    """Step-2 engine fanning the batched kernel out over worker processes.
+class Step2Engine:
+    """The step-2 engine: pool recipe, in-process route, supervised run.
 
     Parameters
     ----------
     config:
         Step-2 kernel configuration (window, threshold, batch budget …).
     workers:
-        Process count.  ``1`` runs the batched engine in-process (no pool,
-        no shared memory); ``N > 1`` shards the key space over a
-        supervised ``ProcessPoolExecutor``.
+        Process count of the pools it builds and the shard count it plans.
     supervisor:
         Retry/timeout policy (:class:`~repro.core.supervisor.SupervisorConfig`);
         defaults to pair-count-derived deadlines with 2 retries.
     fault_plan:
         Optional deterministic fault injection
-        (:class:`~repro.core.faults.FaultPlan`) applied inside the worker
+        (:class:`~repro.core.faults.FaultPlan`) applied inside the pool
         tasks — the chaos-testing hook.
-    min_pairs_per_shard:
-        Pair-count floor below which a multi-worker run scores in-process
-        instead of paying pool spawn + shared-memory staging (on small
-        workloads those fixed costs exceed the scoring itself, making 2
-        workers *slower* than 1).  ``0`` disables the heuristic.  The
-        decision is recorded as ``RunHealth.small_workload_fallbacks`` and
-        the matching supervisor-event metric.
 
     The configured backend name (``config.backend``, possibly ``"auto"``)
     is resolved once, eagerly, at construction: an unknown or unavailable
@@ -548,11 +674,159 @@ class ShardedStep2Executor:
     registry name then rides the pool initargs so workers honor the
     parent's choice instead of re-running ``"auto"`` selection.
 
-    The merged :class:`~repro.extend.ungapped.UngappedHits` is bit-identical
-    — offsets, scores and order — to the single-process batched run for any
+    The engine keeps no per-run state — each run returns its hits, shard
+    timings and health — so the warm pool holds one for its lifetime
+    while it owns the staging and the pool itself.
+    """
+
+    def __init__(
+        self,
+        config: UngappedConfig | None = None,
+        workers: int = 1,
+        supervisor: SupervisorConfig | None = None,
+        fault_plan: FaultPlan | None = None,
+    ) -> None:
+        config = config or UngappedConfig()
+        resolved = resolve_backend(config.backend, config)
+        if config.backend != resolved.info.name:
+            config = replace(config, backend=resolved.info.name)
+        self.config = config
+        self.workers = max(1, int(workers))
+        self.supervisor = supervisor or SupervisorConfig()
+        self.fault_plan = fault_plan
+
+    def make_pool(
+        self, bank: StagedBank, workers: int, obs_enabled: bool
+    ) -> ProcessPoolExecutor:
+        """A fresh pool of *workers* processes, each mapping *bank*.
+
+        With *obs_enabled* every task records its spans and metrics into
+        per-task buffers that ride home in the result for the merge.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx, unregister = _pool_context()
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(
+                bank.shm.name, bank.view.shape[0], self.config, unregister,
+                self.fault_plan, bank.digest, obs_enabled,
+            ),
+        )
+
+    def score_local(
+        self,
+        index: TwoBankIndex,
+        supervisor: SupervisorConfig,
+        small_workload: bool = False,
+    ) -> Step2Run:
+        """The in-process route: one shard spanning every entry, scored here.
+
+        Refuses to start past ``supervisor.deadline`` (raising
+        :class:`~repro.core.supervisor.DeadlineExceeded` with the one
+        shard counted as cancelled).  *small_workload* records that the
+        route was chosen by the ``min_pairs_per_shard`` floor.
+        """
+        if supervisor.deadline is not None and obstrace.clock() >= supervisor.deadline:
+            health = RunHealth(shards=1, cancelled=1)
+            _publish_health_metrics(health)
+            raise DeadlineExceeded(
+                "request deadline expired before in-process scoring",
+                health,
+                (0,),
+            )
+        result = _score_local(
+            self.config,
+            index.index0.bank.buffer,
+            index.index1.bank.buffer,
+            0,
+            index.shard_arrays(0, index.n_shared_keys),
+        )
+        health = RunHealth(shards=1, small_workload_fallbacks=int(small_workload))
+        hits, timings = _merge(
+            [ShardOutcome(shard=0, result=result, attempts=1, via="local")],
+            health,
+            self.config.backend,
+            supervisor.request_id,
+        )
+        return hits, timings, health
+
+    def score_pooled(
+        self,
+        index: TwoBankIndex,
+        bank: StagedBank,
+        supervisor: SupervisorConfig,
+        obs_enabled: bool,
+        pool: ProcessPoolExecutor | None = None,
+        keep_pool: Callable[[ProcessPoolExecutor | None], None] | None = None,
+    ) -> Step2Run:
+        """Supervise one sharded run of *index* over the staged *bank*.
+
+        *bank* holds ``index.index1.bank``'s bytes.  Without *keep_pool*
+        the run builds a pool sized to its shards and stops it afterwards.
+        With it, the run starts on *pool* (when given), rebuilds at the
+        executor's full worker count, and hands whatever pool survives to
+        *keep_pool* — also when the run raises.  A run cut off by
+        ``supervisor.deadline`` publishes its health, then raises
+        :class:`~repro.core.supervisor.DeadlineExceeded`.
+        """
+        request_id = supervisor.request_id
+        shards, pair_counts = _plan_shards(index, self.workers)
+        bank0 = index.index0.bank.buffer
+        query_bytes = bank0.tobytes()
+        payloads = {
+            s: (request_id, query_bytes, *arrays) for s, arrays in shards.items()
+        }
+        size = self.workers if keep_pool is not None else len(shards)
+
+        def local_score(shard: int) -> ShardResult:
+            return _score_local(
+                self.config, bank0, index.index1.bank.buffer, shard, shards[shard]
+            )
+
+        sup = ShardSupervisor(
+            supervisor,
+            lambda: self.make_pool(bank, size, obs_enabled),
+            _score_shard,
+            local_score,
+            initial_pool=pool,
+            keep_pool=keep_pool is not None,
+        )
+        try:
+            outcomes, health = sup.run(payloads, pair_counts)
+        except DeadlineExceeded as exc:
+            _publish_health_metrics(exc.health)
+            raise
+        finally:
+            if keep_pool is not None:
+                keep_pool(sup.final_pool)
+        hits, timings = _merge(outcomes, health, self.config.backend, request_id)
+        return hits, timings, health
+
+
+class ShardedStep2Executor(Step2Engine):
+    """One-shot front end of the step-2 engine (:meth:`run`).
+
+    Takes the :class:`Step2Engine` parameters plus:
+
+    min_pairs_per_shard:
+        Pair-count floor below which a multi-worker :meth:`run` scores
+        in-process instead of paying pool spawn + shared-memory staging
+        (on small workloads those fixed costs exceed the scoring itself,
+        making 2 workers *slower* than 1).  ``0`` disables the heuristic.
+        The decision is recorded as ``RunHealth.small_workload_fallbacks``
+        and the matching supervisor-event metric.
+
+    ``workers=1`` runs the batched engine in-process (no pool, no shared
+    memory); ``N > 1`` shards the key space over a supervised
+    ``ProcessPoolExecutor``.  The merged
+    :class:`~repro.extend.ungapped.UngappedHits` is bit-identical —
+    offsets, scores and order — to the single-process batched run for any
     worker count, any supervised retry and any injected fault.
     :attr:`last_timings` holds one :class:`~repro.core.profile.ShardTiming`
-    per shard of the latest run; :attr:`last_health` its
+    per shard of the latest :meth:`run`; :attr:`last_health` its
     :class:`~repro.core.profile.RunHealth` counters.
     """
 
@@ -564,14 +838,7 @@ class ShardedStep2Executor:
         fault_plan: FaultPlan | None = None,
         min_pairs_per_shard: int = 1 << 18,
     ) -> None:
-        config = config or UngappedConfig()
-        resolved = resolve_backend(config.backend, config)
-        if config.backend != resolved.info.name:
-            config = replace(config, backend=resolved.info.name)
-        self.config = config
-        self.workers = max(1, int(workers))
-        self.supervisor = supervisor or SupervisorConfig()
-        self.fault_plan = fault_plan
+        super().__init__(config, workers, supervisor, fault_plan)
         self.min_pairs_per_shard = max(0, int(min_pairs_per_shard))
         #: Per-shard timings of the most recent :meth:`run`.
         self.last_timings: list[ShardTiming] = []
@@ -584,16 +851,14 @@ class ShardedStep2Executor:
         if self.workers == 1 or n_entries < 2 * self.workers:
             # Pool overhead cannot pay for itself on a near-empty work list.
             return self._run_local(index)
-        if self.min_pairs_per_shard > 0:
-            n_shards = max(1, min(self.workers, n_entries))
-            if index.total_pairs < n_shards * self.min_pairs_per_shard:
-                # Too few pairs per shard for pool spawn + shared-memory
-                # staging to pay for itself (the BENCH_step2 2-worker
-                # regression): score in-process and record the decision.
-                return self._run_local(index, small_workload=True)
+        if index.total_pairs < self.workers * self.min_pairs_per_shard:
+            # Too few pairs per shard for pool spawn + shared-memory
+            # staging to pay for itself (the BENCH_step2 2-worker
+            # regression): score in-process and record the decision.
+            return self._run_local(index, small_workload=True)
         try:
             return self._run_pool(index)
-        except (OSError, PermissionError) as exc:  # pragma: no cover
+        except OSError as exc:  # pragma: no cover
             # Restricted environments (no /dev/shm, no forks): degrade to
             # the identical-output single-process path rather than fail.
             warnings.warn(
@@ -604,205 +869,33 @@ class ShardedStep2Executor:
             )
             return self._run_local(index)
 
-    # ------------------------------------------------------------------
     def _run_local(
         self, index: TwoBankIndex, small_workload: bool = False
     ) -> UngappedHits:
-        t0 = obstrace.clock()
-        engine = BatchedUngappedEngine(self.config)
-        with obstrace.span("step2.shard", shard=0, via="local"):
-            hits = engine.run(index)
-        wall = obstrace.clock() - t0
-        self.last_health = RunHealth(
-            shards=1, small_workload_fallbacks=1 if small_workload else 0
+        return self._record(
+            lambda: self.score_local(index, self.supervisor, small_workload)
         )
-        registry = obsmetrics.active()
-        if registry is not None:
-            _publish_shard_metrics(
-                registry, hits.stats.pairs, hits.stats.cells, hits.stats.hits, wall
-            )
-            if small_workload:
-                # Surface the sizing decision in the same event family the
-                # supervisor uses, so dashboards see why no pool ran.
-                _publish_health_metrics(registry, self.last_health)
-        self.last_timings = [
-            ShardTiming(
-                shard=0,
-                entries=hits.stats.entries,
-                pairs=hits.stats.pairs,
-                hits=hits.stats.hits,
-                wall_seconds=wall,
-                batches=engine.telemetry.batches,
-                max_batch_pairs=engine.telemetry.max_batch_pairs,
-                attempts=1,
-                via="local",
-                backend=engine.telemetry.backend or self.config.backend,
-            )
-        ]
-        if detsan.active() is not None:
-            detsan.record_detail(
-                "shard",
-                shard=0,
-                via="local",
-                attempts=1,
-                hits=hits.stats.hits,
-                digest=detsan.shard_digest(
-                    [hits.offsets0, hits.offsets1, hits.scores]
-                ),
-            )
-        return hits
 
     def _run_pool(self, index: TwoBankIndex) -> UngappedHits:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import shared_memory
-
-        # Never cut more shards than there are entries: a worker with an
-        # empty range costs a process spawn and two buffer mappings for
-        # zero pairs.  Empty quantile ranges (possible under extreme pair
-        # skew) are likewise never submitted.
-        n_shards = max(1, min(self.workers, index.n_shared_keys))
-        ranges = split_entries_contiguous(index, n_shards)
-        tasks = [(s, lo, hi) for s, (lo, hi) in enumerate(ranges) if hi > lo]
-        if not tasks:
-            return self._run_local(index)
-        ctx, unregister = _pool_context()
-        buf0 = index.index0.bank.buffer
-        buf1 = index.index1.bank.buffer
-        check_array("step-2 bank-0 buffer", buf0, _BANK_VIEW_SPEC)
-        check_array("step-2 bank-1 buffer", buf1, _BANK_VIEW_SPEC)
-        counts = index.pair_counts()
-        payloads = {s: index.shard_arrays(lo, hi) for s, lo, hi in tasks}
-        pair_counts = {s: int(counts[lo:hi].sum()) for s, lo, hi in tasks}
-        digest0 = bank_digest(buf0)
-        digest1 = bank_digest(buf1)
-        segments: list[SharedMemory] = []
+        """The one-shot: stage bank 1, supervise one run on a fresh pool
+        (stopped by the supervisor), release the segment."""
+        bank = StagedBank(index.index1.bank.buffer)
         try:
-            shm0 = shared_memory.SharedMemory(create=True, size=max(1, buf0.nbytes))
-            segments.append(shm0)
-            _track_segment(shm0)
-            shm1 = shared_memory.SharedMemory(create=True, size=max(1, buf1.nbytes))
-            segments.append(shm1)
-            _track_segment(shm1)
-            np.ndarray(buf0.shape, dtype=np.uint8, buffer=shm0.buf)[:] = buf0
-            np.ndarray(buf1.shape, dtype=np.uint8, buffer=shm1.buf)[:] = buf1
-
-            obs_enabled = (
+            observed = (
                 obstrace.active() is not None or obsmetrics.active() is not None
             )
-
-            def make_pool() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
-                    max_workers=len(tasks),
-                    mp_context=ctx,
-                    initializer=_init_worker,
-                    initargs=(
-                        shm0.name, buf0.shape[0], shm1.name, buf1.shape[0],
-                        self.config, unregister, self.fault_plan,
-                        digest0, digest1, obs_enabled,
-                    ),
-                )
-
-            def local_score(shard: int) -> ShardResult:
-                return _score_shard_local(
-                    self.config, buf0, buf1, shard, payloads[shard]
-                )
-
-            outcomes, health = ShardSupervisor(
-                self.supervisor, make_pool, _score_shard, local_score
-            ).run(payloads, pair_counts)
-        except DeadlineExceeded as exc:
-            # The request-level deadline fired: record what the partial run
-            # cost (cancellations included) before the error propagates —
-            # the segments release in the finally either way.
-            self.last_health = exc.health
-            self.last_timings = []
-            registry = obsmetrics.active()
-            if registry is not None:
-                _publish_health_metrics(registry, exc.health)
-            raise
-        finally:
-            _release_segments(segments)
-        self.last_health = health
-        tracer = obstrace.active()
-        registry = obsmetrics.active()
-        if registry is not None:
-            _publish_health_metrics(registry, health)
-        stats = UngappedStats()
-        timings: list[ShardTiming] = []
-        results: list[ShardResult] = []
-        for outcome in outcomes:
-            # Slice, never exact-unpack: the tuple grows at the tail (the
-            # obs payload today) without every consumer changing shape.
-            shard, _o0, _o1, _sc, (entries, pairs, cells, hits_n), wall, \
-                batches, max_batch = outcome.result[:8]
-            obs_payload = outcome.result[8] if len(outcome.result) > 8 else None
-            results.append(outcome.result)
-            if detsan.active() is not None:
-                # Per-shard digests are diagnostics (shard counts differ
-                # across worker counts), recorded as non-compared detail.
-                detsan.record_detail(
-                    "shard",
-                    shard=shard,
-                    via=outcome.via,
-                    attempts=outcome.attempts,
-                    hits=hits_n,
-                    digest=detsan.shard_digest([_o0, _o1, _sc]),
-                )
-            if tracer is not None:
-                # Retrospective shard span: the remote wall is known, the
-                # merge happens immediately after completion, so backdate
-                # the span to end now.  Worker spans reparent under it with
-                # their timeline rebased onto this span's start (worker
-                # perf_counter origins are per-process).
-                request_attrs = (
-                    {"request_id": self.supervisor.request_id}
-                    if self.supervisor.request_id is not None
-                    else {}
-                )
-                shard_span = tracer.record(
-                    "step2.shard",
-                    wall,
-                    shard=shard,
-                    via=outcome.via,
-                    attempts=outcome.attempts,
-                    pairs=pairs,
-                    hits=hits_n,
-                    retry_wall_seconds=outcome.retry_wall_seconds,
-                    **request_attrs,
-                )
-                if obs_payload is not None and obs_payload[0]:
-                    worker_spans = obs_payload[0]
-                    tracer.adopt(
-                        worker_spans,
-                        shard_span.span_id,
-                        rebase=(worker_spans[0]["start"], shard_span.start),
-                    )
-            if registry is not None:
-                if obs_payload is not None:
-                    registry.merge(obs_payload[1])
-                _publish_shard_metrics(
-                    registry, pairs, cells, hits_n, wall,
-                    retry_wall=outcome.retry_wall_seconds,
-                )
-            stats.merge(UngappedStats(entries, pairs, cells, hits_n))
-            timings.append(
-                ShardTiming(
-                    shard=shard,
-                    entries=entries,
-                    pairs=pairs,
-                    hits=hits_n,
-                    wall_seconds=wall,
-                    batches=batches,
-                    max_batch_pairs=max_batch,
-                    attempts=outcome.attempts,
-                    via=outcome.via,
-                    retry_wall_seconds=outcome.retry_wall_seconds,
-                    backend=self.config.backend,
-                )
+            return self._record(
+                lambda: self.score_pooled(index, bank, self.supervisor, observed)
             )
-        self.last_timings = timings
-        with allocsan.measure("step2.merge"):
-            offsets0 = np.concatenate([r[1] for r in results])
-            offsets1 = np.concatenate([r[2] for r in results])
-            scores = np.concatenate([r[3] for r in results]).astype(np.int32)
-        return UngappedHits(offsets0, offsets1, scores, stats)
+        finally:
+            bank.release()
+
+    def _record(self, step: Callable[[], Step2Run]) -> UngappedHits:
+        """Run one step-2 route and keep its timings and health — also the
+        health of a run its deadline cut off."""
+        try:
+            hits, self.last_timings, self.last_health = step()
+        except DeadlineExceeded as exc:
+            self.last_timings, self.last_health = [], exc.health
+            raise
+        return hits

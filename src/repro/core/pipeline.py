@@ -193,10 +193,29 @@ class SeedComparisonPipeline:
 
     def index_banks(self, bank0: SequenceBank, bank1: SequenceBank) -> TwoBankIndex:
         """Step 1 only: build and join both bank indexes."""
+        return self._step1(bank0, bank1, None)
+
+    def _step1(
+        self,
+        bank0: SequenceBank,
+        bank1: SequenceBank,
+        resident: BankIndex | None,
+    ) -> TwoBankIndex:
+        """Step 1: index *bank0* and join it with bank 1's index.
+
+        Bank 1's index is built here, or is *resident*: built once by a
+        server, whose cost was charged at startup, so only the query side
+        is charged per request.  :class:`TwoBankIndex.build` is nothing
+        but this join, so both routes yield the identical joint index.
+        """
         with self.profile.timing(self.profile.step1, "step1.index") as ctr:
-            index = TwoBankIndex.build(bank0, bank1, self.config.seed_model)
-            ctr.operations += bank0.total_residues + bank1.total_residues
-            ctr.items += len(bank0) + len(bank1)
+            if resident is None:
+                resident = BankIndex(bank1, self.config.seed_model)
+                ctr.operations += bank1.total_residues
+                ctr.items += len(bank1)
+            index = TwoBankIndex(BankIndex(bank0, resident.model), resident)
+            ctr.operations += bank0.total_residues
+            ctr.items += len(bank0)
         # Shared keys are emitted ascending, so the joint index has exactly
         # one valid byte image — order-sensitive digest.
         detsan.record_arrays(
@@ -252,36 +271,7 @@ class SeedComparisonPipeline:
         works the same way: per-scope allocation counters land in
         :attr:`last_allocsan` (and ``$REPRO_ALLOCSAN_OUT``, if set).
         """
-        if reset_profile:
-            self.profile = PipelineProfile()
-        recorder, created = detsan.ensure_recorder()
-        alloc_rec, alloc_created = allocsan.ensure_recorder()
-        with (
-            detsan.activate(recorder),
-            allocsan.activate(alloc_rec),
-            self._root_span(),
-        ):
-            index = self.index_banks(bank0, bank1)
-            self.last_index = index
-            hits = self.run_step2(index)
-            self.last_hits = hits
-            with (
-                self.profile.timing(self.profile.step3, "step3.gapped"),
-                allocsan.measure("step3.gapped"),
-            ):
-                report = gapped_stage(bank0, bank1, hits, self.config, self.profile)
-            detsan.record_arrays(
-                "step3.alignments", _alignment_rows(report), order_sensitive=True
-            )
-        if recorder is not None:
-            self.last_detsan = recorder.manifest()
-            if created:
-                detsan.maybe_write_manifest(recorder)
-        if alloc_rec is not None:
-            self.last_allocsan = alloc_rec.manifest()
-            if alloc_created:
-                allocsan.maybe_write_manifest(alloc_rec)
-        return report
+        return self._compare(bank0, bank1, None, reset_profile)
 
     def compare_against_index(
         self,
@@ -293,13 +283,21 @@ class SeedComparisonPipeline:
 
         The warm-serving path: the server indexes the resident bank once
         at startup and every request pays only its own (small) query-side
-        indexing before the join.  Because :class:`TwoBankIndex.build` is
-        nothing but ``TwoBankIndex(BankIndex(bank0, m), BankIndex(bank1,
-        m))``, joining a fresh query index with the prebuilt resident index
-        yields the identical joint index — and therefore bit-identical
-        hits and alignments — to a cold :meth:`compare_banks` run of the
-        same pair.
+        indexing before the join.  Joining a fresh query index with the
+        prebuilt resident index yields the identical joint index — and
+        therefore bit-identical hits and alignments — to a cold
+        :meth:`compare_banks` run of the same pair.
         """
+        return self._compare(bank0, resident.bank, resident, reset_profile)
+
+    def _compare(
+        self,
+        bank0: SequenceBank,
+        bank1: SequenceBank,
+        resident: BankIndex | None,
+        reset_profile: bool,
+    ) -> ComparisonReport:
+        """The one comparison body; *resident* only changes step 1."""
         if reset_profile:
             self.profile = PipelineProfile()
         recorder, created = detsan.ensure_recorder()
@@ -309,19 +307,7 @@ class SeedComparisonPipeline:
             allocsan.activate(alloc_rec),
             self._root_span(),
         ):
-            with self.profile.timing(self.profile.step1, "step1.index") as ctr:
-                index = TwoBankIndex(
-                    BankIndex(bank0, resident.model), resident
-                )
-                # Only the query side is indexed per request; the resident
-                # side was charged once at server startup.
-                ctr.operations += bank0.total_residues
-                ctr.items += len(bank0)
-            detsan.record_arrays(
-                "step1.index",
-                [index.shared_keys(), index.pair_counts()],
-                order_sensitive=True,
-            )
+            index = self._step1(bank0, bank1, resident)
             self.last_index = index
             hits = self.run_step2(index)
             self.last_hits = hits
@@ -329,9 +315,7 @@ class SeedComparisonPipeline:
                 self.profile.timing(self.profile.step3, "step3.gapped"),
                 allocsan.measure("step3.gapped"),
             ):
-                report = gapped_stage(
-                    bank0, resident.bank, hits, self.config, self.profile
-                )
+                report = gapped_stage(bank0, bank1, hits, self.config, self.profile)
             detsan.record_arrays(
                 "step3.alignments", _alignment_rows(report), order_sensitive=True
             )

@@ -57,8 +57,9 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: A worker task result as returned by ``executor._score_shard`` (opaque to
-#: the supervisor beyond validation).
+#: A task result in the engine's layout (:data:`repro.core.executor.ShardResult`,
+#: from the pool task or the in-process scorer alike); opaque to the
+#: supervisor beyond validation.
 ShardResult = tuple[Any, ...]
 
 #: ``(shard, attempt, ...payload) -> ShardResult`` task submitted to the pool.

@@ -4,7 +4,7 @@ A :class:`SamplingProfiler` arms ``ITIMER_REAL`` so ``SIGALRM`` fires
 every *interval*; the handler walks ``sys._current_frames()`` and bumps a
 counter per ``(thread, stack)`` — collapsed-stack output (flamegraph
 input) plus a per-pipeline-phase attribution derived from recognisable
-frame names (``index_banks`` → step1, ``run_step2``/``run_stream`` →
+frame names (``_step1`` → step1, ``run_step2``/``run_stream`` →
 step2, ``gapped_stage`` → merge, ``_dispatch_loop`` → dispatch).
 
 Signal-safety rules this module lives by (documented in DESIGN §10):
@@ -44,7 +44,7 @@ PROFILE_VERSION = 1
 #: Frame (function) names that anchor a sample to a pipeline phase.
 #: Scanned leaf-first, first match wins; unmatched samples are "other".
 PHASE_MARKERS: dict[str, str] = {
-    "index_banks": "step1",
+    "_step1": "step1",
     "run_step2": "step2",
     "run_stream": "step2",
     "gapped_stage": "merge",

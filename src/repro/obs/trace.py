@@ -354,8 +354,8 @@ def traced(name: str | None = None, **attrs: Any) -> Callable[[_F], _F]:
 class Timer:
     """Accumulating stopwatch over :data:`clock`, usable as a context manager.
 
-    The primitive behind :class:`repro.util.timing.Stopwatch` (kept as a
-    thin shim for external users) and
+    The project's one stopwatch (the clock RC004 points timing code at)
+    and the primitive behind
     :meth:`repro.core.profile.PipelineProfile.timing`.
     """
 

@@ -1,216 +1,52 @@
 """Warm bank + warm worker pool: the resident side of the service.
 
-A one-shot :class:`~repro.core.executor.ShardedStep2Executor` run pays,
-per call: indexing both banks, creating two shared-memory segments,
-copying both buffers in, and spawning a fresh worker pool.  For a server
-answering many small queries against one large resident bank, all of that
-is per-*bank* cost being paid per-*request*.  :class:`WarmPool` hoists it:
+A one-shot :meth:`~repro.core.executor.ShardedStep2Executor.run` pays, per
+call: indexing both banks, staging bank 1 into shared memory, and
+spawning a fresh worker pool.  For a server answering many small queries
+against one large resident bank, all of that is per-*bank* cost being
+paid per-*request*.  :class:`WarmPool` hoists it and keeps only what is
+warm:
 
-* the resident bank is indexed once (``BankIndex``) and its buffer staged
-  into one shared-memory segment once, with a CRC recorded at staging;
-* worker processes map that segment in their initializer and stay alive
-  across requests (``initial_pool``/``keep_pool`` on
-  :class:`~repro.core.supervisor.ShardSupervisor`);
-* each request ships only its (small) query buffer inside the task
-  payload — no per-request segments, no per-request pool.
+* the resident bank's index (``BankIndex``), built once;
+* the resident bank staged once (:class:`~repro.core.executor.StagedBank`,
+  CRC recorded at staging);
+* a worker pool that outlives requests, handed to each run and taken
+  back under :attr:`WarmPool._pool_lock`;
+* the chaos hooks: :meth:`WarmPool.kill_workers` (``POOL_DEATH``),
+  :meth:`WarmPool.corrupt_staged_bank` (``CORRUPT_WARM_BANK``) and
+  :meth:`WarmPool.heal_if_corrupt`, the CRC self-heal.
 
-Bit-identity is inherited, not re-proven: the warm task runs the same
-:class:`~repro.extend.batched.BatchedUngappedEngine` over the same shard
-payloads as the one-shot executor, and shards merge in shard order, so
-the merged hits equal a cold run's bit for bit (see
-``tests/test_serve_service.py``).
-
-Chaos hooks mirror the executor's: worker-addressed
-:class:`~repro.core.faults.FaultSpec` records fire inside the warm task
-(crash/hang/truncate/corrupt view), and the service-level
-``POOL_DEATH`` / ``CORRUPT_WARM_BANK`` kinds are applied here via
-:meth:`WarmPool.kill_workers` and :meth:`WarmPool.corrupt_staged_bank`,
-with :meth:`WarmPool.heal_if_corrupt` as the CRC self-heal.
+Everything else — the worker protocol, shard planning, supervision, the
+merge, metrics and health — is the one engine in
+:mod:`repro.core.executor`, so warm hits, health counters and shard
+timings equal a one-shot run's (see ``tests/test_serve_service.py``).
+Each request ships only its (small) query bank inside the task payload.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..analysis.contracts import check_array
 from ..analysis.locksan import make_lock, touch
-from ..core import executor as core_executor
 from ..core.config import PipelineConfig
-from ..core.executor import (
-    ShardResult,
-    _attach_shared,
-    _package_hits,
-    _pool_context,
-    _score_shard_local,
-)
-from ..core.faults import BankCorruption, FaultKind, FaultPlan, bank_digest
-from ..core.partition import split_entries_contiguous
-from ..core.profile import RunHealth
-from ..core.supervisor import (
-    DeadlineExceeded,
-    ShardSupervisor,
-    SupervisorConfig,
-    _stop_pool,
-)
-from ..extend.backends import resolve_backend
-from ..extend.batched import BatchedUngappedEngine, EntryBlock
-from ..extend.ungapped import UngappedHits, UngappedStats
+from ..core.executor import StagedBank, Step2Engine
+from ..core.faults import FaultPlan, bank_digest
+from ..core.profile import RunHealth, ShardTiming
+from ..core.supervisor import DeadlineExceeded, SupervisorConfig, _stop_pool
+from ..extend.ungapped import UngappedHits
 from ..index.kmer import BankIndex, TwoBankIndex
-from ..obs import metrics as obsmetrics
 from ..obs import trace as obstrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing.shared_memory import SharedMemory
 
     from ..seqs.sequence import SequenceBank
 
 __all__ = ["WarmPool"]
-
-
-def _init_warm_worker(
-    name1: str,
-    size1: int,
-    config: object,
-    unregister: bool,
-    fault_plan: FaultPlan | None,
-    digest1: int,
-    obs_enabled: bool = False,
-) -> None:
-    """Warm-pool initializer: map only the resident bank segment.
-
-    State lands in the executor's per-process ``_WORKER`` dict (one
-    fork-unsafe module global for the whole codebase, already baselined
-    for RC101) under warm-specific keys; the query side arrives per task.
-    """
-    import signal
-
-    # Workers forked after serve_forever() installed the server's
-    # SIGTERM/SIGINT drain handler inherit it — a worker that catches
-    # SIGTERM survives kills and starts a drain thread of its own.
-    # Reset to the default disposition: workers die when told to.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    obstrace.reset()
-    obsmetrics.reset()
-    core_executor._LIVE_SEGMENTS.clear()
-    shm1 = _attach_shared(name1, unregister)
-    state = core_executor._WORKER
-    state.clear()
-    state["shm1"] = shm1
-    state["size1"] = size1
-    buf1 = np.ndarray((size1,), dtype=np.uint8, buffer=shm1.buf)
-    check_array(
-        "warm-pool resident bank view", buf1, core_executor._BANK_VIEW_SPEC
-    )
-    state["buf1"] = buf1
-    state["config"] = config
-    state["fault_plan"] = fault_plan
-    state["digest1"] = digest1
-    state["obs"] = obs_enabled
-
-
-def _warm_probe() -> bool:
-    """No-op task whose only job is forcing worker processes to spawn."""
-    return "buf1" in core_executor._WORKER
-
-
-def _verify_resident_view() -> None:
-    """Digest-check the worker's resident view; re-map and raise if bad."""
-    state = core_executor._WORKER
-    expect = state["digest1"]
-    if bank_digest(state["buf1"]) == expect:
-        return
-    fresh = np.ndarray(
-        (state["size1"],), dtype=np.uint8, buffer=state["shm1"].buf
-    )
-    if bank_digest(fresh) != expect:  # pragma: no cover - shm itself bad
-        raise BankCorruption(
-            "shared resident-bank segment is corrupt beyond repair"
-        )
-    state["buf1"] = fresh
-    raise BankCorruption(
-        "warm worker's resident bank view failed the digest check; "
-        "view re-mapped from the shared segment"
-    )
-
-
-def _score_warm_shard(
-    shard: int,
-    attempt: int,
-    request_id: str | None,
-    query_bytes: bytes,
-    offsets0: np.ndarray,
-    counts0: np.ndarray,
-    offsets1: np.ndarray,
-    counts1: np.ndarray,
-) -> ShardResult:
-    """Warm worker task: score one shard of a request.
-
-    The resident bank is the process-lifetime shared-memory view; the
-    query bank rides the payload as raw bytes (queries are small — this
-    is the whole point of the warm split).  Fault addressing matches the
-    cold task: ``(shard, attempt)``, with ``CORRUPT_BANK`` redirected at
-    the *resident* view so the digest-check/re-map path is what recovers.
-
-    *request_id* rides the payload so the worker's spans carry the
-    originating request's identity; when the service enabled tracing the
-    spans are recorded into a fresh per-task tracer and ride home in the
-    result tuple's obs slot, where :meth:`WarmPool.step2` adopts them
-    under the request's shard span (same round-trip as the cold
-    executor's ``_score_shard``).
-    """
-    t0 = obstrace.clock()
-    state = core_executor._WORKER
-    plan: FaultPlan | None = state.get("fault_plan")
-    spec = plan.worker_fault(shard, attempt) if plan is not None else None
-    if spec is not None:
-        if spec.kind is FaultKind.CORRUPT_BANK:
-            assert plan is not None
-            bad = state["buf1"].copy()
-            n = min(64, bad.shape[0])
-            bad[:n] ^= plan.corruption(shard, n) | np.uint8(1)
-            state["buf1"] = bad  # private copy: shm stays clean for peers
-        else:
-            core_executor._apply_worker_fault(spec, shard)
-    _verify_resident_view()
-    buf0 = np.frombuffer(query_bytes, dtype=np.uint8)
-    engine = BatchedUngappedEngine(state["config"])
-
-    def scored() -> UngappedHits:
-        return engine.run_stream(
-            buf0, state["buf1"], EntryBlock(offsets0, counts0, offsets1, counts1)
-        )
-
-    obs_payload = None
-    if state.get("obs"):
-        import os
-
-        tracer = obstrace.Tracer()
-        registry = obsmetrics.MetricsRegistry()
-        with obstrace.activate(tracer), obsmetrics.activate(registry):
-            with obstrace.span(
-                "step2.worker",
-                shard=shard,
-                attempt=attempt,
-                request_id=request_id,
-                pid=os.getpid(),
-            ):
-                hits = scored()
-        obs_payload = (tuple(tracer.export()), registry.to_dict())
-    else:
-        with obstrace.span("step2.worker", shard=shard, attempt=attempt):
-            hits = scored()
-    result = _package_hits(shard, hits, obstrace.clock() - t0, engine, obs_payload)
-    if spec is not None and spec.kind is FaultKind.TRUNCATE:
-        drop = max(1, int(spec.drop))
-        result = (
-            result[:1] + tuple(a[:-drop] for a in result[1:4]) + result[4:]
-        )
-    return result
 
 
 class WarmPool:
@@ -220,8 +56,8 @@ class WarmPool:
     ----------
     config:
         Pipeline configuration; its derived
-        :class:`~repro.extend.ungapped.UngappedConfig` (backend resolved
-        eagerly, as the executor does) rides the pool initargs.
+        :class:`~repro.extend.ungapped.UngappedConfig` configures the
+        step-2 engine.
     resident:
         The resident bank (bank 1 of every comparison — e.g. the
         translated genome).
@@ -229,13 +65,13 @@ class WarmPool:
         Warm worker process count (>= 1; 1 still stages the bank but
         scores in-process).
     fault_plan:
-        Worker-addressed deterministic faults for the warm tasks.
+        Worker-addressed deterministic faults for the pool tasks.
     supervisor:
         Per-request supervision policy template; each request overlays
         its own absolute deadline via :func:`dataclasses.replace`.
     obs_enabled:
-        When true, warm workers record per-task spans that ride back in
-        the result tuple for adoption under the request's span tree.
+        When true, workers record per-task spans that ride back in the
+        result tuple for adoption under the request's span tree.
     """
 
     def __init__(
@@ -247,41 +83,33 @@ class WarmPool:
         supervisor: SupervisorConfig | None = None,
         obs_enabled: bool = False,
     ) -> None:
-        from multiprocessing import shared_memory
-
         self.obs_enabled = obs_enabled
         self.config = config
-        ungapped = config.ungapped_config()
-        resolved = resolve_backend(ungapped.backend, ungapped)
-        if ungapped.backend != resolved.info.name:
-            ungapped = replace(ungapped, backend=resolved.info.name)
-        self.ungapped = ungapped
         self.resident = resident
         self.workers = max(1, int(workers))
         self.fault_plan = fault_plan
         self.supervisor = supervisor or config.supervisor_config()
+        #: The step-2 engine.  :meth:`step2` routes by the warm rule alone
+        #: (``n_shared_keys < 2 * workers`` scores in-process) — no
+        #: pair-count floor, the pool is already paid for.
+        self.engine = Step2Engine(
+            config.ungapped_config(), self.workers, self.supervisor, fault_plan
+        )
         #: Resident index built once; every request joins against it.
         self.resident_index = BankIndex(resident, config.seed_model)
         #: Guards every mutable field the dispatcher threads share:
-        #: ``_pool``, ``_closed``, ``_staged``, ``_last_health`` and
-        #: ``_bank_heals``.  Built through the locksan factory so the
-        #: runtime sanitizer can watch it under ``REPRO_LOCKSAN=1``.
+        #: ``_pool``, ``_closed``, ``_staged``, ``_last_health``,
+        #: ``_last_timings`` and ``_bank_heals``.  Built through the locksan
+        #: factory so the runtime sanitizer can watch it under
+        #: ``REPRO_LOCKSAN=1``.
         self._pool_lock = make_lock("repro.serve.pool.WarmPool._pool_lock")
         self._last_health = RunHealth()
+        self._last_timings: list[ShardTiming] = []
         self._bank_heals = 0
-
-        buf1 = resident.buffer
-        check_array(
-            "warm-pool resident bank buffer", buf1, core_executor._BANK_VIEW_SPEC
-        )
-        self.digest = bank_digest(buf1)
-        self._ctx, self._unregister = _pool_context()
-        self._shm: SharedMemory = shared_memory.SharedMemory(
-            create=True, size=max(1, buf1.nbytes)
-        )
-        core_executor._track_segment(self._shm)
-        self._staged = np.ndarray(buf1.shape, dtype=np.uint8, buffer=self._shm.buf)
-        self._staged[:] = buf1
+        self._bank = StagedBank(resident.buffer)
+        #: The staged bytes themselves — what the chaos hooks damage and
+        #: the CRC self-heal restores.
+        self._staged = self._bank.view
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
 
@@ -300,6 +128,13 @@ class WarmPool:
             self._last_health = value
 
     @property
+    def last_timings(self) -> list[ShardTiming]:
+        """Per-shard timings of the most recent :meth:`step2` call."""
+        with self._pool_lock:
+            touch("repro.serve.pool.WarmPool._last_timings")
+            return self._last_timings
+
+    @property
     def bank_heals(self) -> int:
         """Pool rebuilds + bank heals over the pool's lifetime."""
         with self._pool_lock:
@@ -309,45 +144,35 @@ class WarmPool:
     @property
     def resident_bytes(self) -> int:
         """Bytes of the staged resident-bank segment (a boot-time constant)."""
-        return int(self._shm.size)
+        return int(self._bank.shm.size)
 
     # -- lifecycle ------------------------------------------------------
-    def _make_pool(self) -> ProcessPoolExecutor:
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=self._ctx,
-            initializer=_init_warm_worker,
-            initargs=(
-                self._shm.name,
-                self.resident.buffer.shape[0],
-                self.ungapped,
-                self._unregister,
-                self.fault_plan,
-                self.digest,
-                self.obs_enabled,
-            ),
-        )
-
     def warm_up(self, timeout: float = 60.0) -> None:
         """Spawn the worker pool eagerly (otherwise first request pays it).
 
         ``ProcessPoolExecutor`` forks workers lazily on first submit, so a
-        bare executor is not actually warm — a probe task forces the spawn
-        (and the initializer's segment mapping) to happen at boot.
+        bare executor is not actually warm — a no-op probe forces the
+        spawn (and the initializer's segment mapping) to happen at boot.
 
         The pool is *built* (a fork point) outside :attr:`_pool_lock` and
         only *published* under it — forking with the lock held is exactly
-        what RC304 forbids.  A racing publisher loses: its pool is stopped
-        outside the lock.
+        what RC304 forbids.
         """
         with self._pool_lock:
             touch("repro.serve.pool.WarmPool._pool")
             if self._closed or self.workers <= 1 or self._pool is not None:
                 return
-        pool = self._make_pool()
-        pool.submit(_warm_probe).result(timeout=timeout)
+        pool = self.engine.make_pool(self._bank, self.workers, self.obs_enabled)
+        pool.submit(os.getpid).result(timeout=timeout)
+        self._hold(pool)
+
+    def _hold(self, pool: ProcessPoolExecutor | None) -> None:
+        """Publish *pool* for the next request.
+
+        A racing publisher — or a :meth:`close` that won while the pool
+        was built or in use — loses: its pool is stopped outside the lock
+        (joining worker processes under a lock is RC107).
+        """
         leftover = None
         with self._pool_lock:
             touch("repro.serve.pool.WarmPool._pool", write=True)
@@ -381,7 +206,7 @@ class WarmPool:
             pool, self._pool = self._pool, None
         if pool is not None:
             _stop_pool(pool)
-        core_executor._release_segment(self._shm)
+        self._bank.release()
 
     # -- chaos hooks ----------------------------------------------------
     def kill_workers(self) -> None:
@@ -389,7 +214,7 @@ class WarmPool:
 
         The pool object survives in a broken state, exactly as if the
         processes had died for real — the next request's supervisor sees
-        ``BrokenProcessPool`` and rebuilds via ``make_pool``.
+        ``BrokenProcessPool`` and rebuilds.
         """
         with self._pool_lock:
             touch("repro.serve.pool.WarmPool._pool")
@@ -422,12 +247,12 @@ class WarmPool:
 
         Returns true when a heal happened.  The host's own ``resident``
         buffer is the pristine source (it is never handed to workers), so
-        re-staging restores the exact bytes recorded by :attr:`digest` —
-        workers' digest checks pass again without remapping.
+        re-staging restores the exact bytes of the staging CRC — workers'
+        digest checks pass again without remapping.
         """
         with self._pool_lock:
             touch("repro.serve.pool.WarmPool._staged", write=True)
-            if bank_digest(self._staged) == self.digest:
+            if bank_digest(self._staged) == self._bank.digest:
                 return False
             self._staged[:] = self.resident.buffer
             touch("repro.serve.pool.WarmPool._bank_heals", write=True)
@@ -443,136 +268,42 @@ class WarmPool:
         use_pool: bool = True,
         request_id: str | None = None,
     ) -> UngappedHits:
-        """Score one request's joint *index*, warm-pool sharded.
+        """Score one request's joint *index* on the warm pool.
 
         ``deadline_at`` is the request's absolute deadline, plumbed into
         :attr:`~repro.core.supervisor.SupervisorConfig.deadline`;
         ``use_pool=False`` is the breaker's degraded route (in-process,
         bit-identical, no pool interaction at all).  ``request_id``
         threads the request's identity through the supervisor (retry and
-        fallback events carry it) and into every worker task payload, so
-        worker spans coming home in the obs slot re-parent under this
-        request's shard spans.
+        fallback events carry it) and into every task payload, so worker
+        spans coming home re-parent under this request's shard spans.
         """
-        if (
-            not use_pool
-            or self.workers == 1
-            or index.n_shared_keys < 2 * self.workers
-        ):
-            return self._step2_local(index, deadline_at, request_id)
-        n_shards = max(1, min(self.workers, index.n_shared_keys))
-        ranges = split_entries_contiguous(index, n_shards)
-        tasks = [(s, lo, hi) for s, (lo, hi) in enumerate(ranges) if hi > lo]
-        if not tasks:
-            return self._step2_local(index, deadline_at, request_id)
-        counts = index.pair_counts()
-        qbuf = index.index0.bank.buffer
-        query_bytes = qbuf.tobytes()
-        payloads = {
-            s: (request_id, query_bytes, *index.shard_arrays(lo, hi))
-            for s, lo, hi in tasks
-        }
-        pair_counts = {s: int(counts[lo:hi].sum()) for s, lo, hi in tasks}
-
-        def local_score(shard: int) -> ShardResult:
-            return _score_shard_local(
-                self.ungapped,
-                qbuf,
-                self.resident.buffer,
-                shard,
-                payloads[shard][2:],
-            )
-
-        with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._pool", write=True)
-            held, self._pool = self._pool, None  # ownership to the supervisor
-        sup = ShardSupervisor(
-            replace(self.supervisor, deadline=deadline_at, request_id=request_id),
-            self._make_pool,
-            _score_warm_shard,
-            local_score,
-            initial_pool=held,
-            keep_pool=True,
+        supervisor = replace(
+            self.supervisor, deadline=deadline_at, request_id=request_id
         )
         try:
-            outcomes, health = sup.run(payloads, pair_counts)
-        except DeadlineExceeded as exc:
-            self.last_health = exc.health
-            raise
-        finally:
-            # Re-publish the supervisor's pool unless close() won the race
-            # while the run was in flight — then the pool is a leftover and
-            # is stopped outside the lock (joining under a lock is RC107).
-            leftover = None
-            with self._pool_lock:
-                touch("repro.serve.pool.WarmPool._pool", write=True)
-                if self._closed or self._pool is not None:
-                    leftover = sup.final_pool
-                else:
-                    self._pool = sup.final_pool
-            if leftover is not None:
-                _stop_pool(leftover)
-        self.last_health = health
-        tracer = obstrace.active()
-        registry = obsmetrics.active()
-        stats = UngappedStats()
-        results = [o.result for o in outcomes]
-        for outcome in outcomes:
-            result = outcome.result
-            shard, _o0, _o1, _sc, (entries, pairs, cells, hits_n), wall = (
-                result[:6]
-            )
-            obs_payload = result[8] if len(result) > 8 else None
-            if tracer is not None:
-                # Same retrospective-span + adoption shape as the cold
-                # executor's merge loop: the shard span is backdated to
-                # end now and the worker's spans reparent under it with
-                # their timeline rebased onto the shard span's start.
-                shard_span = tracer.record(
-                    "step2.shard",
-                    wall,
-                    shard=shard,
-                    via=outcome.via,
-                    attempts=outcome.attempts,
-                    pairs=pairs,
-                    hits=hits_n,
-                    retry_wall_seconds=outcome.retry_wall_seconds,
-                    request_id=request_id,
+            if (
+                not use_pool
+                or self.workers == 1
+                or index.n_shared_keys < 2 * self.workers
+            ):
+                hits, timings, health = self.engine.score_local(index, supervisor)
+            else:
+                with self._pool_lock:
+                    touch("repro.serve.pool.WarmPool._pool", write=True)
+                    held, self._pool = self._pool, None  # ownership to the run
+                hits, timings, health = self.engine.score_pooled(
+                    index, self._bank, supervisor, self.obs_enabled,
+                    pool=held, keep_pool=self._hold,
                 )
-                if obs_payload is not None and obs_payload[0]:
-                    worker_spans = obs_payload[0]
-                    tracer.adopt(
-                        worker_spans,
-                        shard_span.span_id,
-                        rebase=(worker_spans[0]["start"], shard_span.start),
-                    )
-            if registry is not None and obs_payload is not None:
-                registry.merge(obs_payload[1])
-            stats.merge(UngappedStats(entries, pairs, cells, hits_n))
-        offsets0 = np.concatenate([r[1] for r in results])
-        offsets1 = np.concatenate([r[2] for r in results])
-        scores = np.concatenate([r[3] for r in results]).astype(np.int32)
-        return UngappedHits(offsets0, offsets1, scores, stats)
-
-    def _step2_local(
-        self,
-        index: TwoBankIndex,
-        deadline_at: float | None,
-        request_id: str | None = None,
-    ) -> UngappedHits:
-        """Degraded / small-workload route: in-process batched scoring."""
-        if deadline_at is not None and obstrace.clock() >= deadline_at:
-            health = RunHealth(shards=1, cancelled=1)
-            self.last_health = health
-            raise DeadlineExceeded(
-                "request deadline expired before in-process scoring",
-                health,
-                (0,),
-            )
-        engine = BatchedUngappedEngine(self.ungapped)
-        with obstrace.span(
-            "step2.shard", shard=0, via="local", request_id=request_id
-        ):
-            hits = engine.run(index)
-        self.last_health = RunHealth(shards=1)
+        except DeadlineExceeded as exc:
+            self._keep(exc.health, [])
+            raise
+        self._keep(health, timings)
         return hits
+
+    def _keep(self, health: RunHealth, timings: list[ShardTiming]) -> None:
+        with self._pool_lock:
+            touch("repro.serve.pool.WarmPool._last_health", write=True)
+            touch("repro.serve.pool.WarmPool._last_timings", write=True)
+            self._last_health, self._last_timings = health, timings

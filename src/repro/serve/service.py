@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..analysis.locksan import make_lock
 from ..core.config import PipelineConfig
-from ..core.executor import _publish_health_metrics, live_segment_names
+from ..core.executor import live_segment_names
 from ..core.faults import FaultKind, FaultPlan
 from ..core.pipeline import SeedComparisonPipeline
 from ..core.supervisor import DeadlineExceeded
@@ -536,7 +536,6 @@ class SearchService:
             ticket.queries, self.pool.resident_index
         )
         health = self.pool.last_health
-        _publish_health_metrics(self.registry, health)
         if ticket.expired():
             raise DeadlineExceeded(
                 "request deadline expired during gapped extension",

@@ -1,6 +1,5 @@
-"""Shared utilities: timing and report formatting."""
+"""Shared utilities: report formatting."""
 
 from .reporting import TextTable, fmt_count, fmt_ratio, fmt_seconds
-from .timing import Stopwatch
 
-__all__ = ["TextTable", "fmt_seconds", "fmt_ratio", "fmt_count", "Stopwatch"]
+__all__ = ["TextTable", "fmt_seconds", "fmt_ratio", "fmt_count"]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.executor import ShardedStep2Executor
+from repro.core.faults import FaultKind, FaultPlan, FaultSpec
 from repro.core.partition import split_entries_contiguous
 from repro.core.pipeline import SeedComparisonPipeline
 from repro.extend.ungapped import UngappedConfig, UngappedExtender
@@ -317,6 +318,12 @@ class TestFaultInjection:
         assert health.corrupt == 1
         assert health.retries >= 1
         assert health.fallback_shards == 0
+        # CORRUPT_BANK damages the worker's staged bank-1 view (bank 0
+        # rides each task as bytes): the digest check rejects shard 0's
+        # first dispatch, and the retry on the re-mapped view is accepted.
+        assert [(t.attempts, t.via) for t in ex.last_timings if t.shard == 0] == [
+            (2, "pool")
+        ]
 
     def test_unrecoverable_crash_falls_back_to_local(self, workload, baseline):
         from repro.core.faults import FaultKind, FaultPlan, FaultSpec
@@ -405,6 +412,74 @@ class TestFaultInjection:
         clean.run(idx)
         assert clean.last_health.healthy
         assert clean.last_health.shards == 3
+
+
+#: Fault plans under which every step-2 front end must behave identically.
+ENGINE_FAULTS = {
+    "none": None,
+    "crash": FaultPlan((FaultSpec(FaultKind.CRASH, shard=1, attempt=0),), seed=9),
+    "truncate": FaultPlan(
+        (FaultSpec(FaultKind.TRUNCATE, shard=0, attempt=0, drop=3),), seed=5
+    ),
+    "corrupt-bank": FaultPlan(
+        (FaultSpec(FaultKind.CORRUPT_BANK, shard=0, attempt=0),), seed=5
+    ),
+}
+
+
+class TestOneEngine:
+    """The one-shot executor and the warm pool drive one engine: under any
+    fault they return the same hits, health counters and shard rows."""
+
+    @pytest.fixture(scope="class")
+    def heavy(self):
+        # Each shard scores for ~0.2 s, so an injected crash always lands
+        # while the other shard is still in flight: both front ends then
+        # take the same collateral damage and their counters compare
+        # exactly.
+        rng = np.random.default_rng(42)
+        b0 = random_protein_bank(rng, 120, mean_length=300, name_prefix="q")
+        b1 = random_protein_bank(rng, 500, mean_length=300, name_prefix="s")
+        cfg = PipelineConfig.exact_seed(3, flank=8, ungapped_threshold=20)
+        index = TwoBankIndex.build(b0, b1, cfg.seed_model)
+        reference = ShardedStep2Executor(cfg.ungapped_config()).run(index)
+        return b0, b1, cfg, reference
+
+    @staticmethod
+    def rows(timings):
+        return [
+            (t.shard, t.entries, t.pairs, t.hits, t.via, t.attempts)
+            for t in timings
+        ]
+
+    @pytest.mark.parametrize("fault", sorted(ENGINE_FAULTS))
+    def test_executor_and_warm_pool_agree(self, heavy, fault):
+        from repro.core.supervisor import SupervisorConfig
+        from repro.index.kmer import BankIndex
+        from repro.serve.pool import WarmPool
+
+        b0, b1, cfg, reference = heavy
+        plan = ENGINE_FAULTS[fault]
+        sup = SupervisorConfig(backoff_base=0.001)
+        ex = ShardedStep2Executor(
+            cfg.ungapped_config(), workers=2, supervisor=sup, fault_plan=plan,
+            **POOL,
+        )
+        cold = ex.run(TwoBankIndex.build(b0, b1, cfg.seed_model))
+        pool = WarmPool(cfg, b1, workers=2, fault_plan=plan, supervisor=sup)
+        try:
+            pool.warm_up()
+            warm = pool.step2(
+                TwoBankIndex(BankIndex(b0, cfg.seed_model), pool.resident_index)
+            )
+        finally:
+            pool.close()
+        TestFaultInjection.assert_bit_identical(reference, cold)
+        TestFaultInjection.assert_bit_identical(reference, warm)
+        assert pool.last_health == ex.last_health
+        assert self.rows(pool.last_timings) == self.rows(ex.last_timings)
+        assert len(ex.last_timings) == 2
+        assert ex.last_health.healthy == (plan is None)
 
 
 class TestPipelineIntegration:

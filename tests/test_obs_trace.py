@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.trace import Span, Timer, Tracer
-from repro.util.timing import Stopwatch
 
 
 @pytest.fixture(autouse=True)
@@ -210,10 +209,3 @@ class TestTimer:
         assert t.seconds >= first >= 0.0
         t.reset()
         assert t.seconds == 0.0
-
-    def test_stopwatch_is_a_timer_shim(self):
-        sw = Stopwatch()
-        assert isinstance(sw, Timer)
-        with sw as entered:
-            assert entered is sw
-        assert sw.seconds >= 0.0

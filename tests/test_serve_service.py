@@ -77,6 +77,14 @@ def response_rows(body):
     ]
 
 
+def metric_value(text, series):
+    """Value of one exposed series (name plus labels) in a scrape."""
+    for line in text.splitlines():
+        if line.startswith(series + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"{series} not exposed")
+
+
 def make_service(serve_workload, fault_plan=None, **service_kw):
     queries, resident = serve_workload
     service_kw.setdefault("workers", 2)
@@ -341,6 +349,30 @@ class TestDeadlines:
         finally:
             svc.drain(timeout=30)
 
+    def test_mid_step2_deadline_miss_reaches_metrics(self, serve_workload):
+        # Shard 0 hangs past the request deadline, so the supervisor
+        # cancels the run mid step 2.  The engine publishes the cut-off
+        # run's health before DeadlineExceeded propagates, so /metrics
+        # counts the cancellation, not only pool.last_health.
+        plan = FaultPlan(
+            seed=3,
+            specs=(
+                FaultSpec(FaultKind.HANG, shard=0, attempt=0, hang_seconds=30.0),
+            ),
+        )
+        svc, queries = make_service(serve_workload, fault_plan=plan)
+        try:
+            out = svc.submit(queries, deadline_seconds=1.0)
+            assert out["code"] == 504
+            assert svc.pool.last_health.cancelled >= 1
+            cancelled = metric_value(
+                svc.metrics_text(),
+                'step2_supervisor_events_total{kind="cancelled"}',
+            )
+            assert cancelled >= 1
+        finally:
+            svc.drain(timeout=30)
+
     def test_deadline_outlasting_max_wait_is_served_not_500(
         self, serve_workload, cold_rows
     ):
@@ -454,6 +486,24 @@ class TestMetricsSurface:
             assert 'serve_requests_total{status="shed"} 1' in text
             assert "serve_shed_total 1" in text
             assert "serve_breaker_state 0" in text
+        finally:
+            svc.drain(timeout=30)
+
+    def test_pooled_truncate_counts_one_retry(self, serve_workload, cold_rows):
+        # Step-2 health is published once per run, by the engine: a second
+        # publisher (the service used to add its own) would report 2.
+        plan = FaultPlan(
+            seed=4, specs=(FaultSpec(FaultKind.TRUNCATE, shard=0, attempt=0),)
+        )
+        svc, queries = make_service(serve_workload, fault_plan=plan)
+        try:
+            out = svc.submit(queries)
+            assert out["code"] == 200
+            assert response_rows(out) == cold_rows
+            text = svc.metrics_text()
+            for kind in ("retries", "truncated"):
+                series = f'step2_supervisor_events_total{{kind="{kind}"}}'
+                assert metric_value(text, series) == 1
         finally:
             svc.drain(timeout=30)
 

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
+from repro.obs.trace import Timer
 from repro.util.reporting import TextTable, fmt_count, fmt_ratio, fmt_seconds
-from repro.util.timing import Stopwatch
 
 
 class TestFormatting:
@@ -49,19 +49,19 @@ class TestTextTable:
         assert "note: hello" in t.render()
 
 
-class TestStopwatch:
+class TestTimer:
     def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
+        t = Timer()
+        with t:
             time.sleep(0.01)
-        first = sw.seconds
-        with sw:
+        first = t.seconds
+        with t:
             time.sleep(0.01)
-        assert sw.seconds > first >= 0.005
+        assert t.seconds > first >= 0.005
 
     def test_reset(self):
-        sw = Stopwatch()
-        with sw:
+        t = Timer()
+        with t:
             pass
-        sw.reset()
-        assert sw.seconds == 0.0
+        t.reset()
+        assert t.seconds == 0.0
