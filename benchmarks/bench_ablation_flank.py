@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from harness import write_table
+from repro.extend.backends import FusedKernel
 from repro.extend.stats import ungapped_params
-from repro.extend.ungapped import ungapped_scores_paired
+from repro.extend.ungapped import UngappedConfig
 from repro.seqs.generate import mutate_protein, random_protein
 from repro.seqs.matrices import BLOSUM62
 from repro.util.reporting import TextTable
@@ -29,6 +30,13 @@ FLANKS = (4, 8, 12, 18, 26)
 SPAN = 4
 TARGET_RATE = 1e-4
 N_PAIRS = 200_000
+
+
+def paired_scores(buf0, anchors0, buf1, anchors1, flank: int) -> np.ndarray:
+    """Step-2 window scores of paired anchors (the fused kernel)."""
+    kernel = FusedKernel(UngappedConfig(w=SPAN, n=flank, matrix=BLOSUM62))
+    kernel.prepare(buf0, buf1)
+    return kernel.score(anchors0, anchors1).copy()
 
 
 def score_samples(flank: int, seed: int = 3):
@@ -49,13 +57,13 @@ def score_samples(flank: int, seed: int = 3):
     # Plant identical seed words at both anchors.
     for k in range(SPAN):
         buf_b[a1 + k] = buf_a[a0 + k]
-    background = ungapped_scores_paired(buf_a, a0, buf_b, a1, flank, window)
+    background = paired_scores(buf_a, a0, buf_b, a1, flank)
     hom_src = random_protein(rng, 200_000)
     hom_dst = mutate_protein(rng, hom_src, identity=0.4, indel_rate=0.0)
     h = rng.integers(lo, 200_000 - window, N_PAIRS // 4)
     for k in range(SPAN):
         hom_dst[h + k] = hom_src[h + k]
-    homolog = ungapped_scores_paired(hom_src, h, hom_dst, h, flank, window)
+    homolog = paired_scores(hom_src, h, hom_dst, h, flank)
     return background, homolog
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.extend.backends import FusedKernel
 from repro.extend.gapped import smith_waterman, xdrop_gapped_extend
-from repro.extend.ungapped import ungapped_scores, ungapped_scores_paired
+from repro.extend.ungapped import UngappedConfig, ungapped_scores
 from repro.hwsim.fifo import SyncFifo
 from repro.hwsim.memory import Rom
 from repro.index.kmer import ContiguousSeedModel, TwoBankIndex, extract_keys
@@ -31,14 +32,14 @@ def rng():
 
 
 def test_bench_paired_window_scoring(rng, benchmark):
-    """Flat step-2 kernel: ~50M window cells per call."""
+    """Flat step-2 kernel (``fused``): ~30M window cells per call."""
     buf = random_protein(rng, 2_000_000)
     n = 1 << 20
     a0 = rng.integers(16, buf.shape[0] - 44, n)
     a1 = rng.integers(16, buf.shape[0] - 44, n)
-    out = benchmark(
-        ungapped_scores_paired, buf, a0, buf, a1, 12, 28, BLOSUM62
-    )
+    kernel = FusedKernel(UngappedConfig(w=4, n=12, matrix=BLOSUM62))
+    kernel.prepare(buf, buf)
+    out = benchmark(kernel.score, a0, a1)
     assert out.shape == (n,)
 
 

@@ -9,18 +9,17 @@ sequential runtime, paper Table 1) is tracked from PR to PR:
   reported as a rate);
 * ``per_key`` — one vectorised ``K0 × K1`` kernel call per shared index
   key (:meth:`UngappedExtender.run_per_key`);
-* ``batched`` — the flat cross-entry batch engine
-  (:class:`~repro.extend.batched.BatchedUngappedEngine` via the executor
-  at ``workers=1``);
+* ``batched`` — the flat cross-entry batch engine and its ``fused``
+  kernel (:class:`~repro.extend.batched.BatchedUngappedEngine` via the
+  executor at ``workers=1``);
 * ``batched_xN`` — the sharded multiprocess executor at each requested
   worker count (run with ``min_pairs_per_shard=0`` so the pool really
   spawns — the executor's default heuristic would route this sub-floor
   workload in-process, which is the production fix for the 2-worker
-  regression this benchmark first exposed);
-* the **backend registry sweep** — every registered step-2 kernel backend
-  (:mod:`repro.extend.backends`) timed through the batched engine on the
-  same workload, checked bit-identical against ``batched``, and emitted as
-  the per-backend matrix ``report["backends"]``.
+  regression this benchmark first exposed).
+
+``scalar`` and ``per_key`` are the oracle and reference rates the
+engine's speedups are read against.
 
 All full-workload modes are checked for bit-identical hit sets before the
 JSON is written.  Run directly (``python benchmarks/bench_step2_scaling.py
@@ -32,16 +31,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.analysis import allocsan
 from repro.core.executor import ShardedStep2Executor
-from repro.extend.backends import list_backends
-from repro.extend.batched import BatchedUngappedEngine
 from repro.extend.ungapped import (
     UngappedConfig,
     UngappedExtender,
@@ -146,65 +143,6 @@ def instrumented_rerun(
     return report
 
 
-def sweep_backends(
-    index: TwoBankIndex,
-    cfg: UngappedConfig,
-    baseline_hits,
-    repeats: int,
-) -> dict:
-    """Time every registered backend through the batched engine.
-
-    Each backend scores the full workload; its hits must be bit-identical
-    to the ``batched``-mode baseline (``identical_to_batched``).  The
-    python-loop ``scalar`` backend is timed once regardless of *repeats* —
-    it exists as the readable oracle, not a contender.
-    """
-    matrix: dict = {}
-    for info in list_backends():
-        engine = BatchedUngappedEngine(replace(cfg, backend=info.name))
-        n = 1 if info.name == "scalar" else repeats
-        wall, hits = _time(lambda: engine.run(index), n)
-        identical = (
-            np.array_equal(baseline_hits.offsets0, hits.offsets0)
-            and np.array_equal(baseline_hits.offsets1, hits.offsets1)
-            and np.array_equal(baseline_hits.scores, hits.scores)
-        )
-        matrix[info.name] = {
-            "description": info.description,
-            "score_dtype": info.score_dtype,
-            "priority": info.priority,
-            "max_batch_pairs": info.max_batch_pairs,
-            "pairs": hits.stats.pairs,
-            "hits": hits.stats.hits,
-            "wall_s": wall,
-            "pairs_per_s": hits.stats.pairs / wall if wall > 0 else 0.0,
-            "batches": engine.telemetry.batches,
-            "oversized_splits": engine.telemetry.oversized_splits,
-            "identical_to_batched": bool(identical),
-        }
-    return matrix
-
-
-def backends_summary_md(report: dict) -> str:
-    """Per-backend matrix as a markdown table (CI job summaries)."""
-    lines = [
-        "| backend | dtype | priority | pairs/s | wall s | identical |",
-        "|---|---|---:|---:|---:|---|",
-    ]
-    for name, row in report["backends"].items():
-        lines.append(
-            f"| {name} | {row['score_dtype']} | {row['priority']} "
-            f"| {row['pairs_per_s']:,.0f} | {row['wall_s']:.3f} "
-            f"| {'yes' if row['identical_to_batched'] else 'NO'} |"
-        )
-    lines.append(
-        f"\nfused speedup vs batched: "
-        f"{report['fused_speedup_vs_batched']:.2f}x "
-        f"on {report['workload']['pairs']:,} pairs\n"
-    )
-    return "\n".join(lines)
-
-
 def run_benchmark(
     quick: bool = False,
     workers: tuple[int, ...] = (2, 4),
@@ -212,13 +150,7 @@ def run_benchmark(
 ) -> dict:
     """Run every mode, verify identical hit sets, return the report dict."""
     bank0, bank1, index = build_workload(quick)
-    # The historical modes pin backend="batched" so their trajectory stays
-    # comparable across PRs; the registry sweep below covers the rest.
-    cfg = UngappedConfig(
-        w=DEFAULT_SUBSET_SEED.span, n=12, threshold=45, backend="batched"
-    )
-    import os
-
+    cfg = UngappedConfig(w=DEFAULT_SUBSET_SEED.span, n=12, threshold=45)
     report: dict = {
         "workload": {
             "quick": quick,
@@ -284,13 +216,6 @@ def run_benchmark(
         )
         baselines[label] = hits
 
-    report["backends"] = sweep_backends(
-        index, cfg, baselines["batched"], repeats
-    )
-    report["fused_speedup_vs_batched"] = (
-        report["backends"]["batched"]["wall_s"]
-        / report["backends"]["fused"]["wall_s"]
-    )
     report["min_pairs_per_shard_note"] = (
         "sharded modes force min_pairs_per_shard=0; the executor default "
         f"(262144) routes this {index.total_pairs}-pair workload in-process"
@@ -302,7 +227,7 @@ def run_benchmark(
         and np.array_equal(ref.offsets1, h.offsets1)
         and np.array_equal(ref.scores, h.scores)
         for h in baselines.values()
-    ) and all(row["identical_to_batched"] for row in report["backends"].values())
+    )
     report["identical_hit_sets"] = bool(identical)
     report["speedups_vs_per_key"] = {
         label: report["modes"]["per_key"]["wall_s"] / report["modes"][label]["wall_s"]
@@ -323,11 +248,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="JSON output path"
     )
-    parser.add_argument(
-        "--summary-md", type=Path, default=None, metavar="FILE",
-        help="append the per-backend matrix as a markdown table "
-        "(e.g. $GITHUB_STEP_SUMMARY)",
-    )
     args = parser.parse_args(argv)
     report = run_benchmark(args.quick, tuple(args.workers), args.repeats)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
@@ -341,22 +261,7 @@ def main(argv=None) -> int:
         )
     for label, s in report["speedups_vs_per_key"].items():
         print(f"{label:>12}: {s:6.2f}x vs per_key")
-    print("backends:")
-    for name, row in report["backends"].items():
-        flag = "" if row["identical_to_batched"] else "  << NOT IDENTICAL"
-        print(
-            f"{name:>12}: {row['wall_s']:10.3f}s  "
-            f"{row['pairs_per_s']:>14,.0f} pairs/s  "
-            f"[{row['score_dtype']}]{flag}"
-        )
-    print(
-        f"fused speedup vs batched: {report['fused_speedup_vs_batched']:.2f}x"
-    )
     print(f"identical hit sets: {report['identical_hit_sets']}")
-    if args.summary_md is not None:
-        with args.summary_md.open("a") as fh:
-            fh.write(backends_summary_md(report))
-        print(f"appended backend matrix to {args.summary_md}")
     print(f"wrote {args.out}")
     return 0 if report["identical_hit_sets"] else 1
 
@@ -376,15 +281,10 @@ def test_step2_scaling_smoke(tmp_path):
     # mode records the kernel scope itself; the pooled mode records the
     # parent-side merge (kernel scopes live in the worker processes).
     alloc_local = report["modes"]["batched"]["obs_report"]["allocsan"]["scopes"]
-    assert "kernel.batched.score" in alloc_local
+    assert "kernel.fused.score" in alloc_local
     assert "step2.engine.run_stream" in alloc_local
     alloc_pool = report["modes"]["batched_x2"]["obs_report"]["allocsan"]["scopes"]
     assert "step2.merge" in alloc_pool
-    for name in ("fused", "int16", "batched", "per_key", "scalar"):
-        assert report["backends"][name]["identical_to_batched"], name
-        assert report["backends"][name]["hits"] == report["modes"]["batched"]["hits"]
-    assert report["fused_speedup_vs_batched"] > 0
-    assert "| backend |" in backends_summary_md(report)
     out = tmp_path / "BENCH_step2.json"
     out.write_text(json.dumps(report))
     assert json.loads(out.read_text())["workload"]["pairs"] > 0

@@ -1,7 +1,7 @@
 """Numpy-aware dtype / value-range abstract domain (stdlib ``ast`` only).
 
 The RC2xx kernel rules need answers to questions like "what dtype does this
-accumulator actually have?" and "can ``window × max|score|`` overflow it?"
+array actually have?" and "does this constant fit the array's dtype?"
 *without importing numpy* — the repro-check CI job runs dependency-free.
 This module is the substrate: a small abstract-interpretation toolkit over
 the project AST.
@@ -16,17 +16,10 @@ the project AST.
 * :class:`Evaluator` / :func:`interpret` — expression evaluation and a
   linear statement walk building local/attribute environments; branches
   join, loop bodies widen against the pre-state.
-* :class:`DtypeAnalysis` — per-function return-value and accumulator-dtype
-  summaries, solved as a bounded fixpoint over the
-  :class:`~repro.analysis.graph.ProjectGraph` call edges so a kernel whose
-  ``score`` simply returns ``ungapped_scores_paired(...)`` inherits that
-  callee's accumulator dtype.
-* :func:`matrix_score_bound` / :func:`default_window` — static extraction
-  of the two numbers RC200's overflow proof needs, straight from the
-  project source: the maximum ``|score|`` over every bundled NCBI matrix
-  text (gap sentinel included) and the default ``W + 2N`` window width
-  (evaluated from ``UngappedConfig``'s own ``window`` property body, so
-  the proof tracks the real formula, not a copy of it).
+* :class:`DtypeAnalysis` — per-function return-value summaries, solved
+  as a bounded fixpoint over the
+  :class:`~repro.analysis.graph.ProjectGraph` call edges so a wrapper
+  returning a project callee's array inherits that callee's dtype.
 
 Everything is deliberately conservative: unknown stays unknown, joins of
 disagreeing dtypes forget the dtype, and rules built on top must treat
@@ -48,12 +41,9 @@ __all__ = [
     "Env",
     "Evaluator",
     "ValueRange",
-    "call_arg_env",
     "class_attr_env",
-    "default_window",
     "dtype_bounds",
     "interpret",
-    "matrix_score_bound",
     "promote",
 ]
 
@@ -670,9 +660,6 @@ class FunctionDtypes:
 
     #: Join of all return-expression values (unknown when opaque).
     returns: AbstractValue = field(default_factory=AbstractValue.unknown)
-    #: Dtype of the in-place accumulator (``np.add(acc, x, out=acc)`` or
-    #: ``acc += x``), when the body has exactly one consistent answer.
-    accumulator_dtype: str | None = None
 
 
 class DtypeAnalysis:
@@ -680,8 +667,7 @@ class DtypeAnalysis:
 
     A bounded fixpoint in the :mod:`repro.analysis.flows` mold: each pass
     re-interprets every function with the callee summaries of the previous
-    pass, so return dtypes and accumulator dtypes flow through wrappers
-    (``PairedKernel.score`` → ``ungapped_scores_paired``).
+    pass, so return dtypes flow through wrappers.
     """
 
     def __init__(self, graph: ProjectGraph) -> None:
@@ -728,96 +714,22 @@ class DtypeAnalysis:
             joined = returns[0]
             for value in returns[1:]:
                 joined = joined.join(value)
-        acc = self._accumulator_dtype(info, env, lookup)
-        return FunctionDtypes(returns=joined, accumulator_dtype=acc)
+        return FunctionDtypes(returns=joined)
 
     def seed_env(self, info: FunctionInfo) -> Env:
         """Initial environment of a function (parameters are unknown)."""
         del info
         return {}
 
-    def _accumulator_dtype(
-        self,
-        info: FunctionInfo,
-        env: Env,
-        lookup: Callable[[ast.Call], AbstractValue | None],
-    ) -> str | None:
-        ev = Evaluator(env, lookup)
-        dtypes: set[str] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-                target = _assign_target_key(node.target)
-                if target is not None:
-                    value = env.get(target, _UNKNOWN)
-                    if value.kind == "array" and value.dtype is not None:
-                        dtypes.add(value.dtype)
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            raw = dotted_name(node.func)
-            if raw is None:
-                continue
-            head, _, leaf = raw.rpartition(".")
-            if head not in ("np", "numpy") or leaf != "add":
-                continue
-            out = next((kw.value for kw in node.keywords if kw.arg == "out"), None)
-            if out is None:
-                continue
-            out_key = _assign_target_key(out)
-            arg_keys = {
-                _assign_target_key(a)
-                for a in node.args
-                if isinstance(a, (ast.Name, ast.Attribute, ast.Subscript))
-            }
-            arg_keys |= {
-                _assign_target_key(a.value)
-                for a in node.args
-                if isinstance(a, ast.Subscript)
-            }
-            out_base = (
-                _assign_target_key(out.value)
-                if isinstance(out, ast.Subscript)
-                else out_key
-            )
-            if out_base is None or (
-                out_key not in arg_keys and out_base not in arg_keys
-            ):
-                continue
-            value = ev.eval(out)
-            if value.kind == "array" and value.dtype is not None:
-                dtypes.add(value.dtype)
-        if len(dtypes) == 1:
-            return next(iter(dtypes))
-        if not dtypes:
-            # A pure wrapper inherits its single project callee's answer.
-            returned_calls = [
-                site.callee
-                for site in info.calls
-                if site.callee is not None
-                and any(
-                    isinstance(n, ast.Return) and n.value is site.node
-                    for n in ast.walk(info.node)
-                )
-            ]
-            if len(set(returned_calls)) == 1:
-                inherited = self.summaries.get(returned_calls[0])
-                if inherited is not None:
-                    return inherited.accumulator_dtype
-        return None
 
+def class_attr_env(graph: ProjectGraph, class_prefix: str) -> Env:
+    """``self.attr`` environment of one class.
 
-def class_attr_env(
-    graph: ProjectGraph,
-    class_prefix: str,
-    init_args: dict[str, AbstractValue] | None = None,
-) -> Env:
-    """``self.attr`` environment of one class under given ``__init__`` args.
-
-    Interprets ``__init__`` first (its parameters bound to *init_args*),
-    then every other method with the accumulated ``self.*`` bindings, and
-    repeats once so attributes defined across methods (``_ensure`` reading
-    ``self._accum_dtype`` set in ``__init__``) stabilise.  Returns only the
-    dotted ``self.*`` entries.
+    Interprets ``__init__`` first (its parameters unknown), then every
+    other method with the accumulated ``self.*`` bindings, and repeats
+    once so attributes defined across methods (``_ensure`` reassigning
+    scratch that ``__init__`` created) stabilise.  Returns only the dotted
+    ``self.*`` entries.
     """
     scope, _, cls = class_prefix.rpartition(".")
     mod = graph.modules.get(scope)
@@ -833,163 +745,8 @@ def class_attr_env(
     for _ in range(2):
         for info in methods:
             env: Env = dict(attrs)
-            if info.name == "__init__" and init_args:
-                env.update(init_args)
             interpret(list(info.node.body), env, None, None)
             for key, value in env.items():
                 if key.startswith("self."):
                     attrs[key] = value
     return attrs
-
-
-def call_arg_env(
-    call: ast.Call, callee: FunctionInfo, ev: Evaluator
-) -> dict[str, AbstractValue]:
-    """Bind a call's arguments to the callee's parameter names.
-
-    Positional args map onto the parameter list (``self`` skipped for
-    methods), keyword args by name; anything starred is ignored.
-    """
-    params = callee.param_names()
-    if params and params[0] in ("self", "cls"):
-        params = params[1:]
-    env: dict[str, AbstractValue] = {}
-    for name, arg in zip(params, call.args):
-        if isinstance(arg, ast.Starred):
-            break
-        env[name] = ev.eval(arg)
-    for kw in call.keywords:
-        if kw.arg is not None:
-            env[kw.arg] = ev.eval(kw.value)
-    return env
-
-
-# -- project-constant extraction ---------------------------------------
-
-#: Module holding the embedded NCBI matrix texts and the gap sentinel.
-MATRIX_MODULE = "repro.seqs.matrices"
-#: Module/class holding the step-2 configuration defaults.
-CONFIG_MODULE = "repro.extend.ungapped"
-CONFIG_CLASS = "UngappedConfig"
-
-
-def _module_body(graph: ProjectGraph, name: str) -> list[ast.stmt] | None:
-    mod = graph.modules.get(name)
-    return list(mod.ctx.tree.body) if mod is not None else None
-
-
-def matrix_score_bound(graph: ProjectGraph) -> int | None:
-    """Maximum ``|score|`` over every bundled substitution matrix.
-
-    Parsed straight out of the ``_*_TEXT`` NCBI text constants in
-    :data:`MATRIX_MODULE`, with the ``GAP_SCORE`` sentinel included —
-    the loader fills the gap row/column with it, so it bounds the
-    per-residue cost exactly like a matrix entry does.  ``None`` when the
-    module (or any score) is missing: callers must then prove nothing.
-    """
-    body = _module_body(graph, MATRIX_MODULE)
-    if body is None:
-        return None
-    magnitudes: list[int] = []
-    for stmt in body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id == "GAP_SCORE":
-                gap = _const_int(value)
-                if gap is not None:
-                    magnitudes.append(abs(gap))
-            elif target.id.endswith("_TEXT"):
-                if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                    magnitudes.extend(
-                        abs(v) for v in _parse_matrix_ints(value.value)
-                    )
-    return max(magnitudes) if magnitudes else None
-
-
-def _parse_matrix_ints(text: str) -> list[int]:
-    """Integer entries of an NCBI matrix text (labels/comments skipped)."""
-    values: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        for token in line.split():
-            try:
-                values.append(int(token))
-            except ValueError:
-                continue
-    return values
-
-
-def _const_int(node: ast.expr | None) -> int | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return int(node.value)
-    if (
-        isinstance(node, ast.UnaryOp)
-        and isinstance(node.op, ast.USub)
-        and isinstance(node.operand, ast.Constant)
-        and isinstance(node.operand.value, int)
-    ):
-        return -int(node.operand.value)
-    return None
-
-
-def default_window(graph: ProjectGraph) -> int | None:
-    """Default step-2 window width, proven from the config class itself.
-
-    Reads the ``w`` / ``n`` field defaults of :data:`CONFIG_CLASS` and
-    abstractly evaluates the body of its ``window`` property under them,
-    so the answer follows the real ``W + 2N`` formula in the source rather
-    than a hard-coded copy.  ``None`` when anything is missing or the
-    evaluation does not reach a single concrete integer.
-    """
-    body = _module_body(graph, CONFIG_MODULE)
-    if body is None:
-        return None
-    cls = next(
-        (
-            s
-            for s in body
-            if isinstance(s, ast.ClassDef) and s.name == CONFIG_CLASS
-        ),
-        None,
-    )
-    if cls is None:
-        return None
-    env: Env = {}
-    for stmt in cls.body:
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id in ("w", "n")
-        ):
-            value = _const_int(stmt.value)
-            if value is not None:
-                env[f"self.{stmt.target.id}"] = AbstractValue.scalar(
-                    ValueRange.const(value)
-                )
-    prop = next(
-        (
-            s
-            for s in cls.body
-            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and s.name == "window"
-        ),
-        None,
-    )
-    if prop is None:
-        return None
-    returns: list[AbstractValue] = []
-    interpret(list(prop.body), env, None, returns)
-    for value in returns:
-        rng = value.range
-        if rng.lo is not None and rng.lo == rng.hi:
-            return rng.lo
-    return None

@@ -36,7 +36,6 @@ from .rules import FileContext
 
 __all__ = [
     "CallSite",
-    "DecoratorInfo",
     "FunctionInfo",
     "ModuleInfo",
     "ProjectGraph",
@@ -86,27 +85,6 @@ class CallSite:
     callee: str | None
 
 
-@dataclass(frozen=True)
-class DecoratorInfo:
-    """One decorator on a function, with its resolution.
-
-    ``call`` is the ``ast.Call`` node for parameterised decorators
-    (``@register_backend("fused", ...)``) and ``None`` for bare ones.
-    ``raw`` is the decorator's dotted name after import expansion;
-    ``target`` the project function it resolves to, when any.
-    """
-
-    node: ast.expr
-    call: ast.Call | None
-    raw: str | None
-    target: str | None
-
-    @property
-    def leaf(self) -> str | None:
-        """Last dotted component of the decorator name."""
-        return self.raw.rpartition(".")[2] if self.raw else None
-
-
 @dataclass
 class FunctionInfo:
     """One function or method of the project."""
@@ -117,7 +95,6 @@ class FunctionInfo:
     class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
     calls: list[CallSite] = field(default_factory=list)
-    decorators: list[DecoratorInfo] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -153,8 +130,8 @@ def _resolve_relative(
     (``repro.core.executor`` importing ``from .partition`` → the base is
     ``repro.core.partition``).  For a package ``__init__`` the module name
     *is* the package, so one less component is stripped
-    (``repro.extend.backends`` importing ``from .registry`` → the base is
-    ``repro.extend.backends.registry``, not ``repro.extend.registry``).
+    (``repro.extend.backends`` importing ``from .fused`` → the base is
+    ``repro.extend.backends.fused``, not ``repro.extend.fused``).
     """
     if is_package:
         level -= 1
@@ -172,13 +149,10 @@ class ProjectGraph:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         #: Synthetic call edges (caller qualname → callee qualnames) added
-        #: for registry-style dynamic dispatch the resolver cannot see.
+        #: for calls on a held kernel object the resolver cannot see.
         self.extra_edges: dict[str, set[str]] = {}
-        #: ``@register_backend``-decorated factory qualname → the method
-        #: table of the kernel class its return statement constructs.
-        self.backend_factories: dict[str, dict[str, str]] = {}
-        #: Factory qualname → kernel class qualified prefix (``module.Class``).
-        self.backend_kernel_of: dict[str, str | None] = {}
+        #: Step-2 kernel class prefix (``module.Class``) → its method table.
+        self.kernel_classes: dict[str, dict[str, str]] = {}
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -196,7 +170,7 @@ class ProjectGraph:
             graph._register_module(ctx)
         for ctx in package:
             graph._collect_functions(ctx)
-        graph._link_backend_dispatch()
+        graph._link_kernel_dispatch()
         return graph
 
     def _register_module(self, ctx: FileContext) -> None:
@@ -258,10 +232,6 @@ class ProjectGraph:
                         info.calls.append(
                             self.resolve_call(mod, class_name, call, local_types)
                         )
-                    for deco in stmt.decorator_list:
-                        info.decorators.append(
-                            self._resolve_decorator(mod, deco)
-                        )
                     self.functions[info.qualname] = info
                     # Nested defs are rare; their calls are attributed to
                     # the enclosing function via ast.walk above, which is
@@ -314,22 +284,6 @@ class ProjectGraph:
             return f"{scope}.{leaf}"
         return None
 
-    def _resolve_decorator(self, mod: ModuleInfo, deco: ast.expr) -> DecoratorInfo:
-        """Resolve one decorator expression against the module tables."""
-        call = deco if isinstance(deco, ast.Call) else None
-        func_expr = deco.func if isinstance(deco, ast.Call) else deco
-        raw = dotted_name(func_expr)
-        if raw is None:
-            return DecoratorInfo(node=deco, call=call, raw=None, target=None)
-        head, _, rest = raw.partition(".")
-        expanded = raw
-        if head in mod.imports:
-            expanded = mod.imports[head] + ("." + rest if rest else "")
-        target = self._project_function(expanded)
-        if target is None and not rest and raw in mod.functions:
-            target = mod.functions[raw]
-        return DecoratorInfo(node=deco, call=call, raw=expanded, target=target)
-
     # -- resolution ----------------------------------------------------
     def resolve_call(
         self,
@@ -367,9 +321,9 @@ class ProjectGraph:
     def _chase_reexports(self, qualified: str, depth: int = 0) -> str:
         """Follow re-export chains to the defining module.
 
-        ``from .registry import resolve_backend`` in a package ``__init__``
-        makes ``repro.extend.backends.resolve_backend`` a valid qualified
-        name whose definition lives in ``repro.extend.backends.registry``;
+        ``from .fused import FusedKernel`` in a package ``__init__``
+        makes ``repro.extend.backends.FusedKernel`` a valid qualified
+        name whose definition lives in ``repro.extend.backends.fused``;
         callers resolve through the package boundary by following the
         importing module's own import table.  Bounded depth guards against
         pathological import cycles.
@@ -409,40 +363,32 @@ class ProjectGraph:
             return outer.classes[cls].get(leaf)
         return None
 
-    # -- registry dispatch ---------------------------------------------
-    def _link_backend_dispatch(self) -> None:
-        """Add synthetic call edges for the backend-registry indirection.
+    # -- kernel dispatch -----------------------------------------------
+    def _link_kernel_dispatch(self) -> None:
+        """Add synthetic call edges for calls on a held kernel object.
 
-        ``resolve_backend`` invokes ``info.factory(config)`` where
-        ``factory`` was captured by a ``@register_backend`` decorator, and
-        the batched engine then calls ``kernel.score`` / ``kernel.prepare``
-        on whatever kernel object the factory returned.  Neither hop is a
-        static call the resolver can pin, so reachability rules would stop
-        at the registry without these edges: every unresolved
-        ``*.factory(...)`` inside ``extend/`` fans out to all registered
-        factories, and every unresolved ``*.score`` / ``*.prepare`` there
-        fans out to the matching methods of every kernel class a factory
-        constructs (over-approximate by design — reachability rules only
-        need a superset of the true edges).
+        The batched engine builds its step-2 kernel once and calls
+        ``kernel.score`` / ``kernel.prepare`` on the stored instance — a
+        hop the resolver cannot pin, so reachability rules would stop at
+        the engine without these edges.  Kernel classes are found by
+        their structure: a class under ``extend/backends/`` that defines
+        both ``prepare`` and ``score``.  Every unresolved ``*.score`` /
+        ``*.prepare`` inside ``extend/`` fans out to the matching methods
+        of every kernel class (over-approximate by design — reachability
+        rules only need a superset of the true edges).
         """
-        for info in self.functions.values():
-            if not any(d.leaf == "register_backend" for d in info.decorators):
+        for mod in self.modules.values():
+            if not (mod.ctx.package_rel or "").startswith("extend/backends/"):
                 continue
-            kernel = self._factory_kernel_class(info)
-            methods: dict[str, str] = {}
-            if kernel is not None:
-                scope, _, cls = kernel.rpartition(".")
-                owner = self.modules.get(scope)
-                if owner is not None:
-                    methods = owner.classes.get(cls, {})
-            self.backend_factories[info.qualname] = methods
-            self.backend_kernel_of[info.qualname] = kernel
-        if not self.backend_factories:
-            return
+            for cls, methods in mod.classes.items():
+                if "prepare" in methods and "score" in methods:
+                    self.kernel_classes[f"{mod.name}.{cls}"] = methods
         kernel_methods: dict[str, set[str]] = {}
-        for methods in self.backend_factories.values():
-            for name, qual in methods.items():
-                kernel_methods.setdefault(name, set()).add(qual)
+        for methods in self.kernel_classes.values():
+            for name in ("score", "prepare"):
+                kernel_methods.setdefault(name, set()).add(methods[name])
+        if not kernel_methods:
+            return
         for info in self.functions.values():
             if not info.package_rel.startswith("extend/"):
                 continue
@@ -450,24 +396,10 @@ class ProjectGraph:
                 if site.callee is not None or site.raw is None:
                     continue
                 leaf = site.raw.rpartition(".")[2]
-                if leaf == "factory":
-                    self.extra_edges.setdefault(info.qualname, set()).update(
-                        self.backend_factories
-                    )
-                elif leaf in ("score", "prepare") and leaf in kernel_methods:
+                if leaf in kernel_methods:
                     self.extra_edges.setdefault(info.qualname, set()).update(
                         kernel_methods[leaf]
                     )
-
-    def _factory_kernel_class(self, info: FunctionInfo) -> str | None:
-        """Class prefix of the kernel a factory's return statements build."""
-        mod = self.modules[info.module]
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
-                prefix = self._class_prefix_of(mod, dotted_name(node.value.func))
-                if prefix is not None:
-                    return prefix
-        return None
 
     # -- graph queries -------------------------------------------------
     def callees(self, qualname: str) -> Iterator[str]:

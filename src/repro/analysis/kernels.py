@@ -1,22 +1,20 @@
-"""RC2xx — kernel dtype & allocation rules for the step-2 backends.
+"""RC2xx — kernel dtype & allocation rules for the step-2 kernel.
 
-The step-2 scoring kernels imitate the paper's processing elements:
+The step-2 scoring kernel imitates the paper's processing elements:
 fixed-width integer accumulators and zero per-pair buffer churn.  The
-registry enforces both *at runtime* (the ``int16`` probe, the bit-identity
-self-check); this module enforces them *statically*, on every tree state
-CI sees, using the :mod:`repro.analysis.dtypes` abstract domain over the
-:class:`~repro.analysis.graph.ProjectGraph`:
+engine enforces bit-identity *at runtime* (the oracle check on every
+kernel it builds); this module enforces the allocation and dtype
+discipline *statically*, on every tree state CI sees, using the
+:mod:`repro.analysis.dtypes` abstract domain over the
+:class:`~repro.analysis.graph.ProjectGraph`.  Kernel classes are the ones
+the graph discovers structurally (a class under ``extend/backends/``
+defining both ``prepare`` and ``score``):
 
-* **RC200** — accumulator overflow: a backend declaring an integer
-  ``score_dtype`` must provably hold ``window × max|score|`` at the
-  default configuration, and narrow (< 32-bit) dtypes must also register
-  a config-time ``probe`` so non-default windows are refused rather than
-  silently wrapped.
 * **RC201** — hidden copies on the per-batch path: fancy indexing,
   ``astype`` without ``copy=False``, ``flatten()``, and concatenating
   constructors inside functions reachable from a kernel ``score`` entry
-  point.  Setup code (``__init__``, ``prepare``, factories) is exempt —
-  the kernel protocol allows allocation there.
+  point.  Setup code (``__init__``, ``prepare``) is exempt — the kernel
+  protocol allows allocation there.
 * **RC202** — silent dtype promotion: arithmetic mixing two known,
   different array dtypes without ``out=``/``dtype=``/``casting=``, or a
   narrow-dtype array combined with a constant beyond its bounds.
@@ -24,11 +22,6 @@ CI sees, using the :mod:`repro.analysis.dtypes` abstract domain over the
   variable inside a loop body or inside any function the engine's batch
   loop calls per batch; scratch stored on ``self`` (monotone growth) is
   the sanctioned pattern and is exempt.
-* **RC204** — backend-contract conformance: the accumulator dtype a
-  kernel's body actually uses must match the ``score_dtype`` its
-  ``@register_backend`` decorator declares, and a kernel that
-  materialises per-pair window matrices must declare a
-  ``max_batch_pairs`` cap.
 
 All rules follow the house conservatism: no information ⇒ no finding.
 """
@@ -37,33 +30,19 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dtypes import (
     AbstractValue,
     Env,
     Evaluator,
-    call_arg_env,
     class_attr_env,
-    default_window,
     dtype_bounds,
     interpret,
-    matrix_score_bound,
 )
 from .flows import ProjectAnalyses
 from .graph import FunctionInfo, ProjectGraph, dotted_name
 from .rules import ProjectRule, Violation, register
-
-__all__ = [
-    "BackendDecl",
-    "accumulator_peak",
-    "collect_backends",
-]
-
-#: Dtypes narrow enough that a config-time probe must guard non-default
-#: windows (32-bit and wider accumulators absorb any plausible config).
-_NARROW_BITS = 32
 
 #: Allocating constructors RC203 polices on the per-batch path.
 _ALLOC_FUNCS = frozenset({"empty", "zeros", "ones", "full", "arange"})
@@ -72,110 +51,13 @@ _ALLOC_FUNCS = frozenset({"empty", "zeros", "ones", "full", "arange"})
 _CONCAT_FUNCS = frozenset({"concatenate", "stack", "vstack", "hstack"})
 
 
-@dataclass(frozen=True)
-class BackendDecl:
-    """One ``@register_backend`` registration, statically decoded."""
-
-    name: str
-    factory: FunctionInfo
-    decorator: ast.Call
-    score_dtype: str | None
-    max_batch_pairs: int | None
-    has_probe: bool
-    kernel_class: str | None
-    kernel_methods: dict[str, str]
-
-
-def _const_of(node: ast.expr) -> object | None:
-    """Literal constant value of a decorator argument, if any."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
-        left, right = _const_of(node.left), _const_of(node.right)
-        if isinstance(left, int) and isinstance(right, int):
-            return left << right
-    return None
-
-
-def collect_backends(graph: ProjectGraph) -> list[BackendDecl]:
-    """Every backend registration the graph discovered, decoded.
-
-    Uses the decorator call's literal keyword arguments only; anything
-    computed stays ``None`` and downstream rules skip the check.
-    """
-    decls: list[BackendDecl] = []
-    for qual in sorted(graph.backend_factories):
-        info = graph.functions[qual]
-        deco = next(
-            (
-                d.call
-                for d in info.decorators
-                if d.leaf == "register_backend" and d.call is not None
-            ),
-            None,
-        )
-        if deco is None:
-            continue
-        name = None
-        if deco.args:
-            value = _const_of(deco.args[0])
-            if isinstance(value, str):
-                name = value
-        kwargs = {kw.arg: kw.value for kw in deco.keywords if kw.arg}
-        score_dtype = None
-        if "score_dtype" in kwargs:
-            value = _const_of(kwargs["score_dtype"])
-            if isinstance(value, str):
-                score_dtype = value
-        max_batch = None
-        if "max_batch_pairs" in kwargs:
-            value = _const_of(kwargs["max_batch_pairs"])
-            if isinstance(value, int):
-                max_batch = value
-        has_probe = "probe" in kwargs and not (
-            isinstance(kwargs["probe"], ast.Constant)
-            and kwargs["probe"].value is None
-        )
-        decls.append(
-            BackendDecl(
-                name=name or info.name,
-                factory=info,
-                decorator=deco,
-                score_dtype=score_dtype,
-                max_batch_pairs=max_batch,
-                has_probe=has_probe,
-                kernel_class=graph.backend_kernel_of.get(qual),
-                kernel_methods=graph.backend_factories.get(qual, {}),
-            )
-        )
-    return decls
-
-
-def accumulator_peak(graph: ProjectGraph) -> int | None:
-    """``window × max|score|`` at the default configuration, or ``None``.
-
-    The two factors come straight from the source (the embedded matrix
-    texts and the ``UngappedConfig`` defaults), so this is the statically
-    proven worst-case magnitude any score accumulator must hold.
-    """
-    bound = matrix_score_bound(graph)
-    window = default_window(graph)
-    if bound is None or window is None:
-        return None
-    return window * bound
-
-
 def _score_scope(graph: ProjectGraph) -> set[str]:
     """Functions reachable from any kernel ``score`` entry point.
 
     This is the per-batch hot path: the engine calls ``score`` once per
     batch, so everything it reaches runs with per-batch frequency.
     """
-    seeds = [
-        methods["score"]
-        for methods in graph.backend_factories.values()
-        if "score" in methods
-    ]
+    seeds = [methods["score"] for methods in graph.kernel_classes.values()]
     return graph.reachable_from(seeds)
 
 
@@ -201,35 +83,13 @@ def _function_env(
 
 
 def _kernel_self_envs(project: ProjectAnalyses) -> dict[str, Env]:
-    """``self.*`` environment per kernel class, under its factory's args.
+    """``self.*`` environment per kernel class.
 
-    The factory's return statement pins the constructor arguments
-    (``FusedKernel(config, np.dtype(np.int16))``), which seed the
-    ``__init__`` parameters; the resulting attribute table is what makes
-    ``self._score``'s dtype knowable inside ``score``.
+    The attribute table built from ``__init__`` and the other methods is
+    what makes ``self._score``'s dtype knowable inside ``score``.
     """
     graph = project.graph
-    envs: dict[str, Env] = {}
-    for qual in sorted(graph.backend_factories):
-        cls = graph.backend_kernel_of.get(qual)
-        if cls is None or cls in envs:
-            continue
-        factory = graph.functions[qual]
-        init_args: dict[str, AbstractValue] = {}
-        init_qual = f"{cls}.__init__"
-        init_info = graph.functions.get(init_qual)
-        if init_info is not None:
-            fenv = _function_env(project, factory)
-            ev = Evaluator(fenv)
-            for node in ast.walk(factory.node):
-                if (
-                    isinstance(node, ast.Return)
-                    and isinstance(node.value, ast.Call)
-                ):
-                    init_args = call_arg_env(node.value, init_info, ev)
-                    break
-        envs[cls] = class_attr_env(graph, cls, init_args)
-    return envs
+    return {cls: class_attr_env(graph, cls) for cls in sorted(graph.kernel_classes)}
 
 
 def _loop_line_spans(
@@ -261,7 +121,7 @@ def _called_in_loop(graph: ProjectGraph, scope: set[str]) -> set[str]:
     The engine's ``for p0, p1 in batches: kernel.score(...)`` makes the
     whole ``score`` call tree per-batch even though no loop is lexically
     visible inside the kernels; synthetic dispatch edges carry the
-    "inside a loop" property across the registry indirection.
+    "inside a loop" property across the held-kernel indirection.
     """
     in_loop: set[str] = set()
     for info in graph.functions.values():
@@ -319,51 +179,6 @@ def _array_index(ev: Evaluator, index: ast.expr) -> bool:
 
 def _path_of(graph: ProjectGraph, info: FunctionInfo) -> Path:
     return graph.modules[info.module].ctx.path
-
-
-@register
-class AccumulatorOverflowRule(ProjectRule):
-    """RC200 — declared score dtypes must hold the proven window peak."""
-
-    code = "RC200"
-    summary = (
-        "backend score_dtype must provably hold window x max|score| at the "
-        "default config, and narrow dtypes must register a probe"
-    )
-
-    def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
-        """Prove (or refute) the overflow bound per registered backend."""
-        graph = project.graph
-        peak = accumulator_peak(graph)
-        if peak is None:
-            return
-        for decl in collect_backends(graph):
-            if decl.score_dtype is None:
-                continue
-            bounds = dtype_bounds(decl.score_dtype)
-            if bounds is None:  # python-int / float: no fixed width to prove
-                continue
-            lo, hi = bounds
-            path = _path_of(graph, decl.factory)
-            if peak > hi or -peak < lo:
-                yield self.violation_at(
-                    path,
-                    decl.decorator,
-                    f"backend '{decl.name}' declares score_dtype "
-                    f"'{decl.score_dtype}' but the default window peak "
-                    f"{peak} exceeds its range [{lo}, {hi}] — scores can "
-                    "overflow; widen the dtype or shrink the window",
-                )
-            elif (hi - lo + 1).bit_length() - 1 < _NARROW_BITS and not decl.has_probe:
-                yield self.violation_at(
-                    path,
-                    decl.decorator,
-                    f"backend '{decl.name}' uses narrow score_dtype "
-                    f"'{decl.score_dtype}' (safe at the default window: "
-                    f"peak {peak} fits [{lo}, {hi}]) but registers no "
-                    "probe — non-default windows would overflow silently; "
-                    "add a config-time probe",
-                )
 
 
 @register
@@ -459,9 +274,8 @@ class SilentPromotionRule(ProjectRule):
         scope = _score_scope(graph)
         seeds = {
             methods[name]
-            for methods in graph.backend_factories.values()
+            for methods in graph.kernel_classes.values()
             for name in ("score", "prepare")
-            if name in methods
         }
         scope = scope | graph.reachable_from(seeds)
         self_envs = _kernel_self_envs(project)
@@ -601,129 +415,3 @@ class BatchLoopAllocRule(ProjectRule):
                 ):
                     lines.add(node.lineno)
         return lines
-
-
-@register
-class BackendContractRule(ProjectRule):
-    """RC204 — kernel bodies must match their registered metadata."""
-
-    code = "RC204"
-    summary = (
-        "a kernel's actual accumulator dtype and batching behaviour must "
-        "match its register_backend declaration"
-    )
-
-    def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
-        """Cross-check each registration against the kernel body."""
-        graph = project.graph
-        self_envs = _kernel_self_envs(project)
-        for decl in collect_backends(graph):
-            path = _path_of(graph, decl.factory)
-            declared = decl.score_dtype
-            if declared is None:
-                continue
-            declared_bounds = dtype_bounds(declared)
-            score_qual = decl.kernel_methods.get("score")
-            if score_qual is None:
-                continue
-            actual = self._actual_accumulator(
-                project, score_qual, self_envs, decl
-            )
-            if declared_bounds is None:
-                # "python-int" etc.: a numpy accumulator contradicts it.
-                if actual is not None:
-                    yield self.violation_at(
-                        path,
-                        decl.decorator,
-                        f"backend '{decl.name}' declares score_dtype "
-                        f"'{declared}' but its kernel accumulates into a "
-                        f"numpy {actual} array — the metadata misleads "
-                        "probe/overflow reasoning; declare the real dtype",
-                    )
-            elif actual is not None and actual != declared:
-                yield self.violation_at(
-                    path,
-                    decl.decorator,
-                    f"backend '{decl.name}' declares score_dtype "
-                    f"'{declared}' but its kernel accumulates into "
-                    f"{actual} — declaration and body must agree",
-                )
-            yield from self._check_batching(project, decl, path)
-
-    @staticmethod
-    def _actual_accumulator(
-        project: ProjectAnalyses,
-        score_qual: str,
-        self_envs: dict[str, Env],
-        decl: BackendDecl,
-    ) -> str | None:
-        graph = project.graph
-        info = graph.functions.get(score_qual)
-        if info is None:
-            return None
-        summary = project.dtypes.summaries.get(score_qual)
-        if summary is not None and summary.accumulator_dtype is not None:
-            return summary.accumulator_dtype
-        # Re-derive with the factory-seeded self.* environment, which the
-        # generic per-function pass (unknown self) could not see.
-        if decl.kernel_class is None:
-            return None
-        self_env = self_envs.get(decl.kernel_class)
-        if not self_env:
-            return None
-        env = _function_env(project, info, self_env)
-        ev = Evaluator(env)
-        dtypes: set[str] = set()
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            raw = dotted_name(node.func)
-            if raw is None or raw.rpartition(".")[2] != "add":
-                continue
-            head = raw.rpartition(".")[0]
-            if head not in ("np", "numpy"):
-                continue
-            out = next(
-                (kw.value for kw in node.keywords if kw.arg == "out"), None
-            )
-            if out is None:
-                continue
-            value = ev.eval(out)
-            if value.kind == "array" and value.dtype is not None:
-                dtypes.add(value.dtype)
-        return next(iter(dtypes)) if len(dtypes) == 1 else None
-
-    def _check_batching(
-        self, project: ProjectAnalyses, decl: BackendDecl, path: Path
-    ) -> Iterator[Violation]:
-        """A kernel materialising per-pair windows must cap its batches."""
-        if decl.max_batch_pairs is not None:
-            return
-        graph = project.graph
-        score_qual = decl.kernel_methods.get("score")
-        if score_qual is None:
-            return
-        info = graph.functions.get(score_qual)
-        if info is None:
-            return
-        self_envs = _kernel_self_envs(project)
-        self_env = (
-            self_envs.get(decl.kernel_class) if decl.kernel_class else None
-        )
-        env = _function_env(project, info, self_env)
-        ev = Evaluator(env)
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Subscript) and isinstance(
-                node.ctx, ast.Load
-            ):
-                if _array_index(ev, node.slice):
-                    yield self.violation_at(
-                        path,
-                        decl.decorator,
-                        f"backend '{decl.name}' gathers per-pair window "
-                        "matrices in score() but declares no "
-                        "max_batch_pairs cap — unbounded batches make "
-                        "the gather's memory footprint unbounded; "
-                        "declare a cap in register_backend",
-                    )
-                    return

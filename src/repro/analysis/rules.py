@@ -22,10 +22,6 @@ RC005     Public functions in ``core/``, ``extend/`` and ``index/`` are
 RC105     Modules instrumented through :mod:`repro.obs` never read the
           monotonic clock directly — a raw ``time.perf_counter()`` there
           is wall time that silently escapes span and metric accounting.
-RC106     ``ungapped_scores_paired`` is only called through the step-2
-          backend registry (:mod:`repro.extend.backends`) — a direct call
-          elsewhere in the package bypasses backend selection and the
-          registry's bit-identity accuracy gate.
 RC107     No unbounded blocking calls under ``serve/`` (nor in the
           supervision layer ``core/supervisor.py`` / ``core/executor.py``
           it delegates to) — every ``queue.get/put``, ``Event.wait``,
@@ -99,14 +95,6 @@ ANNOTATION_SCOPES: tuple[str, ...] = (
     "analysis/",
     "obs/",
 )
-
-#: Package files allowed to call ``ungapped_scores_paired`` directly —
-#: RC106 exemptions: the defining module and the registry backends that
-#: wrap it.  Everything else must go through
-#: :func:`repro.extend.backends.resolve_backend` so the accuracy gate and
-#: backend selection are never bypassed.
-PAIRED_KERNEL_ALLOWED: tuple[str, ...] = ("extend/ungapped.py",)
-PAIRED_KERNEL_ALLOWED_PREFIXES: tuple[str, ...] = ("extend/backends/",)
 
 #: Modules instrumented through :mod:`repro.obs` — RC105 scope.  Timing in
 #: these files must go through ``repro.obs.trace`` (``clock``, ``Timer``,
@@ -624,43 +612,6 @@ class UnboundedBlockingRule(Rule):
                         "blocks forever if the other side is stuck; pass an "
                         "explicit timeout",
                     )
-
-
-@register
-class DirectPairedKernelRule(Rule):
-    """RC106 — ``ungapped_scores_paired`` is called only via the registry."""
-
-    code = "RC106"
-    summary = (
-        "direct ungapped_scores_paired() call outside extend/ungapped.py "
-        "and extend/backends/; score through the backend registry "
-        "(repro.extend.backends.resolve_backend) so backend selection and "
-        "the bit-identity accuracy gate are never bypassed"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        rel = ctx.package_rel
-        if (
-            rel is None  # tests/benchmarks may exercise the kernel directly
-            or rel in PAIRED_KERNEL_ALLOWED
-            or rel.startswith(PAIRED_KERNEL_ALLOWED_PREFIXES)
-        ):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _dotted(node.func)
-            if name is None:
-                continue
-            if name.rpartition(".")[2] == "ungapped_scores_paired":
-                yield self.violation(
-                    ctx,
-                    node,
-                    "direct ungapped_scores_paired() call bypasses the "
-                    "step-2 backend registry; use "
-                    "repro.extend.backends.resolve_backend() and the "
-                    "resolved kernel instead",
-                )
 
 
 #: Package prefixes RC110 covers: the long-lived service and the

@@ -130,12 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
             "path) applied to step-2 workers — chaos testing only",
         )
         sp.add_argument(
-            "--step2-backend", default="auto", metavar="NAME",
-            help="step-2 scoring-kernel backend (a registry name such as "
-            "fused, int16, batched, per_key, scalar — or 'auto' for the "
-            "best available; all are bit-identical)",
-        )
-        sp.add_argument(
             "--min-pairs-per-shard", type=nonnegative_int, default=1 << 18,
             help="below this many step-2 pairs per shard, a multi-worker "
             "run scores in-process instead of paying pool startup "
@@ -369,7 +363,6 @@ def _load_compare_inputs(args):
         shard_timeout=getattr(args, "shard_timeout", None),
         max_retries=getattr(args, "max_retries", 2),
         fault_plan=_parse_fault_plan(plan_arg) if plan_arg else None,
-        step2_backend=getattr(args, "step2_backend", "auto"),
         min_pairs_per_shard=getattr(args, "min_pairs_per_shard", 1 << 18),
     )
     return queries, genome, config
@@ -399,7 +392,7 @@ def _cmd_compare(args) -> int:
             print(
                 f"#   shard {s.shard}: entries={s.entries} pairs={s.pairs} "
                 f"hits={s.hits} batches={s.batches} wall={s.wall_seconds:.3f}s "
-                f"attempts={s.attempts} via={s.via} backend={s.backend}"
+                f"attempts={s.attempts} via={s.via}"
             )
         print(f"# {render_run_health(pipe.profile.run_health)}")
     if args.render:

@@ -66,11 +66,6 @@ class PipelineConfig:
     fault_plan:
         Deterministic fault injection for chaos testing (the CLI's
         ``--fault-plan``); ``None`` in production.
-    step2_backend:
-        Step-2 scoring-kernel registry name (the CLI's
-        ``--step2-backend``); ``"auto"`` selects the best available
-        backend.  Every backend is bit-identical by construction (see
-        :mod:`repro.extend.backends`), so this is purely a speed knob.
     min_pairs_per_shard:
         Pair-count floor below which a ``workers > 1`` run scores
         in-process instead of paying pool spawn + shared-memory staging
@@ -91,7 +86,6 @@ class PipelineConfig:
     shard_timeout: float | None = None
     max_retries: int = 2
     fault_plan: FaultPlan | None = None
-    step2_backend: str = "auto"
     min_pairs_per_shard: int = 1 << 18
 
     @property
@@ -113,7 +107,6 @@ class PipelineConfig:
             matrix=self.matrix,
             semantics=self.semantics,
             pair_chunk=self.pair_chunk,
-            backend=self.step2_backend,
         )
 
     def supervisor_config(self) -> SupervisorConfig:

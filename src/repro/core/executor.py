@@ -58,7 +58,6 @@ import signal
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -66,7 +65,6 @@ import numpy as np
 from ..analysis import allocsan
 from ..analysis import determinism as detsan
 from ..analysis.contracts import ArraySpec, check_array
-from ..extend.backends import resolve_backend
 from ..extend.batched import BatchedUngappedEngine, EntryBlock
 from ..extend.ungapped import UngappedConfig, UngappedHits, UngappedStats
 from ..index.kmer import TwoBankIndex
@@ -329,9 +327,6 @@ def _score_shard(
     bank1 = _verified_bank1()
     bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
     block = EntryBlock(offsets0, counts0, offsets1, counts1)
-    # The config rode the pool initargs with its backend name already
-    # resolved to a concrete registry key by the parent, so every worker
-    # honors the parent's backend choice.
     engine = BatchedUngappedEngine(_WORKER["config"])
     obs_payload: ObsPayload | None = None
     if _WORKER["obs"]:
@@ -439,7 +434,6 @@ def _plan_shards(
 def _merge(
     outcomes: list[ShardOutcome],
     health: RunHealth,
-    backend: str,
     request_id: str | None,
 ) -> tuple[UngappedHits, list[ShardTiming]]:
     """Fold accepted shard results, in shard order, into one run.
@@ -517,7 +511,6 @@ def _merge(
                 attempts=outcome.attempts,
                 via=outcome.via,
                 retry_wall_seconds=outcome.retry_wall_seconds,
-                backend=backend,
             )
         )
     results = [o.result for o in outcomes]
@@ -668,12 +661,6 @@ class Step2Engine:
         (:class:`~repro.core.faults.FaultPlan`) applied inside the pool
         tasks — the chaos-testing hook.
 
-    The configured backend name (``config.backend``, possibly ``"auto"``)
-    is resolved once, eagerly, at construction: an unknown or unavailable
-    backend fails here rather than inside a worker, and the concrete
-    registry name then rides the pool initargs so workers honor the
-    parent's choice instead of re-running ``"auto"`` selection.
-
     The engine keeps no per-run state — each run returns its hits, shard
     timings and health — so the warm pool holds one for its lifetime
     while it owns the staging and the pool itself.
@@ -686,11 +673,7 @@ class Step2Engine:
         supervisor: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        config = config or UngappedConfig()
-        resolved = resolve_backend(config.backend, config)
-        if config.backend != resolved.info.name:
-            config = replace(config, backend=resolved.info.name)
-        self.config = config
+        self.config = config or UngappedConfig()
         self.workers = max(1, int(workers))
         self.supervisor = supervisor or SupervisorConfig()
         self.fault_plan = fault_plan
@@ -748,7 +731,6 @@ class Step2Engine:
         hits, timings = _merge(
             [ShardOutcome(shard=0, result=result, attempts=1, via="local")],
             health,
-            self.config.backend,
             supervisor.request_id,
         )
         return hits, timings, health
@@ -802,7 +784,7 @@ class Step2Engine:
         finally:
             if keep_pool is not None:
                 keep_pool(sup.final_pool)
-        hits, timings = _merge(outcomes, health, self.config.backend, request_id)
+        hits, timings = _merge(outcomes, health, request_id)
         return hits, timings, health
 
 

@@ -77,9 +77,6 @@ class ShardTiming:
     #: one.  ``wall_seconds`` covers only the accepted attempt, so without
     #: this the cost of retries vanishes from shard-level accounting.
     retry_wall_seconds: float = 0.0
-    #: Scoring-kernel registry name the shard ran with (see
-    #: :mod:`repro.extend.backends`).
-    backend: str = "batched"
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able form (run-report ``profile.step2_shards`` rows)."""
@@ -94,7 +91,6 @@ class ShardTiming:
             "attempts": self.attempts,
             "via": self.via,
             "retry_wall_seconds": self.retry_wall_seconds,
-            "backend": self.backend,
         }
 
 

@@ -1,14 +1,7 @@
 """Extension kernels: vectorised ungapped window scoring (step 2), gapped
 X-drop / Smith-Waterman (step 3), and Karlin-Altschul statistics."""
 
-from .backends import (
-    BackendInfo,
-    BackendUnavailable,
-    backend_names,
-    list_backends,
-    register_backend,
-    resolve_backend,
-)
+from .backends import FusedKernel, check_against_oracle
 from .batched import (
     BatchedUngappedEngine,
     BatchTelemetry,
@@ -42,17 +35,12 @@ from .ungapped import (
     UngappedStats,
     ungapped_score_reference,
     ungapped_scores,
-    ungapped_scores_paired,
     ungapped_xdrop,
 )
 
 __all__ = [
-    "BackendInfo",
-    "BackendUnavailable",
-    "backend_names",
-    "list_backends",
-    "register_backend",
-    "resolve_backend",
+    "FusedKernel",
+    "check_against_oracle",
     "BatchedUngappedEngine",
     "BatchTelemetry",
     "EntryBlock",
@@ -64,7 +52,6 @@ __all__ = [
     "UngappedStats",
     "ungapped_score_reference",
     "ungapped_scores",
-    "ungapped_scores_paired",
     "ungapped_xdrop",
     "GapPenalties",
     "GappedExtension",

@@ -1,57 +1,15 @@
-"""Step-2 kernel backend registry and the built-in backends.
+"""The step-2 kernel layer: the ``fused`` scan and its oracle gate.
 
-Importing this package registers every built-in backend (the modules'
-``register_backend`` decorators run at import time):
-
-====== ======== =========================================================
-name   priority kernel
-====== ======== =========================================================
-fused  50       shifted-view fused scan, int32 accumulators
-int16  40       fused scan with int16 accumulators (overflow-probed)
-batched 30      reference paired kernel (``ungapped_scores_paired``)
-per_key 20      window-matrix gather formulation of the per-key path
-scalar 10       pair-at-a-time Python loop over the hardware oracle
-====== ======== =========================================================
-
-``resolve_backend("auto", config)`` picks the highest-priority backend
-whose probe and accuracy self-check pass; see
-:mod:`repro.extend.backends.registry` for the selection and gating rules
-and for how to register a new backend.
+The batched engine (:class:`repro.extend.batched.BatchedUngappedEngine`)
+owns batching, threshold filtering and emission order; the kernel here
+turns "two bank buffers and flat anchor arrays" into one int32 score per
+pair — the software image of the RASC-100 PSC operator's PE array.
+:func:`check_against_oracle` gates every kernel the engine builds against
+the scalar hardware oracle.
 """
 
 from __future__ import annotations
 
-from .registry import (
-    BackendInfo,
-    BackendUnavailable,
-    KernelBackend,
-    ResolvedBackend,
-    backend_names,
-    check_anchor_bounds,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-    temporary_backend,
-)
+from .fused import FusedKernel, KernelBackend, check_against_oracle
 
-# Import for the registration side effect: each module's decorators add its
-# backends to the registry.
-from . import batched as _batched  # noqa: E402,F401
-from . import fused as _fused  # noqa: E402,F401
-from . import per_key as _per_key  # noqa: E402,F401
-from . import scalar as _scalar  # noqa: E402,F401
-
-__all__ = [
-    "BackendInfo",
-    "BackendUnavailable",
-    "KernelBackend",
-    "ResolvedBackend",
-    "backend_names",
-    "check_anchor_bounds",
-    "get_backend",
-    "list_backends",
-    "register_backend",
-    "resolve_backend",
-    "temporary_backend",
-]
+__all__ = ["FusedKernel", "KernelBackend", "check_against_oracle"]

@@ -1,73 +1,89 @@
-"""``fused`` and ``int16`` backends — shifted-view fused scan kernel.
+"""The step-2 scoring kernel — shifted-view fused scan — and its oracle gate.
 
-The reference paired kernel pays three gathers per window column (two
+The naive paired formulation pays three gathers per window column (two
 residues, one 2-D matrix cell) plus temporaries.  This kernel fuses the
 column step into fewer, allocation-free passes:
 
 * **Pre-scaled bank.**  ``prepare`` multiplies bank 0 once into an int16
   row-offset table (``code * stride``), so the per-column substitution
   lookup becomes *one* flat gather: ``sub_flat[scaled0[b0 + t] + buf1[b1 + t]]``.
+  The matrix is always 25×25, so ``255 * 25`` bounds every scaled byte
+  (pad sentinels included) well inside int16.
 * **Shifted views.**  Column ``t`` gathers through ``scaled0[t:]`` /
   ``buf1[t:]`` views instead of adding ``t`` to the anchor arrays — no
-  index arithmetic pass at all.  The shared bounds check guarantees
+  index arithmetic pass at all.  The bounds check guarantees
   ``base.max() + window <= len(buf)``, so every shifted gather with
   ``t < window`` stays in range.
 * **Preallocated scratch.**  All intermediates live in scratch buffers
   grown monotonically and reused across batches; the steady-state batch
   loop performs no allocation.
 
-``fused`` scans with int32 accumulators.  ``int16`` additionally keeps the
-running score and best in int16 — halving accumulator bandwidth — which is
-sound only when ``window × max|substitution score|`` fits int16; its probe
-asserts that overflow impossibility from the window length at config time
-and refuses the config otherwise (BLOSUM62's bound is 16, so the default
-window of 28 sits far inside the limit).
+Accumulators are int32, which holds any window's score.
+
+:func:`check_against_oracle` is the accuracy gate the batched engine runs
+on every kernel it builds: a small seeded workload scored bit-for-bit
+against :func:`repro.extend.ungapped.ungapped_score_reference` (the scalar
+hardware oracle) under the actual config.  A mismatch raises; there is no
+other kernel to fall back to.
 """
 
 from __future__ import annotations
 
+from typing import Protocol
+
 import numpy as np
 
-from ..ungapped import ScoreSemantics, UngappedConfig
-from .registry import check_anchor_bounds, register_backend
+from ..ungapped import ScoreSemantics, UngappedConfig, ungapped_score_reference
+
+__all__ = ["FusedKernel", "KernelBackend", "check_against_oracle"]
 
 
-def _probe_fused(config: UngappedConfig) -> "str | None":
-    """Shared availability check: the scaled-bank table must fit int16."""
-    scores = config.matrix.scores
-    if scores.ndim != 2:
-        return "substitution matrix must be 2-D"
-    stride = int(scores.shape[1])
-    # Any uint8 bank byte may be scaled, pad sentinels included.
-    if 255 * stride > np.iinfo(np.int16).max:
-        return (
-            f"substitution matrix stride {stride} overflows the int16 "
-            "scaled-bank table"
-        )
-    return None
+class KernelBackend(Protocol):
+    """Structural type of a step-2 scoring kernel (what the oracle gates)."""
+
+    def prepare(self, buf0: np.ndarray, buf1: np.ndarray) -> None:
+        """Bind the bank buffers for the coming batches (once per stream)."""
+        ...
+
+    def score(self, anchors0: np.ndarray, anchors1: np.ndarray) -> np.ndarray:
+        """Score paired anchors; int32 result, valid until the next call."""
+        ...
 
 
-def _probe_int16(config: UngappedConfig) -> "str | None":
-    """``fused`` checks plus int16 accumulator overflow impossibility."""
-    reason = _probe_fused(config)
-    if reason is not None:
-        return reason
-    max_abs = int(np.abs(config.matrix.scores).max())
-    peak = config.window * max_abs
-    if peak > np.iinfo(np.int16).max:
-        return (
-            f"window {config.window} x max |score| {max_abs} can reach "
-            f"{peak}, overflowing int16 accumulators"
-        )
-    return None
+def _check_anchor_bounds(
+    buf0: np.ndarray,
+    base0: np.ndarray,
+    buf1: np.ndarray,
+    base1: np.ndarray,
+    window: int,
+) -> None:
+    """Reject windows leaving either bank buffer.
+
+    *base0*/*base1* are flank-subtracted window starts.  Raises the same
+    ``IndexError`` as :meth:`repro.seqs.sequence.SequenceBank.windows` —
+    an out-of-buffer window is a caller error, never a silent wrap-around
+    gather.
+    """
+    if base0.size == 0:
+        return
+    if int(base0.min()) < 0 or int(base0.max()) + window > buf0.shape[0]:
+        raise IndexError("window exceeds bank buffer; increase pad")
+    if int(base1.min()) < 0 or int(base1.max()) + window > buf1.shape[0]:
+        raise IndexError("window exceeds bank buffer; increase pad")
 
 
 class FusedKernel:
-    """Shifted-view fused scan over a pre-scaled bank-0 table."""
+    """Shifted-view fused scan over a pre-scaled bank-0 table.
 
-    def __init__(self, config: UngappedConfig, accum_dtype: np.dtype) -> None:
+    ``prepare(buf0, buf1)`` binds the bank buffers once per entry stream;
+    ``score(anchors0, anchors1)`` runs once per batch and returns an int32
+    array that is a view into scratch storage, valid only until the next
+    ``score`` call — callers that keep scores copy them, as the engine's
+    threshold filter does.
+    """
+
+    def __init__(self, config: UngappedConfig) -> None:
         self._config = config
-        self._accum_dtype = np.dtype(accum_dtype)
         scores = config.matrix.scores
         self._stride = int(scores.shape[1])
         self._sub_flat = np.ascontiguousarray(scores, dtype=np.int16).reshape(-1)
@@ -80,8 +96,8 @@ class FusedKernel:
         self._y = np.empty(0, dtype=np.uint8)
         self._idx = np.empty(0, dtype=np.intp)
         self._cost = np.empty(0, dtype=np.int16)
-        self._score = np.empty(0, dtype=self._accum_dtype)
-        self._best = np.empty(0, dtype=self._accum_dtype)
+        self._score = np.empty(0, dtype=np.int32)
+        self._best = np.empty(0, dtype=np.int32)
         self._out = np.empty(0, dtype=np.int32)
 
     def prepare(self, buf0: np.ndarray, buf1: np.ndarray) -> None:
@@ -101,8 +117,8 @@ class FusedKernel:
         self._y = np.empty(n, dtype=np.uint8)
         self._idx = np.empty(n, dtype=np.intp)
         self._cost = np.empty(n, dtype=np.int16)
-        self._score = np.empty(n, dtype=self._accum_dtype)
-        self._best = np.empty(n, dtype=self._accum_dtype)
+        self._score = np.empty(n, dtype=np.int32)
+        self._best = np.empty(n, dtype=np.int32)
         self._out = np.empty(n, dtype=np.int32)
         self._capacity = n
 
@@ -122,7 +138,7 @@ class FusedKernel:
         np.subtract(anchors1, cfg.n, out=base1)
         # The scaled bank mirrors buf0 element-for-element, so bounds
         # checked against it cover every shifted view with t < window.
-        check_anchor_bounds(scaled0, base0, buf1, base1, window)
+        _check_anchor_bounds(scaled0, base0, buf1, base1, window)
         x = self._x[:n]
         y = self._y[:n]
         idx = self._idx[:n]
@@ -153,25 +169,51 @@ class FusedKernel:
         return out
 
 
-@register_backend(
-    "fused",
-    description="shifted-view fused scan (flat int16 cost table, int32 accumulators)",
-    score_dtype="int32",
-    priority=50,
-    probe=_probe_fused,
-)
-def make_fused(config: UngappedConfig) -> FusedKernel:
-    """Build the fused kernel with int32 accumulators."""
-    return FusedKernel(config, np.dtype(np.int32))
+#: Pairs in the oracle check workload (kept tiny: every engine runs it
+#: once, and the check is O(pairs × window) scalar work).
+_ORACLE_CHECK_PAIRS = 4
 
 
-@register_backend(
-    "int16",
-    description="fused scan with int16 accumulators (overflow-checked at config time)",
-    score_dtype="int16",
-    priority=40,
-    probe=_probe_int16,
-)
-def make_int16(config: UngappedConfig) -> FusedKernel:
-    """Build the fused kernel with int16 accumulators (bounded scores)."""
-    return FusedKernel(config, np.dtype(np.int16))
+def check_against_oracle(kernel: KernelBackend, config: UngappedConfig) -> None:
+    """Score a seeded workload and compare against the scalar oracle.
+
+    Raises ``RuntimeError`` unless every score is bit-identical.  The
+    workload is derived from the config's window so short and long
+    windows both get a genuine scan; residues stay in the canonical 0..19
+    range.  The kernel is left prepared on the check buffers — callers
+    ``prepare`` it again on their own.
+    """
+    window = config.window
+    flank = config.n
+    rng = np.random.default_rng(20090 + window)
+    size0 = flank + window + _ORACLE_CHECK_PAIRS + 4
+    size1 = size0 + 3
+    buf0 = rng.integers(0, 20, size0, dtype=np.uint8)
+    buf1 = rng.integers(0, 20, size1, dtype=np.uint8)
+    anchors0 = flank + rng.integers(
+        0, _ORACLE_CHECK_PAIRS + 4, _ORACLE_CHECK_PAIRS
+    ).astype(np.int64)
+    anchors1 = flank + rng.integers(
+        0, _ORACLE_CHECK_PAIRS + 4, _ORACLE_CHECK_PAIRS
+    ).astype(np.int64)
+    kernel.prepare(buf0, buf1)
+    got = np.asarray(kernel.score(anchors0, anchors1))
+    if got.dtype != np.int32 or got.shape != (_ORACLE_CHECK_PAIRS,):
+        raise RuntimeError(
+            "step-2 kernel failed the oracle check: expected int32 shape "
+            f"({_ORACLE_CHECK_PAIRS},), got {got.dtype} {got.shape}"
+        )
+    for i in range(_ORACLE_CHECK_PAIRS):
+        s0 = int(anchors0[i]) - flank
+        s1 = int(anchors1[i]) - flank
+        want = ungapped_score_reference(
+            buf0[s0 : s0 + window],
+            buf1[s1 : s1 + window],
+            config.matrix,
+            config.semantics,
+        )
+        if int(got[i]) != want:
+            raise RuntimeError(
+                "step-2 kernel failed the oracle check: pair "
+                f"{i} scored {int(got[i])}, oracle says {want}"
+            )

@@ -18,13 +18,11 @@ they came from.  This module is the software image of that stream:
   (:meth:`~repro.index.kmer.TwoBankIndex.shard_arrays`); the engine batches
   it by ``searchsorted`` over cumulative pair counts — no per-entry Python
   loop at all.
-* :class:`BatchedUngappedEngine` drives the batches through a scoring
-  kernel selected from the backend registry
-  (:mod:`repro.extend.backends`, ``config.backend``) and concatenates the
+* :class:`BatchedUngappedEngine` drives the batches through the ``fused``
+  scoring kernel (:mod:`repro.extend.backends`) and concatenates the
   survivors in exactly the order the per-key path would have emitted them.
-  The engine owns batching, threshold filtering and emission order, so
-  every registered backend inherits the bit-identity guarantee
-  structurally.
+  The engine owns batching, threshold filtering and emission order; the
+  kernel's scores are gated against the scalar oracle when it is built.
 
 Degenerate cases are handled identically to the per-key path: an empty
 shared key set yields an empty, dtype-correct result; an anchor whose
@@ -43,7 +41,7 @@ from ..analysis import allocsan
 from ..analysis.contracts import contracted
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
-from .backends import resolve_backend
+from .backends import FusedKernel, check_against_oracle
 from .ungapped import (
     BankBuffer,
     UngappedConfig,
@@ -96,8 +94,6 @@ class BatchTelemetry:
 
     batches: int = 0
     pair_counts: list[int] = field(default_factory=list)
-    #: Registry name of the kernel that scored the run ("" before any run).
-    backend: str = ""
     #: Batches emitted by splitting an entry whose cross product exceeded
     #: the pair budget (row slices and column slices both count).
     oversized_splits: int = 0
@@ -287,18 +283,20 @@ def _iter_block_batches(
 class BatchedUngappedEngine:
     """Step-2 engine scoring many index entries per kernel invocation.
 
-    The inner scoring kernel is selected from the backend registry by
-    ``config.backend`` (``"auto"`` picks the best available; see
-    :mod:`repro.extend.backends`).  Every backend produces bit-identical
-    hits, scores and emission order to the per-key path — the registry's
-    accuracy gate enforces the scores, and the engine owns enumeration
-    order and threshold filtering.  :attr:`telemetry` records the batch
-    shapes and kernel of the last run.
+    Builds one :class:`~repro.extend.backends.FusedKernel` for its config
+    and checks it against the scalar oracle before any run
+    (:func:`~repro.extend.backends.check_against_oracle` raises on a
+    mismatch).  Hits, scores and emission order are bit-identical to the
+    per-key path: the oracle gate covers the scores, and the engine owns
+    enumeration order and threshold filtering.  :attr:`telemetry` records
+    the batch shapes of the last run.
     """
 
     def __init__(self, config: UngappedConfig | None = None) -> None:
         self.config = config or UngappedConfig()
-        #: Batch shapes and backend of the most recent run.
+        self._kernel = FusedKernel(self.config)
+        check_against_oracle(self._kernel, self.config)
+        #: Batch shapes of the most recent run.
         self.telemetry = BatchTelemetry()
 
     def run(self, index: TwoBankIndex) -> UngappedHits:
@@ -328,14 +326,11 @@ class BatchedUngappedEngine:
         whose counts are already known pass their own block.
         """
         cfg = self.config
-        resolved = resolve_backend(cfg.backend, cfg)
-        self.telemetry = BatchTelemetry(backend=resolved.info.name)
+        self.telemetry = BatchTelemetry()
         own_stats = stats is None
         if own_stats:
             stats = UngappedStats()
         budget = cfg.pair_chunk
-        if resolved.info.max_batch_pairs is not None:
-            budget = min(budget, resolved.info.max_batch_pairs)
         if isinstance(entries, EntryBlock):
             if own_stats:
                 stats.entries = entries.n_entries
@@ -355,34 +350,31 @@ class BatchedUngappedEngine:
 
                 source = counted()
             batches = iter_pair_batches(source, budget, self.telemetry)
-        kernel = resolved.kernel
+        kernel = self._kernel
         kernel.prepare(buf0, buf1)
         out0: list[np.ndarray] = []
         out1: list[np.ndarray] = []
         out_s: list[np.ndarray] = []
         # The registry (and histogram-family lookup) is resolved once per
-        # run, not per batch — the loop body is the step-2 hot path.  The
-        # backend name rides as a metric label so per-backend batch-shape
-        # series stay separable after merging.
+        # run, not per batch — the loop body is the step-2 hot path.
         registry = obsmetrics.active()
         batch_hist = (
-            registry.histogram("step2_batch_pairs", backend=resolved.info.name)
+            registry.histogram("step2_batch_pairs")
             if registry is not None
             else None
         )
         # Allocation-sanitizer scopes (no-ops unless a recorder is active):
-        # the per-kernel scope is the zero-churn claim the static RC203
-        # rule proves about the code, measured about the run.
-        kernel_scope = f"kernel.{resolved.info.name}.score"
+        # the kernel scope is the zero-churn claim the static RC203 rule
+        # proves about the code, measured about the run.
         with allocsan.measure("step2.engine.run_stream"):
             for p0, p1 in batches:
                 self.telemetry.note(p0.shape[0])
                 if batch_hist is not None:
                     batch_hist.observe(p0.shape[0])
-                with allocsan.measure(kernel_scope):
+                with allocsan.measure("kernel.fused.score"):
                     scores = kernel.score(p0, p1)
-                # Boolean selection copies, so a backend returning a scratch
-                # view stays safe past the next score() call.
+                # Boolean selection copies, so the kernel's scratch view
+                # stays safe past the next score() call.
                 keep = scores >= cfg.threshold
                 out0.append(p0[keep])
                 out1.append(p1[keep])

@@ -45,11 +45,8 @@ from ..seqs.sequence import SequenceBank
 __all__ = [
     "ScoreSemantics",
     "BankBuffer",
-    "AnchorArray",
-    "ScoreArray",
     "ungapped_score_reference",
     "ungapped_scores",
-    "ungapped_scores_paired",
     "UngappedConfig",
     "UngappedHits",
     "UngappedStats",
@@ -60,11 +57,6 @@ __all__ = [
 #: 1-D uint8 bank buffer: residue codes with pad/gap sentinels.  Checked at
 #: runtime under ``REPRO_CONTRACTS=1`` (see :mod:`repro.analysis.contracts`).
 BankBuffer = Annotated[np.ndarray, ArraySpec(dtype=np.uint8, ndim=1)]
-#: Flat seed-anchor offsets; the two vectors of one kernel call must agree
-#: on the named ``pairs`` dimension.
-AnchorArray = Annotated[np.ndarray, ArraySpec(dtype=np.int64, shape=("pairs",))]
-#: Per-pair window scores, parallel to the anchor vectors.
-ScoreArray = Annotated[np.ndarray, ArraySpec(dtype=np.int32, shape=("pairs",))]
 #: ``(K, L)`` uint8 window matrices; the two sides of one outer-product
 #: call must agree on the named window ``width`` dimension.
 WindowMatrix0 = Annotated[np.ndarray, ArraySpec(dtype=np.uint8, shape=("k0", "width"))]
@@ -149,58 +141,6 @@ def ungapped_scores(
     return best
 
 
-@contracted
-def ungapped_scores_paired(
-    buf0: BankBuffer,
-    anchors0: AnchorArray,
-    buf1: BankBuffer,
-    anchors1: AnchorArray,
-    flank: int,
-    window: int,
-    matrix: SubstitutionMatrix = BLOSUM62,
-    semantics: ScoreSemantics = ScoreSemantics.KADANE,
-) -> ScoreArray:
-    """Score *paired* windows: one score per (anchors0[i], anchors1[i]).
-
-    Unlike :func:`ungapped_scores` (a ``K0 × K1`` outer product for one
-    index entry), this kernel takes pre-expanded pair lists spanning many
-    entries at once, which removes the per-entry Python overhead that
-    dominates when index lists are short (the common case: mean K0 of a
-    few).  Residues are gathered straight from the bank buffers column by
-    column — no window matrices are materialised.
-    """
-    a0 = np.asarray(anchors0, dtype=np.int64) - flank
-    a1 = np.asarray(anchors1, dtype=np.int64) - flank
-    if a0.shape != a1.shape:
-        raise ValueError("anchor arrays must have equal shapes")
-    # Same contract as SequenceBank.windows: an out-of-buffer window is a
-    # caller error, never a silent wrap-around gather.
-    if a0.size:
-        if int(a0.min()) < 0 or int(a0.max()) + window > buf0.shape[0]:
-            raise IndexError("window exceeds bank buffer; increase pad")
-        if int(a1.min()) < 0 or int(a1.max()) + window > buf1.shape[0]:
-            raise IndexError("window exceeds bank buffer; increase pad")
-    # Reference-kernel exemption: this is the mid-fidelity oracle the
-    # backends are gated against, kept deliberately allocation-simple for
-    # auditability.  The fused backend is the RC201/RC203-clean production
-    # formulation of exactly this loop; suppressing here keeps the oracle
-    # readable while the rules still police every registered kernel.
-    sub = matrix.scores.astype(np.int32)  # noqa: RC201
-    score = np.zeros(a0.shape[0], dtype=np.int32)  # noqa: RC203
-    best = np.zeros(a0.shape[0], dtype=np.int32)  # noqa: RC203
-    if semantics is ScoreSemantics.KADANE:
-        for t in range(window):
-            np.add(score, sub[buf0[a0 + t], buf1[a1 + t]], out=score)  # noqa: RC201
-            np.maximum(score, 0, out=score)
-            np.maximum(best, score, out=best)
-    else:
-        for t in range(window):
-            cost = sub[buf0[a0 + t], buf1[a1 + t]]  # noqa: RC201
-            np.add(score, np.maximum(cost, 0), out=score)
-        best = score
-    return best
-
-
 @dataclass(frozen=True)
 class UngappedConfig:
     """Step-2 parameters.
@@ -219,10 +159,6 @@ class UngappedConfig:
         Recurrence variant; see :class:`ScoreSemantics`.
     pair_chunk:
         Upper bound on ``K0 × K1`` scored per kernel call (memory control).
-    backend:
-        Scoring-kernel registry name, or ``"auto"`` to pick the best
-        available (see :mod:`repro.extend.backends`).  Every backend is
-        bit-identical by construction, so this is purely a speed knob.
     """
 
     w: int = 4
@@ -231,7 +167,6 @@ class UngappedConfig:
     matrix: SubstitutionMatrix = BLOSUM62
     semantics: ScoreSemantics = ScoreSemantics.KADANE
     pair_chunk: int = 1 << 20
-    backend: str = "auto"
 
     @property
     def window(self) -> int:
@@ -350,8 +285,8 @@ class UngappedExtender:
         """Run step 2 over every shared index entry.
 
         Pairs from all entries are expanded into flat anchor arrays and
-        scored in large batches with :func:`ungapped_scores_paired` by the
-        batched engine (:class:`repro.extend.batched.BatchedUngappedEngine`);
+        scored in large batches by the fused kernel of the batched engine
+        (:class:`repro.extend.batched.BatchedUngappedEngine`);
         this is algebraically identical to per-entry scoring but ~10-20×
         faster on realistic workloads whose index lists are short.
         """

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .registry import register_backend
-
 
 class GatherKernel:
     def __init__(self, config):
@@ -26,8 +24,3 @@ class GatherKernel:
         out = self._out[: idx.shape[0]]
         np.take(self._buf0, idx, out=out)
         return out
-
-
-@register_backend("gather", score_dtype="int32", max_batch_pairs=4096)
-def make_gather(config):
-    return GatherKernel(config)

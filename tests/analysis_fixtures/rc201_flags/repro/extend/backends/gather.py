@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .registry import register_backend
-
 
 class GatherKernel:
     def __init__(self, config):
@@ -21,8 +19,3 @@ class GatherKernel:
         flat = w0.flatten()  # flatten always copies
         widened = flat.astype(np.int32)  # astype without copy=False
         return widened
-
-
-@register_backend("gather", score_dtype="int32", max_batch_pairs=4096)
-def make_gather(config):
-    return GatherKernel(config)

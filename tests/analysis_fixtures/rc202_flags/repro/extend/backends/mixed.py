@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .registry import register_backend
-
 
 class MixedKernel:
     def __init__(self, config):
@@ -18,8 +16,3 @@ class MixedKernel:
     def score(self, anchors0, anchors1):
         total = self._acc + self._bonus  # int16 + int32: promoted implicitly
         return total
-
-
-@register_backend("mixed", score_dtype="int32")
-def make_mixed(config):
-    return MixedKernel(config)

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .registry import register_backend
-
 
 class ScratchKernel:
     def __init__(self, config):
@@ -24,8 +22,3 @@ class ScratchKernel:
         out = self._out[:n]
         out[:] = 0
         return out
-
-
-@register_backend("alloc", score_dtype="int32")
-def make_alloc(config):
-    return ScratchKernel(config)

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .registry import register_backend
-
 
 class AllocKernel:
     def __init__(self, config):
@@ -16,8 +14,3 @@ class AllocKernel:
     def score(self, anchors0, anchors1):
         out = np.zeros(anchors0.shape[0], dtype=np.int32)
         return out
-
-
-@register_backend("alloc", score_dtype="int32")
-def make_alloc(config):
-    return AllocKernel(config)

@@ -1,21 +1,14 @@
-"""Step-2 backend registry tests: metadata, resolution, bit-identity.
+"""Step-2 kernel tests: the oracle gate and engine bit-identity.
 
-Every registered backend must produce the same hits, the same scores and
-the same emission order as the per-key reference path — the registry's
-whole value is that ``--step2-backend`` is purely a speed knob.
+The engine's one kernel (``fused``) must produce the same hits, the same
+scores and the same emission order as the per-key reference path, and a
+kernel whose scores disagree with the scalar oracle must be refused.
 """
 
 import numpy as np
 import pytest
 
-from repro.extend.backends import (
-    BackendInfo,
-    BackendUnavailable,
-    backend_names,
-    list_backends,
-    resolve_backend,
-)
-from repro.extend.backends.registry import register_backend, temporary_backend
+from repro.extend.backends import FusedKernel, check_against_oracle
 from repro.extend.batched import BatchedUngappedEngine
 from repro.extend.ungapped import (
     ScoreSemantics,
@@ -25,8 +18,6 @@ from repro.extend.ungapped import (
 from repro.index.kmer import ContiguousSeedModel, TwoBankIndex
 from repro.seqs.generate import random_protein_bank
 from repro.seqs.sequence import Sequence, SequenceBank
-
-ALL_BACKENDS = ("fused", "int16", "batched", "per_key", "scalar")
 
 
 def make_index(rng, n0=12, n1=16, mean=110, span=3):
@@ -43,140 +34,67 @@ def assert_identical_hits(ref, got):
     assert got.scores.dtype == np.int32
 
 
-class TestRegistry:
-    def test_all_backends_registered(self):
-        assert set(ALL_BACKENDS) <= set(backend_names())
-
-    def test_priority_order(self):
-        infos = list_backends()
-        priorities = [b.priority for b in infos]
-        assert priorities == sorted(priorities, reverse=True)
-        assert infos[0].name == "fused"
-
-    def test_unknown_backend_raises(self):
-        cfg = UngappedConfig(w=3, n=4)
-        with pytest.raises(BackendUnavailable, match="unknown step-2 backend 'warp'"):
-            resolve_backend("warp", cfg)
-
-    def test_auto_resolves_to_highest_priority_available(self):
-        resolved = resolve_backend("auto", UngappedConfig(w=3, n=8))
-        assert resolved.info.name == "fused"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(
-                "batched", description="dup", score_dtype="int32", priority=1
-            )(lambda cfg: None)
-
-    def test_metadata_complete(self):
-        for info in list_backends():
-            assert info.description
-            assert info.score_dtype
-            assert info.max_batch_pairs is None or info.max_batch_pairs > 0
-
-
 class TestBitIdentity:
-    """Same hits, same scores, same order — every backend, both semantics."""
+    """Same hits, same scores, same order as the per-key path."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("semantics", list(ScoreSemantics))
-    def test_matches_per_key_reference(self, rng, backend, semantics):
+    def test_matches_per_key_reference(self, rng, semantics):
         _, _, idx = make_index(rng)
-        base = UngappedConfig(w=3, n=8, threshold=18, semantics=semantics)
-        ref = UngappedExtender(base).run_per_key(idx)
-        cfg = UngappedConfig(
-            w=3, n=8, threshold=18, semantics=semantics, backend=backend
-        )
-        engine = BatchedUngappedEngine(cfg)
-        got = engine.run(idx)
+        cfg = UngappedConfig(w=3, n=8, threshold=18, semantics=semantics)
+        ref = UngappedExtender(cfg).run_per_key(idx)
+        got = BatchedUngappedEngine(cfg).run(idx)
         assert len(ref) > 0
         assert_identical_hits(ref, got)
-        assert engine.telemetry.backend == backend
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_empty_shared_key_set(self, backend):
+    def test_empty_shared_key_set(self):
         b0 = SequenceBank([Sequence.from_text("q", "AAAAAAAAAA")], pad=32)
         b1 = SequenceBank([Sequence.from_text("s", "WWWWWWWWWW")], pad=32)
         idx = TwoBankIndex.build(b0, b1, ContiguousSeedModel(4))
         assert idx.n_shared_keys == 0
-        cfg = UngappedConfig(w=4, n=4, threshold=1, backend=backend)
+        cfg = UngappedConfig(w=4, n=4, threshold=1)
         hits = BatchedUngappedEngine(cfg).run(idx)
         assert len(hits) == 0
         assert hits.offsets0.dtype == np.int64
         assert hits.scores.dtype == np.int32
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_single_oversized_entry(self, backend):
+    def test_single_oversized_entry(self):
         # One shared key, 12×12 = 144 pairs against a 10-pair budget: the
-        # giant-entry slicer feeds every backend identical sub-batches.
+        # giant-entry slicer feeds the kernel sub-batches that must score
+        # exactly like one whole batch.
         b0 = SequenceBank([Sequence.from_text("q", "MKVL" * 12)], pad=32)
         b1 = SequenceBank([Sequence.from_text("s", "MKVL" * 12)], pad=32)
         idx = TwoBankIndex.build(b0, b1, ContiguousSeedModel(4))
         big = UngappedConfig(w=4, n=4, threshold=10)
-        tiny = UngappedConfig(w=4, n=4, threshold=10, pair_chunk=10,
-                              backend=backend)
+        tiny = UngappedConfig(w=4, n=4, threshold=10, pair_chunk=10)
         ref = BatchedUngappedEngine(big).run(idx)
         got = BatchedUngappedEngine(tiny).run(idx)
         assert len(ref) > 0
         assert_identical_hits(ref, got)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_one_residue_windows(self, backend):
+    def test_one_residue_windows(self):
         # w=1, n=0: the degenerate single-column window (window == 1).
         rng = np.random.default_rng(5)
         b0 = random_protein_bank(rng, 3, mean_length=30, name_prefix="q")
         b1 = random_protein_bank(rng, 3, mean_length=30, name_prefix="s")
         idx = TwoBankIndex.build(b0, b1, ContiguousSeedModel(1))
-        base = UngappedConfig(w=1, n=0, threshold=4)
-        ref = UngappedExtender(base).run_per_key(idx)
-        cfg = UngappedConfig(w=1, n=0, threshold=4, backend=backend)
+        cfg = UngappedConfig(w=1, n=0, threshold=4)
+        ref = UngappedExtender(cfg).run_per_key(idx)
         got = BatchedUngappedEngine(cfg).run(idx)
         assert len(ref) > 0
         assert_identical_hits(ref, got)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_window_overrun_raises(self, backend):
-        # pad=2 < flank: every backend must reject the out-of-buffer
-        # window with the reference kernel's IndexError, not wrap around.
+    def test_window_overrun_raises(self):
+        # pad=2 < flank: the kernel must reject the out-of-buffer window
+        # with the per-key path's IndexError, not wrap around.
         b0 = SequenceBank([Sequence.from_text("q", "MKVLAW")], pad=2)
         b1 = SequenceBank([Sequence.from_text("s", "MKVLAW")], pad=2)
         idx = TwoBankIndex.build(b0, b1, ContiguousSeedModel(4))
-        cfg = UngappedConfig(w=4, n=8, threshold=1, backend=backend)
+        cfg = UngappedConfig(w=4, n=8, threshold=1)
         with pytest.raises(IndexError, match="increase pad"):
             BatchedUngappedEngine(cfg).run(idx)
 
 
 class TestAvailability:
-    def _failing_info(self, name, probe=None, factory=None):
-        return BackendInfo(
-            name=name,
-            description="test-only backend",
-            score_dtype="int32",
-            priority=99,  # above fused: auto must consider it first
-            max_batch_pairs=None,
-            factory=factory or (lambda cfg: (_ for _ in ()).throw(
-                RuntimeError("no device"))),
-            probe=probe,
-        )
-
-    def test_probe_failure_falls_back_under_auto(self):
-        info = self._failing_info(
-            "probefail", probe=lambda cfg: "hardware not present"
-        )
-        with temporary_backend(info):
-            resolved = resolve_backend("auto", UngappedConfig(w=3, n=8))
-            assert resolved.info.name == "fused"
-            with pytest.raises(BackendUnavailable, match="hardware not present"):
-                resolve_backend("probefail", UngappedConfig(w=3, n=8))
-
-    def test_factory_failure_falls_back_under_auto(self):
-        info = self._failing_info("bornbroken")
-        with temporary_backend(info):
-            resolved = resolve_backend("auto", UngappedConfig(w=3, n=8))
-            assert resolved.info.name == "fused"
-            with pytest.raises(BackendUnavailable, match="no device"):
-                resolve_backend("bornbroken", UngappedConfig(w=3, n=8))
-
     def test_accuracy_gate_rejects_wrong_scores(self):
         class WrongKernel:
             def prepare(self, buf0, buf1):
@@ -185,23 +103,23 @@ class TestAvailability:
             def score(self, anchors0, anchors1):
                 return np.zeros(anchors0.shape[0], dtype=np.int32)
 
-        info = self._failing_info("allzero", factory=lambda cfg: WrongKernel())
-        with temporary_backend(info):
-            resolved = resolve_backend("auto", UngappedConfig(w=3, n=8))
-            assert resolved.info.name == "fused"
-            with pytest.raises(BackendUnavailable, match="accuracy self-check"):
-                resolve_backend("allzero", UngappedConfig(w=3, n=8))
+        with pytest.raises(RuntimeError, match="oracle check"):
+            check_against_oracle(WrongKernel(), UngappedConfig(w=3, n=8))
 
-    def test_int16_overflow_gate(self):
-        # window = 4 + 2*2000 large enough that |score| could exceed int16.
-        cfg = UngappedConfig(w=4, n=2000)
-        with pytest.raises(BackendUnavailable, match="int16"):
-            resolve_backend("int16", cfg)
-        # auto still works: fused scans in int32 at any window.
-        assert resolve_backend("auto", cfg).info.name == "fused"
+    def test_accuracy_gate_rejects_wrong_dtype(self):
+        class WideKernel:
+            def prepare(self, buf0, buf1):
+                pass
 
-    def test_engine_run_with_explicit_bad_backend_raises(self, rng):
-        _, _, idx = make_index(rng, n0=4, n1=4)
-        cfg = UngappedConfig(w=3, n=8, backend="warp")
-        with pytest.raises(BackendUnavailable, match="unknown"):
-            BatchedUngappedEngine(cfg).run(idx)
+            def score(self, anchors0, anchors1):
+                return np.zeros(anchors0.shape[0], dtype=np.int64)
+
+        with pytest.raises(RuntimeError, match="expected int32"):
+            check_against_oracle(WideKernel(), UngappedConfig(w=3, n=8))
+
+    @pytest.mark.parametrize("semantics", list(ScoreSemantics))
+    def test_fused_kernel_passes_the_gate(self, semantics):
+        # Long windows included: int32 accumulators hold any window.
+        for w, n in [(1, 0), (4, 12), (4, 2000)]:
+            cfg = UngappedConfig(w=w, n=n, semantics=semantics)
+            check_against_oracle(FusedKernel(cfg), cfg)

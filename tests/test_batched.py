@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.extend.backends import FusedKernel
 from repro.extend.batched import BatchedUngappedEngine, iter_pair_batches
 from repro.extend.ungapped import (
     ScoreSemantics,
     UngappedConfig,
     UngappedExtender,
     ungapped_score_reference,
-    ungapped_scores_paired,
 )
 from repro.index.kmer import ContiguousSeedModel, TwoBankIndex
 from repro.seqs.generate import random_protein_bank
@@ -161,10 +161,12 @@ class TestBatchedEngine:
         good = np.array([20], dtype=np.int64)
         bad_low = np.array([2], dtype=np.int64)  # 2 - flank < 0
         bad_high = np.array([62], dtype=np.int64)  # + window > 64
-        ungapped_scores_paired(buf, good, buf, good, 8, 20)
+        kernel = FusedKernel(UngappedConfig(w=4, n=8))  # window 20
+        kernel.prepare(buf, buf)
+        kernel.score(good, good)
         for a0, a1 in [(bad_low, good), (good, bad_high)]:
             with pytest.raises(IndexError, match="increase pad"):
-                ungapped_scores_paired(buf, a0, buf, a1, 8, 20)
+                kernel.score(a0, a1)
 
 
 @given(

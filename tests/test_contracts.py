@@ -12,7 +12,7 @@ from repro.analysis.contracts import (
     contracts_enabled,
 )
 from repro.extend.batched import BatchedUngappedEngine
-from repro.extend.ungapped import UngappedConfig, ungapped_scores_paired
+from repro.extend.ungapped import UngappedConfig
 from repro.seqs.alphabet import GAP_CODE, encode_protein
 
 
@@ -95,45 +95,38 @@ class TestCheckArray:
 
 
 class TestBatchedKernelContracts:
+    """The engine's ``run_stream`` is the contracted step-2 entry point."""
+
+    ENTRIES = [(np.array([20], dtype=np.int64), np.array([20], dtype=np.int64))]
+    CONFIG = UngappedConfig(w=4, n=4, threshold=1)
+
     def test_kernel_is_contracted(self):
-        assert getattr(ungapped_scores_paired, "__repro_contracted__", False)
         assert getattr(BatchedUngappedEngine.run_stream, "__repro_contracted__", False)
 
     def test_wrong_dtype_buffer_rejected(self, enabled):
         buf0, buf1 = make_buffers()
-        entries = [(np.array([20], dtype=np.int64), np.array([20], dtype=np.int64))]
-        engine = BatchedUngappedEngine(UngappedConfig(w=4, n=4, threshold=1))
+        engine = BatchedUngappedEngine(self.CONFIG)
         with pytest.raises(ContractError, match="buf0"):
-            engine.run_stream(buf0.astype(np.float64), buf1, entries)
+            engine.run_stream(buf0.astype(np.float64), buf1, self.ENTRIES)
 
-    def test_wrong_dtype_anchors_rejected(self, enabled):
+    def test_wrong_ndim_buffer_rejected(self, enabled):
         buf0, buf1 = make_buffers()
-        a = np.array([20], dtype=np.int32)
-        b = np.array([20], dtype=np.int64)
-        with pytest.raises(ContractError, match="anchors0"):
-            ungapped_scores_paired(buf0, a, buf1, b, 4, 12)
-
-    def test_pair_length_mismatch_rejected(self, enabled):
-        buf0, buf1 = make_buffers()
-        a = np.array([20, 21], dtype=np.int64)
-        b = np.array([20], dtype=np.int64)
-        with pytest.raises(ContractError, match="pairs"):
-            ungapped_scores_paired(buf0, a, buf1, b, 4, 12)
+        engine = BatchedUngappedEngine(self.CONFIG)
+        with pytest.raises(ContractError, match="buf1"):
+            engine.run_stream(buf0, buf1[:, None], self.ENTRIES)
 
     def test_valid_call_passes_and_scores(self, enabled):
         buf0, buf1 = make_buffers()
-        a = np.array([20], dtype=np.int64)
-        b = np.array([20], dtype=np.int64)
-        scores = ungapped_scores_paired(buf0, a, buf1, b, 4, 12)
-        assert scores.dtype == np.int32
-        assert scores.shape == (1,)
-        assert scores[0] > 0
+        hits = BatchedUngappedEngine(self.CONFIG).run_stream(buf0, buf1, self.ENTRIES)
+        assert hits.scores.dtype == np.int32
+        assert hits.scores.shape == (1,)
+        assert hits.scores[0] > 0
 
     def test_disabled_forwards_unchecked(self, disabled):
         # Without the env var the decorator must not even look at dtypes:
-        # int32 anchors violate the contract but index arrays just fine.
+        # an int8 bank violates the contract but scores just fine.
         buf0, buf1 = make_buffers()
-        a = np.array([20], dtype=np.int32)
-        b = np.array([20], dtype=np.int32)
-        scores = ungapped_scores_paired(buf0, a, buf1, b, 4, 12)
-        assert scores.shape == (1,)
+        engine = BatchedUngappedEngine(self.CONFIG)
+        want = engine.run_stream(buf0, buf1, self.ENTRIES)
+        got = engine.run_stream(buf0.astype(np.int8), buf1, self.ENTRIES)
+        assert np.array_equal(want.scores, got.scores)

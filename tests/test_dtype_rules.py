@@ -1,18 +1,16 @@
-"""RC2xx kernel-rule tests: committed fixtures, real tree, proven bounds."""
+"""RC2xx kernel-rule tests: committed fixtures, real tree, kernel anchors."""
 
 import pathlib
 
 import pytest
 
 from repro.analysis.checker import check_paths
-from repro.analysis.dtypes import dtype_bounds
 from repro.analysis.flows import ProjectAnalyses
-from repro.analysis.kernels import accumulator_peak, collect_backends
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-RC2XX = ["RC200", "RC201", "RC202", "RC203", "RC204"]
+RC2XX = ["RC201", "RC202", "RC203"]
 
 
 def codes_for(tree):
@@ -44,61 +42,31 @@ class TestFixtures:
     def test_clean_tree_passes(self, code):
         assert codes_for(f"{code.lower()}_clean") == []
 
-    def test_rc200_reports_both_failure_modes(self):
-        result = check_paths([FIXTURES / "rc200_flags"], select=["RC200"])
-        messages = [v.message for v in result.violations]
-        assert any("exceeds its range" in m for m in messages)
-        assert any("registers no probe" in m for m in messages)
 
-    def test_rc204_reports_both_contract_breaches(self):
-        result = check_paths([FIXTURES / "rc204_flags"], select=["RC204"])
-        messages = [v.message for v in result.violations]
-        assert any("declaration and body must agree" in m for m in messages)
-        assert any("max_batch_pairs" in m for m in messages)
+class TestKernelAnchors:
+    """The rules only see what the graph anchors; a broken anchor would
+    turn every RC2xx rule silent ("no information ⇒ no finding")."""
 
+    FUSED = "repro.extend.backends.fused.FusedKernel"
+    RUN_STREAM = "repro.extend.batched.BatchedUngappedEngine.run_stream"
 
-class TestProvenBounds:
-    """The RC200 acceptance claim: int16 is proven safe on the real tree."""
+    def test_fused_kernel_is_discovered(self):
+        graph = project_for([REPO / "src"]).graph
+        methods = graph.kernel_classes[self.FUSED]
+        assert methods["score"] == f"{self.FUSED}.score"
+        assert methods["prepare"] == f"{self.FUSED}.prepare"
+        assert {methods["score"], methods["prepare"]} <= set(graph.functions)
 
-    def test_default_window_peak_is_448(self):
-        project = project_for([REPO / "src"])
-        assert accumulator_peak(project.graph) == 448
-
-    def test_int16_backend_is_proven_safe(self):
-        project = project_for([REPO / "src"])
-        peak = accumulator_peak(project.graph)
-        decls = {d.name: d for d in collect_backends(project.graph)}
-        assert "int16" in decls
-        lo, hi = dtype_bounds(decls["int16"].score_dtype)
-        assert lo <= -peak and peak <= hi
-        # ...and the probe is registered, so non-default windows are refused
-        # at config time rather than proven here.
-        assert decls["int16"].has_probe
-
-    def test_int8_would_be_refuted(self):
-        project = project_for([REPO / "src"])
-        peak = accumulator_peak(project.graph)
-        lo, hi = dtype_bounds("int8")
-        assert peak > hi
-
-    def test_registry_backends_are_reachable(self):
-        # Satellite check: @register_backend factories and kernel methods
-        # must be visible to the call graph (the qualified-name fix).
-        project = project_for([REPO / "src"])
-        decls = {d.name for d in collect_backends(project.graph)}
-        assert {"fused", "int16", "batched", "per_key", "scalar"} <= decls
-        score_methods = {
-            methods.get("score")
-            for methods in project.graph.backend_factories.values()
-        }
-        assert all(q in project.graph.functions for q in score_methods if q)
+    def test_engine_batch_loop_reaches_the_kernel(self):
+        graph = project_for([REPO / "src"]).graph
+        callees = set(graph.callees(self.RUN_STREAM))
+        assert {f"{self.FUSED}.score", f"{self.FUSED}.prepare"} <= callees
 
 
 class TestRealTree:
     def test_src_is_clean_under_rc2xx(self):
-        # The acceptance gate: RC201/RC203 report zero findings on the
-        # backends after the scratch-reuse fixes, and RC200/RC202/RC204
-        # hold tree-wide (reference-kernel exemptions ride as inline noqa).
+        # The acceptance gate: RC201/RC202/RC203 report zero findings on
+        # the step-2 kernel and everything its score path reaches.
         result = check_paths([REPO / "src"], select=RC2XX)
         assert result.violations == []
 
@@ -110,8 +78,7 @@ class TestSeededBug:
         bugged = tmp_path / "repro" / "extend" / "backends" / "bad.py"
         bugged.parent.mkdir(parents=True)
         bugged.write_text(
-            "import numpy as np\n"
-            "from .registry import register_backend\n\n\n"
+            "import numpy as np\n\n\n"
             "class BadKernel:\n"
             "    def __init__(self, config):\n"
             "        self._config = config\n\n"
@@ -122,10 +89,7 @@ class TestSeededBug:
             "        for t in range(4):\n"
             "            tmp = np.zeros(8, dtype=np.int32)\n"
             "            acc = tmp\n"
-            "        return acc\n\n\n"
-            "@register_backend('bad', score_dtype='int32')\n"
-            "def make_bad(config):\n"
-            "    return BadKernel(config)\n"
+            "        return acc\n"
         )
         result = check_paths([tmp_path], select=["RC203"])
         assert [v.rule for v in result.violations] == ["RC203"]

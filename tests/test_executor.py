@@ -217,37 +217,6 @@ class TestSmallWorkloadHeuristic:
         assert counter.value == 1
 
 
-class TestBackendPlumbing:
-    def test_auto_is_resolved_eagerly(self):
-        ex = ShardedStep2Executor(UngappedConfig(w=3, n=8, backend="auto"))
-        assert ex.config.backend == "fused"
-
-    def test_unknown_backend_fails_at_construction(self):
-        from repro.extend.backends import BackendUnavailable
-
-        with pytest.raises(BackendUnavailable, match="unknown"):
-            ShardedStep2Executor(UngappedConfig(w=3, n=8, backend="warp"))
-
-    @pytest.mark.parametrize("backend", ["per_key", "int16"])
-    def test_workers_honor_parent_backend(self, workload, backend):
-        _, _, idx = workload
-        cfg = UngappedConfig(w=3, n=8, threshold=20, backend=backend)
-        ex = ShardedStep2Executor(cfg, workers=2, **POOL)
-        hits = ex.run(idx)
-        ref = ShardedStep2Executor(CFG, workers=1).run(idx)
-        assert np.array_equal(ref.offsets0, hits.offsets0)
-        assert np.array_equal(ref.offsets1, hits.offsets1)
-        assert np.array_equal(ref.scores, hits.scores)
-        assert [t.backend for t in ex.last_timings] == [backend, backend]
-        assert all(t.via == "pool" for t in ex.last_timings)
-
-    def test_local_timing_records_backend(self, workload):
-        _, _, idx = workload
-        ex = ShardedStep2Executor(CFG, workers=1)
-        ex.run(idx)
-        assert ex.last_timings[0].backend == "fused"
-
-
 class TestFaultInjection:
     """End-to-end chaos runs: real worker processes, injected faults.
 

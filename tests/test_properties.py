@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import split_bank
+from repro.extend.backends import FusedKernel
 from repro.extend.gapped import GapPenalties, smith_waterman
 from repro.extend.ungapped import (
     ScoreSemantics,
+    UngappedConfig,
     ungapped_score_reference,
-    ungapped_scores_paired,
 )
 from repro.index.kmer import BankIndex, ContiguousSeedModel, extract_keys
 from repro.index.subset_seed import SubsetSeedModel
@@ -38,20 +39,35 @@ def test_index_is_complete_and_sound(text):
             assert v[0] and int(k[0]) == int(idx.unique_keys[i])
 
 
-@given(seeds, st.integers(1, 40))
+def fused_scores(buf0, a0, buf1, a1, flank, window, semantics=ScoreSemantics.KADANE):
+    """Score paired anchors with the production step-2 kernel.
+
+    *window* is the full ``w + 2 * flank`` width scored from each anchor
+    minus *flank*; the kernel reads only ``config.n`` and ``config.window``.
+    """
+    cfg = UngappedConfig(w=window - 2 * flank, n=flank, semantics=semantics)
+    kernel = FusedKernel(cfg)
+    kernel.prepare(buf0, buf1)
+    return kernel.score(a0, a1).copy()
+
+
+@given(seeds, st.integers(1, 40), st.sampled_from(list(ScoreSemantics)))
 @settings(max_examples=40, deadline=None)
-def test_paired_kernel_matches_reference(seed, width):
+def test_paired_kernel_matches_reference(seed, width, semantics):
+    """The fused kernel equals the scalar PE oracle on every pair: codes
+    0..24 (gap sentinel included), window widths 1..40, both semantics."""
     rng = np.random.default_rng(seed)
     buf = rng.integers(0, 25, 500).astype(np.uint8)
     n = 8
-    flank = 3
+    flank = min(3, (width - 1) // 2)
     a0 = rng.integers(flank, 500 - width, n)
     a1 = rng.integers(flank, 500 - width, n)
-    scores = ungapped_scores_paired(buf, a0, buf, a1, flank, width)
+    scores = fused_scores(buf, a0, buf, a1, flank, width, semantics)
+    assert scores.dtype == np.int32
     for i in range(n):
         w0 = buf[a0[i] - flank : a0[i] - flank + width]
         w1 = buf[a1[i] - flank : a1[i] - flank + width]
-        assert scores[i] == ungapped_score_reference(w0, w1)
+        assert scores[i] == ungapped_score_reference(w0, w1, semantics=semantics)
 
 
 @given(seeds)
@@ -215,7 +231,7 @@ def test_average_precision_bounds(labels):
 @given(seeds)
 @settings(max_examples=25, deadline=None)
 def test_flat_kernel_equals_outer_kernel(seed):
-    """The paired (flat) kernel and the outer-product kernel agree on
+    """The fused (flat) kernel and the outer-product kernel agree on
     every pair they both score."""
     from repro.extend.ungapped import ungapped_scores
 
@@ -231,7 +247,7 @@ def test_flat_kernel_equals_outer_kernel(seed):
     outer = ungapped_scores(w0, w1)
     flat0 = np.repeat(a0, k1)
     flat1 = np.tile(a1, k0)
-    flat = ungapped_scores_paired(buf0, flat0, buf1, flat1, flank, window)
+    flat = fused_scores(buf0, flat0, buf1, flat1, flank, window)
     assert np.array_equal(outer.ravel(), flat)
 
 

@@ -119,34 +119,6 @@ class TestRC004WallClock:
         assert codes_in(tmp_path, "repro/core/profile.py", src) == ["RC105"]
 
 
-class TestRC106DirectPairedKernel:
-    SRC = (
-        "def f(buf0: object, a0: object, buf1: object, a1: object) -> None:\n"
-        "    ungapped_scores_paired(buf0, a0, buf1, a1, 8, 20)\n"
-    )
-
-    def test_direct_call_in_package_fires(self, tmp_path):
-        assert codes_in(tmp_path, "repro/core/hot.py", self.SRC) == ["RC106"]
-
-    def test_attribute_call_fires(self, tmp_path):
-        src = (
-            "def f(u: object, buf0: object, a0: object, buf1: object,\n"
-            "      a1: object) -> None:\n"
-            "    u.ungapped_scores_paired(buf0, a0, buf1, a1, 8, 20)\n"
-        )
-        assert codes_in(tmp_path, "repro/core/hot.py", src) == ["RC106"]
-
-    def test_defining_module_and_backends_exempt(self, tmp_path):
-        assert codes_in(tmp_path, "repro/extend/ungapped.py", self.SRC) == []
-        assert (
-            codes_in(tmp_path, "repro/extend/backends/batched.py", self.SRC)
-            == []
-        )
-
-    def test_tests_and_benchmarks_exempt(self, tmp_path):
-        assert codes_in(tmp_path, "tests/test_hot.py", self.SRC) == []
-
-
 class TestRC005PublicAnnotations:
     def test_unannotated_public_function_fires(self, tmp_path):
         src = "def score(a, b):\n    return a\n"
