@@ -15,11 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from harness import get_model, write_table
-from repro.extend.ungapped import (
-    ScoreSemantics,
-    UngappedConfig,
-    UngappedExtender,
-)
+from repro.extend.batched import BatchedUngappedEngine
+from repro.extend.ungapped import ScoreSemantics, UngappedConfig
 from repro.index.kmer import TwoBankIndex
 from repro.index.subset_seed import DEFAULT_SUBSET_SEED
 from repro.seqs.generate import random_genome, random_protein_bank
@@ -35,7 +32,7 @@ def run_ablation():
     index = TwoBankIndex.build(bank, frames, DEFAULT_SUBSET_SEED)
     out = {}
     for sem in ScoreSemantics:
-        hits = UngappedExtender(
+        hits = BatchedUngappedEngine(
             UngappedConfig(w=4, n=12, threshold=45, semantics=sem)
         ).run(index)
         out[sem] = hits

@@ -274,8 +274,11 @@ def verify_pipeline_determinism(
 
     Different worker counts exercise different shard cuts, pool schedules
     and merge paths; a bit-identical pipeline produces identical stage
-    digests for all of them.  Returns ``(ok, manifests, diff lines)``
-    where the diff lines compare every run against the first.
+    digests for all of them.  The pair-count floor is off
+    (``min_pairs_per_shard=0``), so every multi-worker run really scores
+    on the pool, even on demo-sized inputs.  Returns ``(ok, manifests,
+    diff lines)`` where the diff lines compare every run against the
+    first.
     """
     # Imported lazily: the analysis package must stay importable without
     # dragging in the whole pipeline (and repro.core itself records into
@@ -294,6 +297,7 @@ def verify_pipeline_determinism(
             workers=int(workers),
             ungapped_threshold=threshold,
             flank=flank,
+            min_pairs_per_shard=0,
         )
         with activate(recorder):
             SeedComparisonPipeline(config).compare_with_genome(queries, genome)

@@ -5,12 +5,7 @@ from .config import PipelineConfig
 from .executor import ShardedStep2Executor
 from .faults import BankCorruption, FaultError, FaultKind, FaultPlan, FaultSpec
 from .modes import BlastFamilySearch, SearchMode, translate_queries
-from .partition import (
-    partition_imbalance,
-    split_bank,
-    split_entries,
-    split_entries_contiguous,
-)
+from .partition import partition_imbalance, split_bank, split_entries_contiguous
 from .pipeline import SeedComparisonPipeline, gapped_stage
 from .profile import PipelineProfile, RunHealth, ShardTiming, StepCounters
 from .render import (
@@ -49,7 +44,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardOutcome",
     "split_bank",
-    "split_entries",
     "split_entries_contiguous",
     "partition_imbalance",
 ]

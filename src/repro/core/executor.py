@@ -11,14 +11,15 @@ This module is that protocol in software, and its only implementation:
 * **initializer** — every pool worker maps that one segment for its
   lifetime and resets SIGTERM/SIGINT to the default (:func:`_init_worker`);
 * **shard planner** — the joint index's shared-key list is cut into
-  contiguous, pair-balanced shards (:func:`_plan_shards` — shards ↔
-  FPGAs);
+  contiguous, pair-balanced shards, one
+  :class:`~repro.extend.batched.EntryBlock` each (:func:`_plan_shards` —
+  shards ↔ FPGAs);
 * **task** — a shard ships as ``(shard, attempt, request_id, query_bytes,
-  *entry arrays)``: bank 0 (the small query side) rides every task as raw
-  bytes, and the worker digest-checks its bank-1 view against the staging
-  CRC before it drives the batched engine
-  (:class:`~repro.extend.batched.BatchedUngappedEngine`) over the shard
-  (:func:`_score_shard`);
+  observe, block)``: bank 0 (the small query side) rides every task as raw
+  bytes, *observe* says whether the run is observed, and the worker
+  digest-checks its bank-1 view against the staging CRC before it drives
+  the batched engine (:class:`~repro.extend.batched.BatchedUngappedEngine`)
+  over the block (:func:`_score_shard`);
 * **supervision** — dispatch is supervised
   (:class:`~repro.core.supervisor.ShardSupervisor`): a crashed, hung or
   corrupted worker is retried on a fresh pool under a pair-count-derived
@@ -115,9 +116,6 @@ _LIVE_SEGMENTS: dict[str, tuple[int, SharedMemory]] = {}
 #: silent score corruption in every worker.
 _BANK_VIEW_SPEC = ArraySpec(dtype=np.uint8, ndim=1)
 
-#: One shard's entry lists: ``(offsets0, counts0, offsets1, counts1)``.
-ShardArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
 #: Observability payload riding a shard result: (exported worker spans,
 #: serialized worker metrics), or None when the worker was not observed.
 ObsPayload = tuple[tuple[dict[str, Any], ...], dict[str, Any]]
@@ -197,7 +195,6 @@ def _init_worker(
     unregister: bool,
     fault_plan: FaultPlan | None,
     digest: int,
-    obs_enabled: bool,
 ) -> None:
     """Pool initializer: map the staged bank-1 segment and keep the config."""
     # Workers forked after a server installed its SIGTERM/SIGINT drain
@@ -207,8 +204,8 @@ def _init_worker(
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     # Shed any fork-inherited ambient tracer/registry: recordings into
     # those copy-on-write snapshots would be unreachable from the parent.
-    # When observability is on, each *task* builds fresh per-process
-    # buffers and ships them back through the result tuple instead.
+    # An observed *task* builds fresh per-process buffers and ships them
+    # back through the result tuple instead.
     obstrace.reset()
     obsmetrics.reset()
     # Likewise shed the fork-inherited segment registry: the segment
@@ -225,7 +222,6 @@ def _init_worker(
         config=config,
         fault_plan=fault_plan,
         digest=digest,
-        obs=obs_enabled,
     )
 
 
@@ -288,8 +284,8 @@ def _package_hits(
         hits.scores,
         (s.entries, s.pairs, s.cells, s.hits),
         wall,
-        engine.telemetry.batches,
-        engine.telemetry.max_batch_pairs,
+        engine.batches,
+        engine.max_batch_pairs,
         obs_payload,
     )
 
@@ -299,10 +295,8 @@ def _score_shard(
     attempt: int,
     request_id: str | None,
     query_bytes: bytes,
-    offsets0: np.ndarray,
-    counts0: np.ndarray,
-    offsets1: np.ndarray,
-    counts1: np.ndarray,
+    observe: bool,
+    block: EntryBlock,
 ) -> ShardResult:
     """Pool task: batched-score one shard against the staged bank-1 view.
 
@@ -312,11 +306,12 @@ def _score_shard(
     picks the task up.  Bank 0 arrives as *query_bytes* — the small side of
     the comparison, so shipping it per task costs less than staging it.
 
-    When the parent enabled observability, the shard is scored inside a
-    fresh per-process tracer/registry whose contents ride back in the
-    result tuple — the parent adopts the spans under its shard span and
-    merges the metrics (worker ``perf_counter`` readings are meaningless
-    in the parent, so spans are rebased there, not here).  *request_id*
+    When *observe* is set (the parent's run is traced or metered), the
+    shard is scored inside a fresh per-process tracer/registry whose
+    contents ride back in the result tuple — the parent adopts the spans
+    under its shard span and merges the metrics (worker ``perf_counter``
+    readings are meaningless in the parent, so spans are rebased there,
+    not here).  *request_id*
     rides along so those spans carry the originating request's identity.
     """
     t0 = obstrace.clock()
@@ -326,10 +321,9 @@ def _score_shard(
         _apply_worker_fault(spec, shard)
     bank1 = _verified_bank1()
     bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
-    block = EntryBlock(offsets0, counts0, offsets1, counts1)
     engine = BatchedUngappedEngine(_WORKER["config"])
     obs_payload: ObsPayload | None = None
-    if _WORKER["obs"]:
+    if observe:
         tracer = obstrace.Tracer()
         registry = obsmetrics.MetricsRegistry()
         ident = {} if request_id is None else {"request_id": request_id}
@@ -356,7 +350,7 @@ def _score_local(
     bank0: np.ndarray,
     bank1: np.ndarray,
     shard: int,
-    arrays: ShardArrays,
+    block: EntryBlock,
 ) -> ShardResult:
     """In-process scorer: the in-process route and the pool's last resort.
 
@@ -366,7 +360,7 @@ def _score_local(
     """
     t0 = obstrace.clock()
     engine = BatchedUngappedEngine(config)
-    hits = engine.run_stream(bank0, bank1, EntryBlock(*arrays))
+    hits = engine.run_stream(bank0, bank1, block)
     return _package_hits(shard, hits, obstrace.clock() - t0, engine)
 
 
@@ -415,20 +409,20 @@ def _publish_health_metrics(health: RunHealth) -> None:
 
 def _plan_shards(
     index: TwoBankIndex, workers: int
-) -> tuple[dict[int, ShardArrays], dict[int, int]]:
+) -> tuple[dict[int, EntryBlock], dict[int, int]]:
     """Shard planner: contiguous, pair-balanced work lists, keyed by shard.
 
     Never cuts more shards than there are entries — a worker with an empty
     range costs a process spawn for zero pairs — and never keeps an empty
-    range (possible under extreme pair skew).  Returns each shard's entry
-    arrays and its pair count.
+    range (possible under extreme pair skew).  Returns each shard's
+    :class:`~repro.extend.batched.EntryBlock` and its pair count.
     """
     counts = index.pair_counts()
     ranges = split_entries_contiguous(index, max(1, min(workers, index.n_shared_keys)))
     live = [(s, lo, hi) for s, (lo, hi) in enumerate(ranges) if hi > lo]
-    arrays = {s: index.shard_arrays(lo, hi) for s, lo, hi in live}
+    blocks = {s: EntryBlock(*index.shard_arrays(lo, hi)) for s, lo, hi in live}
     pairs = {s: int(counts[lo:hi].sum()) for s, lo, hi in live}
-    return arrays, pairs
+    return blocks, pairs
 
 
 def _merge(
@@ -678,14 +672,8 @@ class Step2Engine:
         self.supervisor = supervisor or SupervisorConfig()
         self.fault_plan = fault_plan
 
-    def make_pool(
-        self, bank: StagedBank, workers: int, obs_enabled: bool
-    ) -> ProcessPoolExecutor:
-        """A fresh pool of *workers* processes, each mapping *bank*.
-
-        With *obs_enabled* every task records its spans and metrics into
-        per-task buffers that ride home in the result for the merge.
-        """
+    def make_pool(self, bank: StagedBank, workers: int) -> ProcessPoolExecutor:
+        """A fresh pool of *workers* processes, each mapping *bank*."""
         from concurrent.futures import ProcessPoolExecutor
 
         ctx, unregister = _pool_context()
@@ -695,7 +683,7 @@ class Step2Engine:
             initializer=_init_worker,
             initargs=(
                 bank.shm.name, bank.view.shape[0], self.config, unregister,
-                self.fault_plan, bank.digest, obs_enabled,
+                self.fault_plan, bank.digest,
             ),
         )
 
@@ -725,7 +713,7 @@ class Step2Engine:
             index.index0.bank.buffer,
             index.index1.bank.buffer,
             0,
-            index.shard_arrays(0, index.n_shared_keys),
+            EntryBlock(*index.shard_arrays(0, index.n_shared_keys)),
         )
         health = RunHealth(shards=1, small_workload_fallbacks=int(small_workload))
         hits, timings = _merge(
@@ -740,7 +728,6 @@ class Step2Engine:
         index: TwoBankIndex,
         bank: StagedBank,
         supervisor: SupervisorConfig,
-        obs_enabled: bool,
         pool: ProcessPoolExecutor | None = None,
         keep_pool: Callable[[ProcessPoolExecutor | None], None] | None = None,
     ) -> Step2Run:
@@ -752,14 +739,18 @@ class Step2Engine:
         executor's full worker count, and hands whatever pool survives to
         *keep_pool* — also when the run raises.  A run cut off by
         ``supervisor.deadline`` publishes its health, then raises
-        :class:`~repro.core.supervisor.DeadlineExceeded`.
+        :class:`~repro.core.supervisor.DeadlineExceeded`.  Workers record
+        spans and metrics for the merge exactly when the run is observed
+        (a tracer or a metrics registry is active).
         """
         request_id = supervisor.request_id
         shards, pair_counts = _plan_shards(index, self.workers)
         bank0 = index.index0.bank.buffer
         query_bytes = bank0.tobytes()
+        observe = obstrace.active() is not None or obsmetrics.active() is not None
         payloads = {
-            s: (request_id, query_bytes, *arrays) for s, arrays in shards.items()
+            s: (request_id, query_bytes, observe, block)
+            for s, block in shards.items()
         }
         size = self.workers if keep_pool is not None else len(shards)
 
@@ -770,7 +761,7 @@ class Step2Engine:
 
         sup = ShardSupervisor(
             supervisor,
-            lambda: self.make_pool(bank, size, obs_enabled),
+            lambda: self.make_pool(bank, size),
             _score_shard,
             local_score,
             initial_pool=pool,
@@ -863,11 +854,8 @@ class ShardedStep2Executor(Step2Engine):
         (stopped by the supervisor), release the segment."""
         bank = StagedBank(index.index1.bank.buffer)
         try:
-            observed = (
-                obstrace.active() is not None or obsmetrics.active() is not None
-            )
             return self._record(
-                lambda: self.score_pooled(index, bank, self.supervisor, observed)
+                lambda: self.score_pooled(index, bank, self.supervisor)
             )
         finally:
             bank.release()

@@ -8,9 +8,6 @@ the host.  This module provides the partitioning strategies:
 * :func:`split_bank` — split a bank into ``n`` sub-banks balanced by total
   residue count (greedy longest-first bin packing), which balances *index
   anchor* counts and hence step-2 work;
-* :func:`split_entries` — alternative entry-level round-robin split of a
-  joint index's work list, used by the slot-ablation bench to study
-  balance at finer granularity;
 * :func:`split_entries_contiguous` — pair-balanced *contiguous* ranges of
   the shared-key entry list, the generalisation of the 2-FPGA split to N
   workers used by the sharded step-2 executor: because each shard is a
@@ -27,7 +24,6 @@ from ..seqs.sequence import SequenceBank
 
 __all__ = [
     "split_bank",
-    "split_entries",
     "split_entries_contiguous",
     "partition_imbalance",
 ]
@@ -59,26 +55,6 @@ def split_bank(bank: SequenceBank, n_parts: int) -> list[SequenceBank]:
     return parts
 
 
-def split_entries(index: TwoBankIndex, n_parts: int) -> list[np.ndarray]:
-    """Partition the joint index's entry ids by balanced pair counts.
-
-    Returns ``n_parts`` arrays of entry indices (into
-    :meth:`TwoBankIndex.entry`); entries are assigned LPT-style on their
-    ``K0 × K1`` pair counts.
-    """
-    if n_parts < 1:
-        raise ValueError("n_parts must be >= 1")
-    counts = index.pair_counts()
-    order = np.argsort(-counts, kind="stable")
-    loads = np.zeros(n_parts, dtype=np.int64)
-    buckets: list[list[int]] = [[] for _ in range(n_parts)]
-    for j in order:
-        part = int(np.argmin(loads))
-        buckets[part].append(int(j))
-        loads[part] += int(counts[j])
-    return [np.array(sorted(b), dtype=np.int64) for b in buckets]
-
-
 def split_entries_contiguous(
     index: TwoBankIndex, n_parts: int
 ) -> list[tuple[int, int]]:
@@ -87,10 +63,9 @@ def split_entries_contiguous(
     Returns half-open ``(lo, hi)`` ranges over entry ids ``0 ..
     n_shared_keys`` covering the work list in order (some ranges may be
     empty).  Cut points sit at the pair-count quantiles, so each shard
-    carries ≈ ``total_pairs / n_parts`` ungapped extensions — the same
-    balance objective as :func:`split_entries` but order-preserving, which
-    is what makes the sharded executor's merged output bit-identical to
-    the single-process run.
+    carries ≈ ``total_pairs / n_parts`` ungapped extensions; the ranges
+    preserve entry order, which is what makes the sharded executor's
+    merged output bit-identical to the single-process run.
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")

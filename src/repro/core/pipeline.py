@@ -6,8 +6,8 @@ sequence banks:
 1. **indexing** — both banks are indexed with the configured seed model and
    joined (:class:`~repro.index.kmer.TwoBankIndex`);
 2. **ungapped extension** — every ``IL0[k] × IL1[k]`` pair is window-scored
-   (:class:`~repro.extend.ungapped.UngappedExtender`); survivors become
-   *anchors*;
+   (the step-2 engine, :class:`~repro.core.executor.ShardedStep2Executor`);
+   survivors become *anchors*;
 3. **gapped extension** — anchors are extended with the gapped X-drop
    engine, deduplicated BLAST-style (an anchor falling inside an already
    extended alignment of the same sequence pair is skipped), scored in
@@ -15,7 +15,7 @@ sequence banks:
 
 The pipeline is structured so step 2 is swappable: the accelerated pipeline
 (:mod:`repro.rasc.accelerated`) substitutes the PSC-operator model for
-:class:`UngappedExtender` while reusing steps 1 and 3 verbatim — exactly the
+the step-2 engine while reusing steps 1 and 3 verbatim — exactly the
 split the paper deploys on the Altix + RASC-100.
 """
 

@@ -17,6 +17,7 @@ from typing import Any
 
 from ..obs import trace
 from ..util.reporting import fractions
+from .partition import partition_imbalance
 
 __all__ = ["StepCounters", "ShardTiming", "RunHealth", "PipelineProfile"]
 
@@ -236,10 +237,7 @@ class PipelineProfile:
 
     def step2_shard_imbalance(self) -> float:
         """Makespan imbalance of the step-2 shards (1.0 = perfect/serial)."""
-        walls = [s.wall_seconds for s in self.step2_shards]
-        if not walls or sum(walls) <= 0:
-            return 1.0
-        return max(walls) / (sum(walls) / len(walls))
+        return partition_imbalance([s.wall_seconds for s in self.step2_shards])
 
     def merge(self, other: PipelineProfile) -> None:
         """Accumulate another run's profile."""

@@ -2,12 +2,7 @@
 X-drop / Smith-Waterman (step 3), and Karlin-Altschul statistics."""
 
 from .backends import FusedKernel, check_against_oracle
-from .batched import (
-    BatchedUngappedEngine,
-    BatchTelemetry,
-    EntryBlock,
-    iter_pair_batches,
-)
+from .batched import BatchedUngappedEngine, EntryBlock, iter_block_batches
 from .gapped import (
     NEG_INF,
     GappedExtension,
@@ -42,9 +37,8 @@ __all__ = [
     "FusedKernel",
     "check_against_oracle",
     "BatchedUngappedEngine",
-    "BatchTelemetry",
     "EntryBlock",
-    "iter_pair_batches",
+    "iter_block_batches",
     "ScoreSemantics",
     "UngappedConfig",
     "UngappedExtender",

@@ -75,7 +75,7 @@ def _check_anchor_bounds(
 class FusedKernel:
     """Shifted-view fused scan over a pre-scaled bank-0 table.
 
-    ``prepare(buf0, buf1)`` binds the bank buffers once per entry stream;
+    ``prepare(buf0, buf1)`` binds the bank buffers once per entry block;
     ``score(anchors0, anchors1)`` runs once per batch and returns an int32
     array that is a view into scratch storage, valid only until the next
     ``score`` call — callers that keep scores copy them, as the engine's

@@ -3,22 +3,22 @@
 The per-key path (:meth:`~repro.extend.ungapped.UngappedExtender.run_per_key`)
 pays one Python-level kernel invocation per shared index key; with realistic
 index lists (mean ``K`` of a few) that fixed cost dwarfs the handful of
-window cells each key actually scores.  The hardware never pays it: the PE
-array is fed a continuous stream of pairs regardless of which index entry
-they came from.  This module is the software image of that stream:
+window cells each key actually scores.  The hardware never pays it: the
+host hands the PSC operator the IL0/IL1 lists of a run of index entries,
+and the PE array consumes them as one continuous stream of pairs regardless
+of which entry they came from.  This module is the software image of that
+stream, and step-2 work takes exactly one shape here:
 
-* :func:`iter_pair_batches` expands ``IL0[k] × IL1[k]`` cross products from
-  *many* entries into flat anchor arrays, cut into batches bounded by a
-  pair budget (the analogue of filling the PE array's input FIFO).  Raw
-  index lists are accumulated and expanded once per batch with a handful of
-  vectorised passes; an entry larger than the budget is split lazily along
-  its ``offsets0`` rows (and along ``offsets1`` when a single row exceeds
-  the budget) without ever materialising its full cross product.
-* :class:`EntryBlock` is the flat CSR shard payload form
-  (:meth:`~repro.index.kmer.TwoBankIndex.shard_arrays`); the engine batches
-  it by ``searchsorted`` over cumulative pair counts — no per-entry Python
-  loop at all.
-* :class:`BatchedUngappedEngine` drives the batches through the ``fused``
+* :class:`EntryBlock` — a run of entries in flat CSR form, exactly
+  :meth:`~repro.index.kmer.TwoBankIndex.shard_arrays` (the shard payload);
+* :func:`iter_block_batches` — cuts a block's ``IL0[k] × IL1[k]`` cross
+  products into flat anchor batches bounded by a pair budget (the analogue
+  of filling the PE array's input FIFO), found by ``searchsorted`` over
+  cumulative pair counts — no per-entry Python loop.  An entry larger than
+  the budget is sliced lazily along its ``offsets0`` rows (and along
+  ``offsets1`` when a single row exceeds the budget) without ever
+  materialising its full cross product;
+* :class:`BatchedUngappedEngine` — drives the batches through the ``fused``
   scoring kernel (:mod:`repro.extend.backends`) and concatenates the
   survivors in exactly the order the per-key path would have emitted them.
   The engine owns batching, threshold filtering and emission order; the
@@ -32,8 +32,8 @@ window would leave the bank buffer raises ``IndexError`` (the same error
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,10 @@ from .ungapped import (
 )
 
 __all__ = [
-    "BatchTelemetry",
     "BatchedUngappedEngine",
     "EntryBlock",
-    "iter_pair_batches",
+    "iter_block_batches",
 ]
-
-#: An entry's two index lists, as produced by ``TwoBankIndex.entries()`` or
-#: reconstructed from a shard payload: ``(offsets0, offsets1)``.
-EntryLists = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -86,34 +81,6 @@ class EntryBlock:
         return self.counts0.astype(np.int64, copy=False) * self.counts1.astype(
             np.int64, copy=False
         )
-
-
-@dataclass
-class BatchTelemetry:
-    """Batch shape record of one engine run (profile / bench input)."""
-
-    batches: int = 0
-    pair_counts: list[int] = field(default_factory=list)
-    #: Batches emitted by splitting an entry whose cross product exceeded
-    #: the pair budget (row slices and column slices both count).
-    oversized_splits: int = 0
-
-    def note(self, pairs: int) -> None:
-        """Record one kernel invocation of *pairs* pairs."""
-        self.batches += 1
-        self.pair_counts.append(int(pairs))
-
-    @property
-    def max_batch_pairs(self) -> int:
-        """Largest batch scored (0 if no batch ran)."""
-        return max(self.pair_counts, default=0)
-
-    @property
-    def mean_batch_pairs(self) -> float:
-        """Mean batch size (0.0 if no batch ran)."""
-        if not self.pair_counts:
-            return 0.0
-        return float(np.mean(self.pair_counts))
 
 
 def _expand_entries(
@@ -146,7 +113,6 @@ def _split_oversized(
     off0: np.ndarray,
     off1: np.ndarray,
     budget: int,
-    telemetry: BatchTelemetry | None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Slice one oversized entry's cross product lazily.
 
@@ -161,88 +127,28 @@ def _split_oversized(
         for i in range(k0):
             for lo in range(0, k1, budget):
                 cols = off1[lo : lo + budget]
-                if telemetry is not None:
-                    telemetry.oversized_splits += 1
                 yield np.full(cols.shape[0], off0[i], dtype=np.int64), cols
         return
     rows = max(1, budget // k1)
     for lo in range(0, k0, rows):
         sl = off0[lo : lo + rows]
-        if telemetry is not None:
-            telemetry.oversized_splits += 1
         yield np.repeat(sl, k1), np.tile(off1, sl.shape[0])
 
 
-def iter_pair_batches(
-    entries: Iterable[EntryLists],
-    batch_pairs: int,
-    telemetry: BatchTelemetry | None = None,
+def iter_block_batches(
+    block: EntryBlock, batch_pairs: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield flat ``(anchors0, anchors1)`` batches of ≤ *batch_pairs* pairs.
+    """Yield flat ``(anchors0, anchors1)`` batches of *block*'s pairs.
 
     Entries are consumed in order; each contributes its full ``K0 × K1``
     cross product in offsets0-major order, so the concatenation of all
-    batches enumerates pairs exactly as the per-key path does.  Pending
-    entries are kept as raw index lists and expanded only when a batch
-    drains; an entry larger than the budget is emitted via
-    :func:`_split_oversized` (never silently as one oversized batch).
-    """
-    budget = max(1, int(batch_pairs))
-    pend0: list[np.ndarray] = []
-    pend1: list[np.ndarray] = []
-    pend_c0: list[int] = []
-    pend_c1: list[int] = []
-    acc_pairs = 0
-
-    def drain() -> tuple[np.ndarray, np.ndarray]:
-        nonlocal acc_pairs
-        batch = _expand_entries(
-            np.concatenate(pend0),
-            np.array(pend_c0, dtype=np.int64),
-            np.concatenate(pend1),
-            np.array(pend_c1, dtype=np.int64),
-        )
-        pend0.clear()
-        pend1.clear()
-        pend_c0.clear()
-        pend_c1.clear()
-        acc_pairs = 0
-        return batch
-
-    for off0, off1 in entries:
-        k0 = int(off0.shape[0])
-        k1 = int(off1.shape[0])
-        if k0 == 0 or k1 == 0:
-            continue
-        if k0 * k1 > budget:
-            # Giant entry: flush what's pending, then slice it.
-            if pend0:
-                yield drain()
-            yield from _split_oversized(off0, off1, budget, telemetry)
-            continue
-        pend0.append(off0)
-        pend1.append(off1)
-        pend_c0.append(k0)
-        pend_c1.append(k1)
-        acc_pairs += k0 * k1
-        if acc_pairs >= budget:
-            yield drain()
-    if pend0:
-        yield drain()
-
-
-def _iter_block_batches(
-    block: EntryBlock,
-    batch_pairs: int,
-    telemetry: BatchTelemetry | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Batch an :class:`EntryBlock` with the same boundaries as the
-    accumulate-and-drain stream path.
-
-    Batch ends fall on the first entry where the running pair count
-    reaches the budget (found by ``searchsorted`` on the cumulative pair
-    counts), segmented around giant entries, which are sliced via
-    :func:`_split_oversized` exactly like the stream path.
+    batches enumerates pairs exactly as the per-key path does.  A batch
+    ends at the first entry where the running pair count reaches
+    *batch_pairs* (found by ``searchsorted`` on the cumulative pair
+    counts), so it exceeds the budget by less than one entry.  An entry
+    whose cross product alone exceeds the budget is sliced via
+    :func:`_split_oversized`, never emitted as one oversized batch;
+    entries without pairs are skipped.
     """
     budget = max(1, int(batch_pairs))
     n = block.n_entries
@@ -250,7 +156,7 @@ def _iter_block_batches(
         return
     c0 = block.counts0.astype(np.int64, copy=False)
     c1 = block.counts1.astype(np.int64, copy=False)
-    pc = c0 * c1
+    pc = block.pair_counts()
     starts0 = np.concatenate(([0], np.cumsum(c0, dtype=np.int64)))
     starts1 = np.concatenate(([0], np.cumsum(c1, dtype=np.int64)))
     cum = np.cumsum(pc, dtype=np.int64)
@@ -261,7 +167,7 @@ def _iter_block_batches(
         if gi < giants.shape[0] and int(giants[gi]) == i:
             off0 = block.offsets0[starts0[i] : starts0[i + 1]]
             off1 = block.offsets1[starts1[i] : starts1[i + 1]]
-            yield from _split_oversized(off0, off1, budget, telemetry)
+            yield from _split_oversized(off0, off1, budget)
             i += 1
             gi += 1
             continue
@@ -288,68 +194,43 @@ class BatchedUngappedEngine:
     (:func:`~repro.extend.backends.check_against_oracle` raises on a
     mismatch).  Hits, scores and emission order are bit-identical to the
     per-key path: the oracle gate covers the scores, and the engine owns
-    enumeration order and threshold filtering.  :attr:`telemetry` records
-    the batch shapes of the last run.
+    enumeration order and threshold filtering.  :attr:`batches` and
+    :attr:`max_batch_pairs` record the batch shape of the last run.
     """
 
     def __init__(self, config: UngappedConfig | None = None) -> None:
         self.config = config or UngappedConfig()
         self._kernel = FusedKernel(self.config)
         check_against_oracle(self._kernel, self.config)
-        #: Batch shapes of the most recent run.
-        self.telemetry = BatchTelemetry()
+        #: Kernel invocations of the most recent run.
+        self.batches = 0
+        #: Largest batch (in pairs) of the most recent run; 0 if none ran.
+        self.max_batch_pairs = 0
 
     def run(self, index: TwoBankIndex) -> UngappedHits:
         """Run step 2 over every shared entry of *index*."""
-        n = index.n_shared_keys
-        block = EntryBlock(*index.shard_arrays(0, n))
-        stats = UngappedStats(entries=n, pairs=index.total_pairs)
+        block = EntryBlock(*index.shard_arrays(0, index.n_shared_keys))
         return self.run_stream(
-            index.index0.bank.buffer, index.index1.bank.buffer, block, stats
+            index.index0.bank.buffer, index.index1.bank.buffer, block
         )
 
     @contracted
     def run_stream(
-        self,
-        buf0: BankBuffer,
-        buf1: BankBuffer,
-        entries: Iterable[EntryLists] | EntryBlock,
-        stats: UngappedStats | None = None,
+        self, buf0: BankBuffer, buf1: BankBuffer, block: EntryBlock
     ) -> UngappedHits:
-        """Run step 2 over an entry stream or block against raw buffers.
+        """Run step 2 over the entries of *block* against raw buffers.
 
-        The sharded executor calls this form in worker processes, where
-        only the shared-memory buffers and the shard's
-        :class:`EntryBlock` payload exist — no
-        :class:`~repro.index.kmer.TwoBankIndex` is reconstructed.  When
-        *stats* is None, entry/pair counts are accumulated here; callers
-        whose counts are already known pass their own block.
+        The step-2 executor calls this form in worker processes, where
+        only the shared-memory buffers and the shard's :class:`EntryBlock`
+        payload exist — no :class:`~repro.index.kmer.TwoBankIndex` is
+        reconstructed.  Entry and pair counts come from the block.
         """
         cfg = self.config
-        self.telemetry = BatchTelemetry()
-        own_stats = stats is None
-        if own_stats:
-            stats = UngappedStats()
-        budget = cfg.pair_chunk
-        if isinstance(entries, EntryBlock):
-            if own_stats:
-                stats.entries = entries.n_entries
-                stats.pairs = int(entries.pair_counts().sum())
-            batches: Iterator[tuple[np.ndarray, np.ndarray]] = (
-                _iter_block_batches(entries, budget, self.telemetry)
-            )
-        else:
-            source: Iterable[EntryLists] = entries
-            if own_stats:
-
-                def counted() -> Iterator[EntryLists]:
-                    for off0, off1 in entries:
-                        stats.entries += 1
-                        stats.pairs += int(off0.shape[0]) * int(off1.shape[0])
-                        yield off0, off1
-
-                source = counted()
-            batches = iter_pair_batches(source, budget, self.telemetry)
+        self.batches = 0
+        self.max_batch_pairs = 0
+        stats = UngappedStats(
+            entries=block.n_entries, pairs=int(block.pair_counts().sum())
+        )
         kernel = self._kernel
         kernel.prepare(buf0, buf1)
         out0: list[np.ndarray] = []
@@ -367,10 +248,12 @@ class BatchedUngappedEngine:
         # the kernel scope is the zero-churn claim the static RC203 rule
         # proves about the code, measured about the run.
         with allocsan.measure("step2.engine.run_stream"):
-            for p0, p1 in batches:
-                self.telemetry.note(p0.shape[0])
+            for p0, p1 in iter_block_batches(block, cfg.pair_chunk):
+                n = int(p0.shape[0])
+                self.batches += 1
+                self.max_batch_pairs = max(self.max_batch_pairs, n)
                 if batch_hist is not None:
-                    batch_hist.observe(p0.shape[0])
+                    batch_hist.observe(n)
                 with allocsan.measure("kernel.fused.score"):
                     scores = kernel.score(p0, p1)
                 # Boolean selection copies, so the kernel's scratch view

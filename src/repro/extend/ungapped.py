@@ -12,9 +12,11 @@ maximum exceeds a threshold.  This file contains:
 * :func:`ungapped_scores` — the vectorised kernel: all ``K0 × K1`` pairs of
   one index entry scored at once; the scan over the window (length ~28) is
   the only Python-level loop, everything across pairs is NumPy.
-* :class:`UngappedExtender` — drives the kernel over a
-  :class:`~repro.index.kmer.TwoBankIndex`, chunking entries to bound
-  memory, and accumulates the operation counts the cost models consume.
+* :class:`UngappedExtender` — the per-key reference: drives that kernel
+  over a :class:`~repro.index.kmer.TwoBankIndex` one index entry at a
+  time, chunking entries to bound memory.  Production step 2 is the
+  batched engine (:class:`repro.extend.batched.BatchedUngappedEngine`),
+  tested bit for bit against this path.
 * :func:`ungapped_xdrop` — BLAST's unbounded diagonal X-drop extension,
   used by the NCBI-style baseline (it extends until the score falls X below
   the running best instead of using a fixed window).
@@ -225,7 +227,12 @@ class UngappedHits:
 
 
 class UngappedExtender:
-    """Runs step 2 over a two-bank index with the vectorised kernel."""
+    """Per-key reference for step 2: one kernel call per index entry.
+
+    The batched engine (:class:`repro.extend.batched.BatchedUngappedEngine`)
+    runs step 2 in production; this class is the oracle it is checked
+    against, one level above :func:`ungapped_score_reference`.
+    """
 
     def __init__(self, config: UngappedConfig | None = None) -> None:
         self.config = config or UngappedConfig()
@@ -280,19 +287,6 @@ class UngappedExtender:
         parts = [self.extend_entry(index.index0.bank, index.index1.bank, e)
                  for e in index.entries()]
         return UngappedHits.concatenate(parts)
-
-    def run(self, index: TwoBankIndex) -> UngappedHits:
-        """Run step 2 over every shared index entry.
-
-        Pairs from all entries are expanded into flat anchor arrays and
-        scored in large batches by the fused kernel of the batched engine
-        (:class:`repro.extend.batched.BatchedUngappedEngine`);
-        this is algebraically identical to per-entry scoring but ~10-20×
-        faster on realistic workloads whose index lists are short.
-        """
-        from .batched import BatchedUngappedEngine
-
-        return BatchedUngappedEngine(self.config).run(index)
 
 
 def ungapped_xdrop(

@@ -69,9 +69,6 @@ class WarmPool:
     supervisor:
         Per-request supervision policy template; each request overlays
         its own absolute deadline via :func:`dataclasses.replace`.
-    obs_enabled:
-        When true, workers record per-task spans that ride back in the
-        result tuple for adoption under the request's span tree.
     """
 
     def __init__(
@@ -81,9 +78,7 @@ class WarmPool:
         workers: int = 2,
         fault_plan: FaultPlan | None = None,
         supervisor: SupervisorConfig | None = None,
-        obs_enabled: bool = False,
     ) -> None:
-        self.obs_enabled = obs_enabled
         self.config = config
         self.resident = resident
         self.workers = max(1, int(workers))
@@ -162,7 +157,7 @@ class WarmPool:
             touch("repro.serve.pool.WarmPool._pool")
             if self._closed or self.workers <= 1 or self._pool is not None:
                 return
-        pool = self.engine.make_pool(self._bank, self.workers, self.obs_enabled)
+        pool = self.engine.make_pool(self._bank, self.workers)
         pool.submit(os.getpid).result(timeout=timeout)
         self._hold(pool)
 
@@ -293,8 +288,7 @@ class WarmPool:
                     touch("repro.serve.pool.WarmPool._pool", write=True)
                     held, self._pool = self._pool, None  # ownership to the run
                 hits, timings, health = self.engine.score_pooled(
-                    index, self._bank, supervisor, self.obs_enabled,
-                    pool=held, keep_pool=self._hold,
+                    index, self._bank, supervisor, pool=held, keep_pool=self._hold,
                 )
         except DeadlineExceeded as exc:
             self._keep(exc.health, [])

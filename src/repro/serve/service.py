@@ -157,7 +157,6 @@ class SearchService:
             resident,
             workers=self.service.workers,
             fault_plan=fault_plan,
-            obs_enabled=self.service.tracing,
         )
         self.breaker = CircuitBreaker(self.service.breaker)
         self.queue = AdmissionQueue(self.service.queue_depth, self.registry)

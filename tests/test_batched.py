@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extend.backends import FusedKernel
-from repro.extend.batched import BatchedUngappedEngine, iter_pair_batches
+from repro.extend.batched import BatchedUngappedEngine, EntryBlock, iter_block_batches
 from repro.extend.ungapped import (
     ScoreSemantics,
     UngappedConfig,
@@ -24,7 +24,20 @@ def make_index(rng, n0=15, n1=20, mean=120, span=3):
     return b0, b1, TwoBankIndex.build(b0, b1, ContiguousSeedModel(span))
 
 
+def block_of(entries):
+    """An :class:`EntryBlock` holding *entries* (``(offsets0, offsets1)``)."""
+    empty = np.empty(0, dtype=np.int64)
+    return EntryBlock(
+        np.concatenate([e[0] for e in entries] or [empty]),
+        np.array([e[0].shape[0] for e in entries], dtype=np.int64),
+        np.concatenate([e[1] for e in entries] or [empty]),
+        np.array([e[1].shape[0] for e in entries], dtype=np.int64),
+    )
+
+
 class TestIterPairBatches:
+    """Pair batches cut from an :class:`EntryBlock` (the only step-2 input)."""
+
     def entries(self, rng, n=10, kmax=6):
         out = []
         for _ in range(n):
@@ -46,8 +59,9 @@ class TestIterPairBatches:
         expected1 = np.concatenate(
             [np.tile(o1, o0.shape[0]) for o0, o1 in entries]
         )
+        block = block_of(entries)
         for budget in (1, 3, 7, 10_000):
-            batches = list(iter_pair_batches(entries, budget))
+            batches = list(iter_block_batches(block, budget))
             got0 = np.concatenate([b[0] for b in batches])
             got1 = np.concatenate([b[1] for b in batches])
             assert np.array_equal(got0, expected0), budget
@@ -55,16 +69,16 @@ class TestIterPairBatches:
 
     def test_budget_respected_where_possible(self, rng):
         entries = self.entries(rng, n=20, kmax=5)
-        for p0, p1 in iter_pair_batches(entries, 8):
-            # One accumulated entry may overshoot; a batch can never exceed
-            # budget + the largest single contribution (kmax² here).
+        for p0, p1 in iter_block_batches(block_of(entries), 8):
+            # The entry that reaches the budget may overshoot it; a batch
+            # can never exceed budget + the largest single entry (kmax²).
             assert p0.shape[0] <= 8 + 16
             assert p0.shape[0] == p1.shape[0]
 
     def test_giant_entry_is_sliced(self, rng):
         off0 = rng.integers(0, 1000, 50).astype(np.int64)
         off1 = rng.integers(0, 1000, 7).astype(np.int64)
-        batches = list(iter_pair_batches([(off0, off1)], 21))
+        batches = list(iter_block_batches(block_of([(off0, off1)]), 21))
         # 3 rows of 7 pairs per slice: no batch exceeds the budget.
         assert all(b[0].shape[0] <= 21 for b in batches)
         assert sum(b[0].shape[0] for b in batches) == 350
@@ -72,8 +86,13 @@ class TestIterPairBatches:
     def test_empty_and_zero_length_entries_skipped(self):
         e = np.empty(0, dtype=np.int64)
         some = np.arange(3, dtype=np.int64)
-        assert list(iter_pair_batches([], 100)) == []
-        assert list(iter_pair_batches([(e, some), (some, e)], 100)) == []
+        assert list(iter_block_batches(block_of([]), 100)) == []
+        assert list(iter_block_batches(block_of([(e, some), (some, e)]), 100)) == []
+        # Between real entries, zero-count entries contribute no pairs.
+        batches = list(
+            iter_block_batches(block_of([(some, some), (e, some), (some, some)]), 100)
+        )
+        assert [b[0].shape[0] for b in batches] == [18]
 
 
 class TestBatchedEngine:
@@ -104,10 +123,18 @@ class TestBatchedEngine:
         _, _, idx = make_index(rng)
         engine = BatchedUngappedEngine(UngappedConfig(w=3, n=8, pair_chunk=50))
         engine.run(idx)
-        t = engine.telemetry
-        assert t.batches == len(t.pair_counts) > 1
-        assert sum(t.pair_counts) == idx.total_pairs
-        assert t.max_batch_pairs >= t.mean_batch_pairs > 0
+        assert engine.batches > 1
+        # A batch overshoots the budget by less than its last entry.
+        assert 0 < engine.max_batch_pairs < 50 + int(idx.pair_counts().max())
+        assert engine.batches * engine.max_batch_pairs >= idx.total_pairs
+        # The counters describe the latest run only.
+        buf0, buf1 = idx.index0.bank.buffer, idx.index1.bank.buffer
+        engine.run_stream(buf0, buf1, block_of([]))
+        assert (engine.batches, engine.max_batch_pairs) == (0, 0)
+        # A budget wide enough for everything: one batch of every pair.
+        wide = BatchedUngappedEngine(UngappedConfig(w=3, n=8, pair_chunk=1 << 20))
+        wide.run(idx)
+        assert (wide.batches, wide.max_batch_pairs) == (1, idx.total_pairs)
 
     def test_empty_shared_key_set(self):
         # Disjoint alphabet usage: no 4-mer occurs in both banks.

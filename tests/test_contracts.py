@@ -11,7 +11,7 @@ from repro.analysis.contracts import (
     contracted,
     contracts_enabled,
 )
-from repro.extend.batched import BatchedUngappedEngine
+from repro.extend.batched import BatchedUngappedEngine, EntryBlock
 from repro.extend.ungapped import UngappedConfig
 from repro.seqs.alphabet import GAP_CODE, encode_protein
 
@@ -97,7 +97,12 @@ class TestCheckArray:
 class TestBatchedKernelContracts:
     """The engine's ``run_stream`` is the contracted step-2 entry point."""
 
-    ENTRIES = [(np.array([20], dtype=np.int64), np.array([20], dtype=np.int64))]
+    ENTRIES = EntryBlock(
+        np.array([20], dtype=np.int64),
+        np.array([1], dtype=np.int64),
+        np.array([20], dtype=np.int64),
+        np.array([1], dtype=np.int64),
+    )
     CONFIG = UngappedConfig(w=4, n=4, threshold=1)
 
     def test_kernel_is_contracted(self):

@@ -157,6 +157,11 @@ class TestVerify:
         stages = manifests[0]["stages"]
         assert stages["step2.survivors"]["n"] == stages["step2.merged"]["n"]
         assert stages["step3.alignments"]["n"] > 0
+        # The 2-worker run really scored on the pool: the demo data sits
+        # below the default pair-count floor, which the harness turns off.
+        shards = [d for d in manifests[1]["detail"] if d["event"] == "shard"]
+        assert len(shards) == 2
+        assert all(d["via"] == "pool" for d in shards)
 
     def test_seeded_ordering_bug_breaks_the_merged_digest(self, small_banks):
         """The runtime half of the acceptance gate.

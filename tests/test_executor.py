@@ -60,7 +60,9 @@ class TestContiguousSplit:
             split_entries_contiguous(idx, 0)
 
 
-class TestShardArrays:
+class TestShardPayload:
+    """``TwoBankIndex.shard_arrays``: the flat payload an ``EntryBlock`` wraps."""
+
     def test_roundtrips_entries(self, workload):
         _, _, idx = workload
         lo, hi = 3, 11

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.partition import partition_imbalance, split_bank, split_entries
-from repro.index.kmer import ContiguousSeedModel, TwoBankIndex
+from repro.core.partition import partition_imbalance, split_bank
 from repro.seqs.generate import random_protein_bank
 
 
@@ -35,30 +34,6 @@ class TestSplitBank:
         parts = split_bank(bank, 5)
         assert sum(len(p) for p in parts) == 3
         assert len(parts) == 5  # some empty
-
-
-class TestSplitEntries:
-    def make_index(self, rng):
-        b0 = random_protein_bank(rng, 20, mean_length=120)
-        b1 = random_protein_bank(rng, 20, mean_length=120)
-        return TwoBankIndex.build(b0, b1, ContiguousSeedModel(3))
-
-    def test_every_entry_assigned_once(self, rng):
-        idx = self.make_index(rng)
-        buckets = split_entries(idx, 4)
-        seen = np.concatenate(buckets)
-        assert sorted(seen.tolist()) == list(range(idx.n_shared_keys))
-
-    def test_pair_balance(self, rng):
-        idx = self.make_index(rng)
-        counts = idx.pair_counts()
-        buckets = split_entries(idx, 2)
-        loads = np.array([counts[b].sum() for b in buckets], dtype=float)
-        assert partition_imbalance(loads) < 1.5
-
-    def test_invalid_parts(self, rng):
-        with pytest.raises(ValueError):
-            split_entries(self.make_index(rng), -1)
 
 
 class TestImbalance:

@@ -124,10 +124,10 @@ class TestStep2Swap:
         calls = []
 
         def fake_step2(index):
-            from repro.extend.ungapped import UngappedExtender
+            from repro.extend.batched import BatchedUngappedEngine
 
             calls.append(index.total_pairs)
-            return UngappedExtender(PipelineConfig().ungapped_config()).run(index)
+            return BatchedUngappedEngine(PipelineConfig().ungapped_config()).run(index)
 
         pipe = SeedComparisonPipeline(step2=fake_step2)
         report = pipe.compare_with_genome(queries, genome)

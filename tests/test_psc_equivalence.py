@@ -83,7 +83,8 @@ class TestAgainstSoftwareKernel:
     def test_hits_match_ungapped_extender(self):
         """The PSC operator must report exactly the pairs the software
         step-2 kernel reports (the paper's validation path)."""
-        from repro.extend.ungapped import UngappedConfig, UngappedExtender
+        from repro.extend.batched import BatchedUngappedEngine
+        from repro.extend.ungapped import UngappedConfig
 
         rng = np.random.default_rng(4)
         b0 = random_protein_bank(rng, 10, mean_length=120, name_prefix="q")
@@ -94,7 +95,7 @@ class TestAgainstSoftwareKernel:
         threshold = 18
         cfg = PscArrayConfig(n_pes=8, slot_size=4, window=window, threshold=threshold)
         hw = PscBehavioral(cfg).run_index(idx, flank)
-        sw = UngappedExtender(
+        sw = BatchedUngappedEngine(
             UngappedConfig(w=DEFAULT_SUBSET_SEED.span, n=flank, threshold=threshold)
         ).run(idx)
         # Same hit set (order may differ: software is entry-row major).

@@ -175,6 +175,23 @@ class TestSpanTreePerRequest:
         finally:
             assert svc.drain(timeout=30)
 
+    def test_tracing_off_keeps_worker_metrics(self, serve_workload):
+        # Workers record whenever the run is observed — a live metrics
+        # registry is enough, as for an in-process request.
+        svc, queries = make_service(serve_workload, tracing=False)
+        try:
+            out = svc.submit(queries, request_id="req-dark-pool")
+            assert out["code"] == 200
+            timings = svc.pool.last_timings
+            assert timings and all(t.via == "pool" for t in timings)
+            counts = [
+                line for line in svc.metrics_text().splitlines()
+                if line.startswith("step2_batch_pairs_count")
+            ]
+            assert counts and int(counts[0].split()[-1]) >= len(timings)
+        finally:
+            assert svc.drain(timeout=30)
+
 
 class TestShedDrainSpool:
     def test_injected_shed_is_recorded_with_id(self, serve_workload):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.contracts import ContractError
+from repro.extend.batched import BatchedUngappedEngine
 from repro.extend.ungapped import (
     ScoreSemantics,
     UngappedConfig,
-    UngappedExtender,
     UngappedHits,
     UngappedStats,
     ungapped_score_reference,
@@ -121,7 +121,7 @@ class TestExtender:
 
     def test_hits_above_threshold_only(self):
         b0, b1, idx = self.make_index()
-        ext = UngappedExtender(UngappedConfig(w=4, n=4, threshold=20))
+        ext = BatchedUngappedEngine(UngappedConfig(w=4, n=4, threshold=20))
         hits = ext.run(idx)
         assert len(hits) > 0
         assert (hits.scores >= 20).all()
@@ -129,7 +129,7 @@ class TestExtender:
     def test_stats_accounting(self):
         b0, b1, idx = self.make_index()
         cfg = UngappedConfig(w=4, n=4, threshold=20)
-        hits = UngappedExtender(cfg).run(idx)
+        hits = BatchedUngappedEngine(cfg).run(idx)
         assert hits.stats.pairs == idx.total_pairs
         assert hits.stats.cells == idx.total_pairs * cfg.window
         assert hits.stats.hits == len(hits)
@@ -137,14 +137,14 @@ class TestExtender:
 
     def test_threshold_monotonicity(self):
         b0, b1, idx = self.make_index()
-        lo = UngappedExtender(UngappedConfig(w=4, n=4, threshold=10)).run(idx)
-        hi = UngappedExtender(UngappedConfig(w=4, n=4, threshold=40)).run(idx)
+        lo = BatchedUngappedEngine(UngappedConfig(w=4, n=4, threshold=10)).run(idx)
+        hi = BatchedUngappedEngine(UngappedConfig(w=4, n=4, threshold=40)).run(idx)
         assert len(hi) <= len(lo)
 
     def test_chunking_invariance(self):
         b0, b1, idx = self.make_index()
-        big = UngappedExtender(UngappedConfig(w=4, n=4, threshold=15)).run(idx)
-        tiny = UngappedExtender(
+        big = BatchedUngappedEngine(UngappedConfig(w=4, n=4, threshold=15)).run(idx)
+        tiny = BatchedUngappedEngine(
             UngappedConfig(w=4, n=4, threshold=15, pair_chunk=2)
         ).run(idx)
         assert np.array_equal(big.offsets0, tiny.offsets0)
@@ -158,7 +158,7 @@ class TestExtender:
         b0 = SequenceBank([Sequence.from_text("q", "MKVL")], pad=16)
         b1 = SequenceBank([Sequence.from_text("s", "MKVL")], pad=16)
         idx = TwoBankIndex.build(b0, b1, ContiguousSeedModel(4))
-        hits = UngappedExtender(UngappedConfig(w=4, n=8, threshold=1)).run(idx)
+        hits = BatchedUngappedEngine(UngappedConfig(w=4, n=8, threshold=1)).run(idx)
         assert len(hits) == 1
         expected = ungapped_score_reference(
             encode_protein("MKVL"), encode_protein("MKVL")
