@@ -17,22 +17,11 @@ Quick start::
     proteins = random_protein_bank(rng, 50)
     genome = random_genome(rng, 100_000)
     report = SeedComparisonPipeline().compare_with_genome(proteins, genome)
-"""
 
-from . import baseline, core, eval, extend, hwsim, index, psc, rasc, seqs, util
+Subpackages are imported on demand (``import repro.core``), never here:
+the ``repro-check`` lint (:mod:`repro.analysis`) must import without numpy.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "seqs",
-    "index",
-    "extend",
-    "core",
-    "baseline",
-    "hwsim",
-    "psc",
-    "rasc",
-    "eval",
-    "util",
-    "__version__",
-]
+__all__ = ["__version__"]

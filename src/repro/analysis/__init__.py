@@ -12,45 +12,28 @@ shared-memory lifecycle, unordered float reductions, ad-hoc retry loops).
 The runtime counterpart is the determinism sanitizer
 (:mod:`repro.analysis.determinism`, ``REPRO_DETSAN=1``): per-stage digest
 manifests and the ``repro-check --verify-determinism`` two-run harness.
+
+Only the numpy-free lint surface is re-exported here, so ``repro-check``
+runs on a bare interpreter; import the numpy-backed runtime checkers from
+their own modules (:mod:`~repro.analysis.contracts`,
+:mod:`~repro.analysis.determinism`, :mod:`~repro.analysis.allocsan`).
 """
 
 from .baseline import Baseline, load_baseline, write_baseline
 from .checker import CheckResult, check_paths, collect_files
-from .contracts import (
-    ArraySpec,
-    ContractError,
-    check_array,
-    contracted,
-    contracts_enabled,
-)
-from .determinism import (
-    DetsanRecorder,
-    detsan_enabled,
-    diff_manifests,
-    verify_pipeline_determinism,
-)
 from .rules import REGISTRY, FileContext, ProjectRule, Rule, Violation, register
 
 __all__ = [
-    "ArraySpec",
     "Baseline",
     "CheckResult",
-    "ContractError",
-    "DetsanRecorder",
     "FileContext",
     "ProjectRule",
     "REGISTRY",
     "Rule",
     "Violation",
-    "check_array",
     "check_paths",
     "collect_files",
-    "contracted",
-    "contracts_enabled",
-    "detsan_enabled",
-    "diff_manifests",
     "load_baseline",
     "register",
-    "verify_pipeline_determinism",
     "write_baseline",
 ]

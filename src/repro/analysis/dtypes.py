@@ -1,4 +1,4 @@
-"""Numpy-aware dtype / value-range abstract domain (stdlib ``ast`` only).
+"""Numpy-aware dtype abstract domain (stdlib ``ast`` only).
 
 The RC2xx kernel rules need answers to questions like "what dtype does this
 array actually have?" and "does this constant fit the array's dtype?"
@@ -6,16 +6,13 @@ array actually have?" and "does this constant fit the array's dtype?"
 This module is the substrate: a small abstract-interpretation toolkit over
 the project AST.
 
-* :class:`ValueRange` — an integer interval lattice (``None`` bounds are
-  ±∞) with ``join`` (least upper bound) and ``widen`` (the classic
-  interval widening: any bound that moved goes straight to infinity, so
-  fixpoints terminate).
 * :class:`AbstractValue` — what an expression may evaluate to: a numpy
-  array of a known dtype, a Python scalar, a dtype literal
-  (``np.int16`` / ``np.dtype("int16")``), or unknown.
+  array of a known dtype, a Python scalar (with its exact value when it
+  folds to one int), a dtype literal (``np.int16`` / ``np.dtype("int16")``),
+  or unknown.  The lattice is flat: a join keeps only what both sides agree on.
 * :class:`Evaluator` / :func:`interpret` — expression evaluation and a
   linear statement walk building local/attribute environments; branches
-  join, loop bodies widen against the pre-state.
+  and loop bodies join with the state they started from.
 * :class:`DtypeAnalysis` — per-function return-value summaries, solved
   as a bounded fixpoint over the
   :class:`~repro.analysis.graph.ProjectGraph` call edges so a wrapper
@@ -29,6 +26,7 @@ disagreeing dtypes forget the dtype, and rules built on top must treat
 from __future__ import annotations
 
 import ast
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +38,6 @@ __all__ = [
     "DtypeAnalysis",
     "Env",
     "Evaluator",
-    "ValueRange",
     "class_attr_env",
     "dtype_bounds",
     "interpret",
@@ -111,126 +108,19 @@ def promote(a: str, b: str) -> str | None:
 
 
 @dataclass(frozen=True)
-class ValueRange:
-    """Closed integer interval; a ``None`` bound means ±∞."""
-
-    lo: int | None = None
-    hi: int | None = None
-
-    @staticmethod
-    def const(value: int) -> ValueRange:
-        """Singleton interval ``[value, value]``."""
-        return ValueRange(value, value)
-
-    @property
-    def is_top(self) -> bool:
-        """True for the unbounded interval."""
-        return self.lo is None and self.hi is None
-
-    def contains(self, other: ValueRange) -> bool:
-        """Interval inclusion (the lattice partial order)."""
-        lo_ok = self.lo is None or (other.lo is not None and other.lo >= self.lo)
-        hi_ok = self.hi is None or (other.hi is not None and other.hi <= self.hi)
-        return lo_ok and hi_ok
-
-    def join(self, other: ValueRange) -> ValueRange:
-        """Least upper bound: the convex hull of the two intervals."""
-        lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
-        hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
-        return ValueRange(lo, hi)
-
-    def widen(self, other: ValueRange) -> ValueRange:
-        """Classic interval widening: a bound that moved jumps to ∞.
-
-        ``a.widen(b)`` over-approximates ``a.join(b)`` and guarantees any
-        ascending chain ``a, a.widen(b1), a.widen(b1).widen(b2), ...``
-        stabilises after at most two steps per side.
-        """
-        lo = self.lo if (
-            self.lo is not None and other.lo is not None and other.lo >= self.lo
-        ) else None
-        hi = self.hi if (
-            self.hi is not None and other.hi is not None and other.hi <= self.hi
-        ) else None
-        return ValueRange(lo, hi)
-
-    def clip(self, bounds: tuple[int, int]) -> ValueRange:
-        """Intersect with dtype bounds (the effect of a cast that fits)."""
-        lo, hi = bounds
-        new_lo = lo if self.lo is None else max(self.lo, lo)
-        new_hi = hi if self.hi is None else min(self.hi, hi)
-        if new_lo > new_hi:  # disjoint: the cast wraps — give up precisely
-            return ValueRange(lo, hi)
-        return ValueRange(new_lo, new_hi)
-
-    # -- interval arithmetic -------------------------------------------
-    def add(self, other: ValueRange) -> ValueRange:
-        """Interval sum."""
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return ValueRange(lo, hi)
-
-    def sub(self, other: ValueRange) -> ValueRange:
-        """Interval difference."""
-        lo = None if self.lo is None or other.hi is None else self.lo - other.hi
-        hi = None if self.hi is None or other.lo is None else self.hi - other.lo
-        return ValueRange(lo, hi)
-
-    def neg(self) -> ValueRange:
-        """Interval negation."""
-        lo = None if self.hi is None else -self.hi
-        hi = None if self.lo is None else -self.lo
-        return ValueRange(lo, hi)
-
-    def mul(self, other: ValueRange) -> ValueRange:
-        """Interval product (unbounded if any corner is unbounded)."""
-        if None in (self.lo, self.hi, other.lo, other.hi):
-            return TOP_RANGE
-        assert self.lo is not None and self.hi is not None
-        assert other.lo is not None and other.hi is not None
-        corners = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return ValueRange(min(corners), max(corners))
-
-    def abs(self) -> ValueRange:
-        """Interval absolute value."""
-        if self.lo is not None and self.lo >= 0:
-            return self
-        if self.hi is not None and self.hi <= 0:
-            return self.neg()
-        hi = (
-            None
-            if self.lo is None or self.hi is None
-            else max(abs(self.lo), abs(self.hi))
-        )
-        return ValueRange(0, hi)
-
-    def max_abs(self) -> int | None:
-        """Largest magnitude in the interval, ``None`` if unbounded."""
-        r = self.abs()
-        return r.hi
-
-
-#: The unbounded interval (lattice top).
-TOP_RANGE = ValueRange(None, None)
-
-
-@dataclass(frozen=True)
 class AbstractValue:
     """What one expression may evaluate to.
 
     ``kind`` is one of ``"array"`` (a numpy array of dtype ``dtype``),
     ``"scalar"`` (a Python int/float/bool; ``dtype`` is ``None``),
     ``"dtype"`` (a dtype *literal* such as ``np.int16``), or ``"unknown"``.
+    ``const`` is a scalar's exact value when the expression folds to one
+    int, else ``None``.
     """
 
     kind: str = "unknown"
     dtype: str | None = None
-    range: ValueRange = TOP_RANGE
+    const: int | None = None
 
     @staticmethod
     def unknown() -> AbstractValue:
@@ -238,14 +128,14 @@ class AbstractValue:
         return _UNKNOWN
 
     @staticmethod
-    def scalar(rng: ValueRange = TOP_RANGE) -> AbstractValue:
-        """A Python scalar with the given range."""
-        return AbstractValue(kind="scalar", range=rng)
+    def scalar(const: int | None = None) -> AbstractValue:
+        """A Python scalar, with its exact int value when known."""
+        return AbstractValue(kind="scalar", const=const)
 
     @staticmethod
-    def array(dtype: str | None, rng: ValueRange = TOP_RANGE) -> AbstractValue:
-        """A numpy array of the given dtype/range."""
-        return AbstractValue(kind="array", dtype=dtype, range=rng)
+    def array(dtype: str | None) -> AbstractValue:
+        """A numpy array of the given dtype."""
+        return AbstractValue(kind="array", dtype=dtype)
 
     @staticmethod
     def dtype_literal(name: str) -> AbstractValue:
@@ -258,22 +148,14 @@ class AbstractValue:
         return self.kind == "unknown"
 
     def join(self, other: AbstractValue) -> AbstractValue:
-        """Least upper bound; disagreeing kinds/dtypes forget themselves."""
-        if self.is_unknown or other.is_unknown:
+        """Least upper bound; disagreeing kinds/dtypes/constants forget themselves."""
+        if self.is_unknown or other.is_unknown or self.kind != other.kind:
             return _UNKNOWN
-        if self.kind != other.kind:
-            return _UNKNOWN
-        dtype = self.dtype if self.dtype == other.dtype else None
         return AbstractValue(
-            kind=self.kind, dtype=dtype, range=self.range.join(other.range)
+            kind=self.kind,
+            dtype=self.dtype if self.dtype == other.dtype else None,
+            const=self.const if self.const == other.const else None,
         )
-
-    def widen(self, other: AbstractValue) -> AbstractValue:
-        """Widening counterpart of :meth:`join` (ranges widen, rest joins)."""
-        joined = self.join(other)
-        if joined.is_unknown:
-            return joined
-        return replace(joined, range=self.range.widen(other.range))
 
 
 _UNKNOWN = AbstractValue()
@@ -281,19 +163,22 @@ _UNKNOWN = AbstractValue()
 #: Environment: local names plus dotted ``self.attr`` pseudo-names.
 Env = dict[str, AbstractValue]
 
-#: Binary ufuncs whose ``out=`` argument fixes the result dtype.
-_BINARY_UFUNCS = {
-    "add": "add",
-    "subtract": "sub",
-    "multiply": "mul",
-    "maximum": "max",
-    "minimum": "min",
+#: Operators whose result constant-folds from two known int constants.
+_FOLD_OPS: dict[type[ast.operator], Callable[[int, int], int]] = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
 }
 
-#: Array constructors RC002 also knows about, with their value ranges.
-_CONSTRUCTOR_FUNCS = frozenset(
-    {"zeros", "ones", "empty", "full", "arange", "zeros_like", "empty_like"}
-)
+#: Binary ufuncs whose ``out=`` argument fixes the result dtype, with the
+#: operator they constant-fold like (``None``: never folds).
+_BINARY_UFUNCS: dict[str, Callable[[int, int], int] | None] = {
+    "add": operator.add,
+    "subtract": operator.sub,
+    "multiply": operator.mul,
+    "maximum": None,
+    "minimum": None,
+}
 
 
 def _np_attr_dtype(raw: str | None) -> str | None:
@@ -304,6 +189,15 @@ def _np_attr_dtype(raw: str | None) -> str | None:
     if head in ("np", "numpy") and leaf in _DTYPE_NAMES:
         return _DTYPE_CANON.get(leaf, leaf)
     return None
+
+
+def _fold(
+    fn: Callable[[int, int], int] | None, left: AbstractValue, right: AbstractValue
+) -> int | None:
+    """``fn(left, right)`` when both operands are known int constants."""
+    if fn is None or left.const is None or right.const is None:
+        return None
+    return fn(left.const, right.const)
 
 
 class Evaluator:
@@ -346,10 +240,8 @@ class Evaluator:
     def eval(self, node: ast.expr) -> AbstractValue:
         """Abstract value of one expression."""
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return AbstractValue.scalar(ValueRange.const(int(node.value)))
-            if isinstance(node.value, int):
-                return AbstractValue.scalar(ValueRange.const(node.value))
+            if isinstance(node.value, int):  # bool included
+                return AbstractValue.scalar(int(node.value))
             if isinstance(node.value, float):
                 return AbstractValue.scalar()
             return _UNKNOWN
@@ -363,58 +255,41 @@ class Evaluator:
             return self.env.get(raw, _UNKNOWN)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             inner = self.eval(node.operand)
-            return replace(inner, range=inner.range.neg())
+            if inner.const is None:
+                return inner
+            return replace(inner, const=-inner.const)
         if isinstance(node, ast.BinOp):
-            return self._eval_binop(node)
+            left, right = self.eval(node.left), self.eval(node.right)
+            const = _fold(_FOLD_OPS.get(type(node.op)), left, right)
+            return self._combine(left, right, const)
         if isinstance(node, ast.Call):
             return self._eval_call(node)
         if isinstance(node, ast.Subscript):
             base = self.eval(node.value)
             if base.kind == "array":
-                return base  # slicing/indexing preserves dtype and range
+                return base  # slicing/indexing preserves dtype
             return _UNKNOWN
         if isinstance(node, ast.IfExp):
             return self.eval(node.body).join(self.eval(node.orelse))
         if isinstance(node, ast.Compare):
-            return AbstractValue.scalar(ValueRange(0, 1))
+            return AbstractValue.scalar()
         return _UNKNOWN
-
-    def _eval_binop(self, node: ast.BinOp) -> AbstractValue:
-        left, right = self.eval(node.left), self.eval(node.right)
-        if isinstance(node.op, ast.Add):
-            rng = left.range.add(right.range)
-        elif isinstance(node.op, ast.Sub):
-            rng = left.range.sub(right.range)
-        elif isinstance(node.op, ast.Mult):
-            rng = left.range.mul(right.range)
-        else:
-            rng = TOP_RANGE
-        return self._combine(left, right, rng)
 
     @staticmethod
     def _combine(
-        left: AbstractValue, right: AbstractValue, rng: ValueRange
+        left: AbstractValue, right: AbstractValue, const: int | None
     ) -> AbstractValue:
         """Result of an arithmetic combination (NEP-50 dtype semantics)."""
         kinds = {left.kind, right.kind}
         if "array" in kinds:
             if left.kind == right.kind == "array":
                 if left.dtype is None or right.dtype is None:
-                    dtype = None
-                else:
-                    dtype = promote(left.dtype, right.dtype)
-            else:
-                arr = left if left.kind == "array" else right
-                # Python scalars do not promote the array dtype (NEP 50);
-                # the value simply wraps into it, so clip the range.
-                dtype = arr.dtype
-            if dtype is not None:
-                bounds = dtype_bounds(dtype)
-                if bounds is not None:
-                    rng = rng.clip(bounds)
-            return AbstractValue.array(dtype, rng)
+                    return AbstractValue.array(None)
+                return AbstractValue.array(promote(left.dtype, right.dtype))
+            # Python scalars do not promote the array dtype (NEP 50).
+            return AbstractValue.array(left.dtype if left.kind == "array" else right.dtype)
         if kinds == {"scalar"}:
-            return AbstractValue.scalar(rng)
+            return AbstractValue.scalar(const)
         return _UNKNOWN
 
     def _eval_call(self, node: ast.Call) -> AbstractValue:
@@ -426,19 +301,12 @@ class Evaluator:
         if head in ("np", "numpy"):
             return self._eval_numpy_call(node, leaf, kwargs)
         if leaf == "astype" and head:
-            source = self.eval(node.func.value) if isinstance(
-                node.func, ast.Attribute
-            ) else _UNKNOWN
             target = None
             if node.args:
                 target = self.dtype_of(node.args[0])
             elif "dtype" in kwargs:
                 target = self.dtype_of(kwargs["dtype"])
-            if target is None:
-                return AbstractValue.array(None)
-            bounds = dtype_bounds(target)
-            rng = source.range.clip(bounds) if bounds else TOP_RANGE
-            return AbstractValue.array(target, rng)
+            return AbstractValue.array(target)
         if raw in ("int", "abs", "len", "min", "max", "sum", "round"):
             return AbstractValue.scalar()
         if self.callee_summary is not None:
@@ -458,88 +326,45 @@ class Evaluator:
             return (
                 AbstractValue.dtype_literal(name) if name else _UNKNOWN
             )
-        if leaf in ("zeros", "zeros_like"):
-            return AbstractValue.array(dtype or "float64", ValueRange.const(0))
-        if leaf in ("ones", "ones_like"):
-            return AbstractValue.array(dtype or "float64", ValueRange.const(1))
-        if leaf in ("empty", "empty_like"):
-            dt = dtype or "float64"
-            bounds = dtype_bounds(dt)
-            rng = ValueRange(*bounds) if bounds else TOP_RANGE
-            return AbstractValue.array(dt, rng)
+        if leaf in ("zeros", "zeros_like", "ones", "ones_like", "empty", "empty_like"):
+            return AbstractValue.array(dtype or "float64")
         if leaf == "full":
-            fill = self.eval(node.args[1]) if len(node.args) > 1 else _UNKNOWN
-            return AbstractValue.array(dtype, fill.range)
+            return AbstractValue.array(dtype)
         if leaf == "arange":
-            stop = self.eval(node.args[0]) if len(node.args) == 1 else _UNKNOWN
-            hi = None if stop.range.hi is None else max(0, stop.range.hi - 1)
-            return AbstractValue.array(dtype or "int64", ValueRange(0, hi))
+            return AbstractValue.array(dtype or "int64")
         if leaf in ("asarray", "array", "ascontiguousarray"):
             source = self.eval(node.args[0]) if node.args else _UNKNOWN
-            if dtype is None:
-                dtype = source.dtype if source.kind == "array" else None
-            bounds = dtype_bounds(dtype) if dtype else None
-            rng = source.range.clip(bounds) if bounds else source.range
-            return AbstractValue.array(dtype, rng)
+            if dtype is None and source.kind == "array":
+                dtype = source.dtype
+            return AbstractValue.array(dtype)
         if leaf in ("abs", "absolute"):
             source = self.eval(node.args[0]) if node.args else _UNKNOWN
-            return replace(source, range=source.range.abs())
+            return replace(source, const=None)
         if leaf == "take":
             source = self.eval(node.args[0]) if node.args else _UNKNOWN
             result = source if source.kind == "array" else _UNKNOWN
-            return self._through_out(node, kwargs, result)
+            return self._through_out(kwargs, result)
         if leaf in _BINARY_UFUNCS:
             left = self.eval(node.args[0]) if node.args else _UNKNOWN
             right = self.eval(node.args[1]) if len(node.args) > 1 else _UNKNOWN
-            op = _BINARY_UFUNCS[leaf]
-            if op == "add":
-                rng = left.range.add(right.range)
-            elif op == "sub":
-                rng = left.range.sub(right.range)
-            elif op == "mul":
-                rng = left.range.mul(right.range)
-            elif op == "max":
-                rng = ValueRange(
-                    None
-                    if left.range.lo is None or right.range.lo is None
-                    else max(left.range.lo, right.range.lo),
-                    None
-                    if left.range.hi is None or right.range.hi is None
-                    else max(left.range.hi, right.range.hi),
-                )
-            else:  # min
-                rng = ValueRange(
-                    None
-                    if left.range.lo is None or right.range.lo is None
-                    else min(left.range.lo, right.range.lo),
-                    None
-                    if left.range.hi is None or right.range.hi is None
-                    else min(left.range.hi, right.range.hi),
-                )
-            explicit = self.dtype_of(kwargs["dtype"]) if "dtype" in kwargs else None
-            result = self._combine(left, right, rng)
-            if explicit is not None:
-                bounds = dtype_bounds(explicit)
-                rng2 = rng.clip(bounds) if bounds else rng
-                result = AbstractValue.array(explicit, rng2)
-            return self._through_out(node, kwargs, result)
+            if dtype is not None:
+                result = AbstractValue.array(dtype)
+            else:
+                const = _fold(_BINARY_UFUNCS[leaf], left, right)
+                result = self._combine(left, right, const)
+            return self._through_out(kwargs, result)
         return _UNKNOWN
 
     def _through_out(
-        self,
-        node: ast.Call,
-        kwargs: dict[str, ast.expr],
-        computed: AbstractValue,
+        self, kwargs: dict[str, ast.expr], computed: AbstractValue
     ) -> AbstractValue:
-        """``out=`` fixes the result dtype; the value range is the computed one."""
+        """``out=`` fixes the result dtype."""
         out = kwargs.get("out")
         if out is None:
             return computed
         target = self.eval(out)
         if target.kind == "array" and target.dtype is not None:
-            bounds = dtype_bounds(target.dtype)
-            rng = computed.range.clip(bounds) if bounds else computed.range
-            return AbstractValue.array(target.dtype, rng)
+            return AbstractValue.array(target.dtype)
         return computed
 
 
@@ -561,18 +386,6 @@ def _join_envs(a: Env, b: Env) -> Env:
     return out
 
 
-def _widen_envs(before: Env, after: Env) -> Env:
-    """Pointwise widening of *after* against the loop pre-state."""
-    out: Env = {}
-    for key in set(before) | set(after):
-        vb, va = before.get(key), after.get(key)
-        if vb is None or va is None:
-            out[key] = _UNKNOWN
-        else:
-            out[key] = vb.widen(va)
-    return out
-
-
 def interpret(
     body: Iterable[ast.stmt],
     env: Env,
@@ -582,9 +395,9 @@ def interpret(
     """Linear abstract interpretation of a statement list.
 
     Mutates and returns *env*.  Branch arms are interpreted on copies and
-    joined; loop bodies are interpreted once and widened against the
-    pre-state (enough precision for dtype questions, and trivially
-    terminating).  Return-expression values are appended to *returns*.
+    joined; loop bodies are interpreted once and joined with the pre-state
+    (enough precision for dtype questions, and trivially terminating).
+    Return-expression values are appended to *returns*.
     """
     ev = Evaluator(env, callee_summary)
     for stmt in body:
@@ -606,14 +419,9 @@ def interpret(
             if key is not None:
                 current = env.get(key, _UNKNOWN)
                 delta = ev.eval(stmt.value)
-                if isinstance(stmt.op, ast.Add):
-                    rng = current.range.add(delta.range)
-                elif isinstance(stmt.op, ast.Sub):
-                    rng = current.range.sub(delta.range)
-                else:
-                    rng = TOP_RANGE
-                updated = Evaluator._combine(current, delta, rng)
-                env[key] = current.widen(updated)
+                const = _fold(_FOLD_OPS.get(type(stmt.op)), current, delta)
+                updated = Evaluator._combine(current, delta, const)
+                env[key] = current.join(updated)
         elif isinstance(stmt, ast.If):
             then_env = dict(env)
             else_env = dict(env)
@@ -630,9 +438,9 @@ def interpret(
                     env[key] = _UNKNOWN
             interpret(stmt.body, env, callee_summary, returns)
             interpret(stmt.orelse, env, callee_summary, returns)
-            widened = _widen_envs(before, env)
+            joined = _join_envs(before, env)
             env.clear()
-            env.update(widened)
+            env.update(joined)
             ev = Evaluator(env, callee_summary)
         elif isinstance(stmt, ast.With):
             interpret(stmt.body, env, callee_summary, returns)

@@ -17,7 +17,7 @@ defining both ``prepare`` and ``score``):
   protocol allows allocation there.
 * **RC202** — silent dtype promotion: arithmetic mixing two known,
   different array dtypes without ``out=``/``dtype=``/``casting=``, or a
-  narrow-dtype array combined with a constant beyond its bounds.
+  narrow-dtype array combined with an exact constant beyond its bounds.
 * **RC203** — per-batch allocation: ``np.empty``/``zeros``/… into a local
   variable inside a loop body or inside any function the engine's batch
   loop calls per batch; scratch stored on ``self`` (monotone growth) is
@@ -337,21 +337,18 @@ class SilentPromotionRule(ProjectRule):
                 "and version-dependent; pin it explicitly"
             )
         for array, scalar in ((lv, rv), (rv, lv)):
-            if array.kind != "array" or scalar.kind != "scalar":
+            if array.kind != "array" or scalar.const is None:
                 continue
             bounds = dtype_bounds(array.dtype) if array.dtype else None
             if bounds is None:
                 continue
             lo, hi = bounds
-            s = scalar.range
-            if s.lo is None or s.hi is None:
-                continue
-            if s.hi > hi or s.lo < lo:
+            if not lo <= scalar.const <= hi:
                 return (
-                    f"combines a {array.dtype} array with constant range "
-                    f"[{s.lo}, {s.hi}] outside [{lo}, {hi}] without "
+                    f"combines a {array.dtype} array with constant "
+                    f"{scalar.const} outside [{lo}, {hi}] without "
                     "dtype=/out= — NEP 50 keeps the narrow dtype and the "
-                    "value wraps; widen explicitly"
+                    "value wraps; use a wider dtype explicitly"
                 )
         return None
 

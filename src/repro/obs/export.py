@@ -295,7 +295,7 @@ _FLIGHT_RECORD_SCHEMA: dict[str, Any] = {
                 "queue": {"type": "number", "minimum": 0},
                 "step1": {"type": "number", "minimum": 0},
                 "step2": {"type": "number", "minimum": 0},
-                "merge": {"type": "number", "minimum": 0},
+                "step3": {"type": "number", "minimum": 0},
                 "dispatch": {"type": "number", "minimum": 0},
                 "total": {"type": "number", "minimum": 0},
             },

@@ -4,7 +4,7 @@ Two bounded ring buffers, both keyed by request id:
 
 * :class:`FlightRecorder` — one compact :class:`FlightRecord` per
   *terminal* request outcome (served, shed, deadline, error), carrying
-  the status, the latency breakdown (queue/dispatch/step2/merge), the
+  the status, the latency breakdown (queue/dispatch/step1/step2/step3), the
   retry/fallback/breaker events observed on the request's span tree and
   the shed reason.  Served at ``GET /debug/requests`` and dumped to disk
   on SIGTERM drain, it answers "what did the last N requests experience"
@@ -31,7 +31,7 @@ __all__ = ["FLIGHT_VERSION", "FlightRecord", "FlightRecorder", "RequestTraceStor
 
 #: Bumped on any breaking change to the flight-record shape
 #: (mirrored by ``schemas/flight_record.schema.json``).
-FLIGHT_VERSION = 1
+FLIGHT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class FlightRecord:
     """One request's terminal outcome, compact enough to keep N thousand.
 
     ``breakdown`` keys are seconds: ``queue`` (admission wait),
-    ``step1``/``step2``/``merge`` (pipeline phase walls — ``merge`` is
-    the gapped/post-processing stage), ``dispatch`` (handler wall not
+    ``step1``/``step2``/``step3`` (pipeline phase walls — ``step3`` is
+    the gapped extension stage), ``dispatch`` (handler wall not
     attributed to a pipeline phase: fault injection, healing, breaker
     accounting, response formatting) and ``total`` (handler wall).  Event
     counts come from the request's span tree, so they are zero when

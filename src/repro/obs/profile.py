@@ -5,7 +5,7 @@ every *interval*; the handler walks ``sys._current_frames()`` and bumps a
 counter per ``(thread, stack)`` — collapsed-stack output (flamegraph
 input) plus a per-pipeline-phase attribution derived from recognisable
 frame names (``_step1`` → step1, ``run_step2``/``run_stream`` →
-step2, ``gapped_stage`` → merge, ``_dispatch_loop`` → dispatch).
+step2, ``gapped_stage`` → step3, ``_dispatch_loop`` → dispatch).
 
 Signal-safety rules this module lives by (documented in DESIGN §10):
 
@@ -39,7 +39,7 @@ from typing import Any
 __all__ = ["PROFILE_VERSION", "PHASE_MARKERS", "SamplingProfiler"]
 
 #: Bumped on any breaking change to the profile document shape.
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 #: Frame (function) names that anchor a sample to a pipeline phase.
 #: Scanned leaf-first, first match wins; unmatched samples are "other".
@@ -47,7 +47,7 @@ PHASE_MARKERS: dict[str, str] = {
     "_step1": "step1",
     "run_step2": "step2",
     "run_stream": "step2",
-    "gapped_stage": "merge",
+    "gapped_stage": "step3",
     "_handle": "dispatch",
     "_dispatch_loop": "dispatch",
     "serve_forever": "idle",

@@ -560,12 +560,12 @@ class SearchService:
         if profile is not None:
             step1 = profile.step1.wall_seconds
             step2 = profile.step2.wall_seconds
-            merge = profile.step3.wall_seconds
+            step3 = profile.step3.wall_seconds
             breakdown.update(
                 step1=step1,
                 step2=step2,
-                merge=merge,
-                dispatch=max(0.0, total_seconds - step1 - step2 - merge),
+                step3=step3,
+                dispatch=max(0.0, total_seconds - step1 - step2 - step3),
             )
         retry_events = fallback_events = 0
         breaker_events: list[str] = []

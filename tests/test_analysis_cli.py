@@ -1,7 +1,10 @@
 """repro-check CLI tests: exit codes, baseline flags, --github, verify mode."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -246,3 +249,33 @@ class TestVerifyAllocs:
         out = capsys.readouterr().out
         assert code == 0
         assert "allocation budget verified" in out
+
+
+#: Runs repro-check with every ``numpy`` import refused, as on the CI job
+#: that installs nothing.
+NO_NUMPY = """
+import runpy
+import sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"numpy is not installed: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+runpy.run_module("repro.analysis.cli", run_name="__main__")
+"""
+
+
+def test_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, "--baseline", "repro-baseline.json",
+         "src", "tests", "benchmarks"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 violations" in proc.stdout

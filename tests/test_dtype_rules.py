@@ -34,6 +34,15 @@ def project_for(paths):
 class TestFixtures:
     """Each rule has a tree it must flag and a twin it must pass."""
 
+    #: Every RC2xx finding over all fixture trees, as (rule, file, line).
+    PINNED = [
+        ("RC201", "rc201_flags/repro/extend/backends/gather.py", 18),
+        ("RC201", "rc201_flags/repro/extend/backends/gather.py", 19),
+        ("RC201", "rc201_flags/repro/extend/backends/gather.py", 20),
+        ("RC202", "rc202_flags/repro/extend/backends/mixed.py", 17),
+        ("RC203", "rc203_flags/repro/extend/backends/alloc.py", 15),
+    ]
+
     @pytest.mark.parametrize("code", RC2XX)
     def test_flag_tree_fires(self, code):
         assert codes_for(f"{code.lower()}_flags") == [code]
@@ -41,6 +50,17 @@ class TestFixtures:
     @pytest.mark.parametrize("code", RC2XX)
     def test_clean_tree_passes(self, code):
         assert codes_for(f"{code.lower()}_clean") == []
+
+    def test_findings_are_pinned_by_line(self):
+        found = []
+        for tree in sorted(p for p in FIXTURES.iterdir() if p.is_dir()):
+            result = check_paths([tree], select=RC2XX)
+            assert not result.parse_errors
+            found += [
+                (v.rule, pathlib.Path(v.path).relative_to(FIXTURES).as_posix(), v.line)
+                for v in result.violations
+            ]
+        assert sorted(found) == self.PINNED
 
 
 class TestKernelAnchors:
@@ -94,6 +114,42 @@ class TestSeededBug:
         result = check_paths([tmp_path], select=["RC203"])
         assert [v.rule for v in result.violations] == ["RC203"]
         assert "score()" in result.violations[0].message
+
+
+class TestConstantOutsideDtype:
+    """RC202's second clause: an exact constant beyond a narrow dtype."""
+
+    @staticmethod
+    def findings(tmp_path, expr):
+        kernel = tmp_path / "repro" / "extend" / "backends" / "narrow.py"
+        kernel.parent.mkdir(parents=True)
+        kernel.write_text(
+            "import numpy as np\n\n\n"
+            "class NarrowKernel:\n"
+            "    def __init__(self, config):\n"
+            "        self._acc = np.zeros(8, dtype=np.int16)\n\n"
+            "    def prepare(self, buf0, buf1):\n"
+            "        self._buf0 = buf0\n\n"
+            "    def score(self, anchors0, anchors1):\n"
+            "        acc = self._acc\n"
+            f"        return {expr}\n"
+        )
+        return check_paths([tmp_path], select=["RC202"]).violations
+
+    @pytest.mark.parametrize(
+        "expr, constant",
+        [("acc + 40000", 40000), ("acc + (30000 + 5000)", 35000)],
+    )
+    def test_constant_beyond_int16_is_flagged(self, tmp_path, expr, constant):
+        violations = self.findings(tmp_path, expr)
+        assert [(v.rule, v.line) for v in violations] == [("RC202", 13)]
+        assert f"constant {constant} outside [-32768, 32767]" in violations[0].message
+
+    @pytest.mark.parametrize(
+        "expr", ["acc + 100", "np.add(acc, 40000, dtype=np.int32)"]
+    )
+    def test_fitting_or_pinned_constant_is_clean(self, tmp_path, expr):
+        assert self.findings(tmp_path, expr) == []
 
 
 def test_rc002_covers_backend_constructors(tmp_path):

@@ -213,6 +213,26 @@ class TestSamplingProfiler:
         )
         assert sum(report["phases"].values()) == report["samples"]
 
+    def test_gapped_stage_samples_count_as_step3(self):
+        stop = threading.Event()
+
+        def gapped_stage():
+            while not stop.is_set():
+                pass
+
+        profiler = SamplingProfiler(interval_seconds=0.002)
+        profiler.install()
+        worker = threading.Thread(target=gapped_stage)
+        worker.start()
+        try:
+            report = profiler.run_for(0.2)
+        finally:
+            stop.set()
+            worker.join()
+        assert report is not None
+        assert report["phases"].get("step3", 0) > 0
+        assert "merge" not in report["phases"]
+
     def test_run_for_refused_while_session_running(self):
         profiler = SamplingProfiler(interval_seconds=0.005)
         profiler.install()

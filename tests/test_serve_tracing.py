@@ -120,7 +120,9 @@ class TestSpanTreePerRequest:
             assert record["status"] == "ok" and record["retry_events"] == 0
             breakdown = record["breakdown"]
             assert breakdown["total"] > 0
-            assert {"queue", "step1", "step2", "merge", "dispatch"} <= set(breakdown)
+            assert set(breakdown) == {
+                "queue", "step1", "step2", "step3", "dispatch", "total"
+            }
             assert validate_serve_metrics(svc.metrics_text()) == []
         finally:
             assert svc.drain(timeout=30)
