@@ -58,6 +58,14 @@ class TestJoin:
     def test_join_is_associative(self, a, b, c):
         assert a.join(b).join(c) == a.join(b.join(c))
 
+    @given(values, values)
+    @HYPO
+    def test_top_absorbs(self, a, b):
+        top = AbstractValue.unknown()
+        assert a.join(top) == top
+        # Top lies above every join too: (a ⊔ b) ⊔ top == top.
+        assert a.join(b).join(top) == top
+
 
 class TestArithmeticSoundness:
     """Folding an expression of int literals yields its exact value."""
