@@ -1,12 +1,15 @@
 """End-to-end observability drill: the CI ``obs-serve`` job's driver.
 
 Boots a real ``repro-psc serve`` process with request tracing, a trace
-spool directory and a pinned chaos plan (one pool death, one injected
-shed), drives it over HTTP with client-minted request ids, and asserts
-the per-request observability contract from the *outside*:
+spool directory, the sampling profiler (``--profile``) and a pinned chaos
+plan (one pool death, one injected shed), drives it over HTTP with
+client-minted request ids, and asserts the per-request observability
+contract from the *outside*:
 
 1. every response carries the client's ``X-Request-Id`` back (including
-   the shed 429), and the load summary reports zero id mismatches;
+   the shed 429), and the load summary reports zero id mismatches; a
+   one-second ``/debug/profile`` window taken during the load attributes
+   samples to a pipeline phase;
 2. every *non-shed* request's ``/debug/trace/<id>`` document validates
    against ``schemas/request_trace.schema.json`` and is one complete
    span tree — exactly one root, zero orphans — even for the request
@@ -102,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.executable, "-m", "repro.cli", "serve", str(DATA),
                 "--port", str(args.port), "--workers", "2",
                 "--fault-plan", str(plan_path),
-                "--trace-dir", str(trace_dir),
+                "--trace-dir", str(trace_dir), "--profile",
             ],
             cwd=REPO,
         )
@@ -111,17 +114,27 @@ def main(argv: list[str] | None = None) -> int:
 
             # Phase 1: drive with client-minted ids; the big per-request
             # workload keeps every request on the warm pool so the
-            # injected pool death actually lands under a request.
+            # injected pool death actually lands under a request.  One
+            # profiling window is taken while the load runs.
             out = tmp_path / "load.json"
-            subprocess.run(
+            load = subprocess.Popen(
                 [
                     sys.executable, "-m", "repro.serve.client",
                     "--port", str(args.port), "--fasta", str(DATA),
                     "--requests", str(REQUESTS), "--per-request", "6",
                     "--concurrency", "1", "--out", str(out),
                 ],
-                check=True, cwd=REPO,
+                cwd=REPO,
             )
+            profile = get_json(args.port, "/debug/profile?seconds=1")
+            assert load.wait(timeout=300) == 0, "load client failed"
+            assert profile["ticks"] > 0, profile
+            phases = profile["phases"]
+            assert sum(phases.values()) == profile["samples"], profile
+            assert any(
+                phases.get(p, 0) > 0
+                for p in ("step1", "step2", "step3", "dispatch")
+            ), phases
             summary = json.loads(out.read_text())
             assert summary["served"] == REQUESTS - 1, summary
             assert summary["shed"] == 1, summary
@@ -131,7 +144,8 @@ def main(argv: list[str] | None = None) -> int:
                 r["http_status"]: r["request_id"] for r in summary["results"]
             }
             assert set(by_status) == {200, 429}, sorted(by_status)
-            print("phase 1 ok: ids echoed on every response, shed included")
+            print("phase 1 ok: ids echoed on every response, shed included; "
+                  f"profile window phases {phases}")
 
             # Phase 2: every served request's trace document is one
             # complete span tree, fetched by the id the client minted.

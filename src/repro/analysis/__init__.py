@@ -19,12 +19,10 @@ their own modules (:mod:`~repro.analysis.contracts`,
 :mod:`~repro.analysis.determinism`, :mod:`~repro.analysis.allocsan`).
 """
 
-from .baseline import Baseline, load_baseline, write_baseline
 from .checker import CheckResult, check_paths, collect_files
 from .rules import REGISTRY, FileContext, ProjectRule, Rule, Violation, register
 
 __all__ = [
-    "Baseline",
     "CheckResult",
     "FileContext",
     "ProjectRule",
@@ -33,7 +31,5 @@ __all__ = [
     "Violation",
     "check_paths",
     "collect_files",
-    "load_baseline",
     "register",
-    "write_baseline",
 ]

@@ -5,14 +5,15 @@ script and the test-suite both use.  It expands directories, parses each
 ``.py`` file once, runs every (selected) registered per-file rule, then
 builds the cross-module :class:`~repro.analysis.graph.ProjectGraph` over
 the package files and runs the project rules (RC1xx) on it.  Suppression
-happens at three levels, most local wins:
+happens at two levels, most local wins:
 
 * inline ``# noqa: RC00X`` on the violating line (codes required — a bare
   ``noqa`` does not silence RC rules);
 * file-level ``# repro-check: noqa`` (whole file) or
-  ``# repro-check: noqa: RC101`` (listed codes, file-wide) on any line;
-* a committed baseline (:mod:`repro.analysis.baseline`) absorbing known
-  findings so a new rule can land before the tree is fully clean.
+  ``# repro-check: noqa: RC101`` (listed codes, file-wide) on any line.
+
+There is no findings baseline: a finding is either fixed or the rule is
+wrong.
 
 Violations return in a deterministic (path, line, column, rule) order —
 determinism of the checker itself is held to the same standard it
@@ -32,7 +33,6 @@ from pathlib import Path
 from . import concurrency  # noqa: F401  (import-for-registration)
 from . import kernels  # noqa: F401  (import-for-registration)
 from . import threads  # noqa: F401  (import-for-registration)
-from .baseline import Baseline
 from .flows import ProjectAnalyses
 from .graph import ProjectGraph
 from .rules import FileContext, ProjectRule, Violation, iter_rules, package_relative
@@ -65,10 +65,6 @@ class CheckResult:
         self.violations: list[Violation] = []
         self.files_checked: int = 0
         self.parse_errors: list[str] = []
-        #: Findings absorbed by the ``--baseline`` file, if one was given.
-        self.baseline_suppressed: int = 0
-        #: Baseline entries that matched nothing — stale debt to delete.
-        self.baseline_stale: list[tuple[str, str, str]] = []
 
     @property
     def ok(self) -> bool:
@@ -156,15 +152,11 @@ class _Suppressions:
 def check_paths(
     paths: Sequence[str | Path],
     select: Iterable[str] | None = None,
-    baseline: Baseline | None = None,
 ) -> CheckResult:
     """Run the (selected) RC rules over *paths*.
 
     Parse failures are recorded, not raised: a file the checker cannot read
-    is a finding, never a crash that hides other findings.  When *baseline*
-    is given its entries absorb matching violations (counted in
-    ``baseline_suppressed``) and entries matching nothing are reported as
-    stale.
+    is a finding, never a crash that hides other findings.
     """
     selected = frozenset(s.upper() for s in select) if select is not None else None
     result = CheckResult()
@@ -195,9 +187,6 @@ def check_paths(
 
     violations = [v for v in violations if not suppressions.silences(v)]
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    if baseline is not None:
-        violations, result.baseline_suppressed = baseline.filter(violations)
-        result.baseline_stale = baseline.stale_entries()
     result.violations = violations
     return result
 

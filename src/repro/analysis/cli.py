@@ -5,10 +5,6 @@ Usage::
     repro-check src tests            # check trees, exit 1 on violations
     repro-check --select RC002 src   # one rule only
     repro-check --list-rules         # what is enforced, and why
-    repro-check --baseline repro-baseline.json src
-                                     # subtract the committed debt
-    repro-check --write-baseline repro-baseline.json src
-                                     # record today's findings as the debt
     repro-check --github src         # emit GitHub ::error annotations too
     repro-check --verify-determinism Q.fasta G.fasta --workers 1,2
                                      # run the pipeline per worker count
@@ -24,15 +20,13 @@ Usage::
                                      # requests, and cross-check observed
                                      # locksets/orders against the static
                                      # RC300 thread/lock model
-    repro-check --baseline FILE --prune-baseline src tests
-                                     # drop baseline entries the run no
-                                     # longer needs
 
 Exit codes: ``0`` clean, ``1`` violations (or unparsable files, or a
 determinism/allocation diff) found, ``2`` usage error (argparse, missing
 paths).
 Output is one ``path:line:col: RC00X message`` line per finding,
-deterministic across runs.
+deterministic across runs.  There is no findings baseline: the tree must
+be clean, and a finding is either fixed or its rule is wrong.
 """
 
 from __future__ import annotations
@@ -42,7 +36,6 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .baseline import Baseline, load_baseline, prune_baseline, write_baseline
 from .checker import CheckResult, check_paths, iter_rendered
 from .rules import REGISTRY, Violation
 
@@ -70,24 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file "
-        "(stale entries are reported)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings to FILE as the new baseline "
-        "and exit 0",
-    )
-    p.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="after checking, rewrite the --baseline file keeping only "
-        "the entries this run still needed (stale debt is dropped)",
     )
     p.add_argument(
         "--github",
@@ -308,34 +283,15 @@ def _run_verify_locks(
     return 1
 
 
-def _load_baseline_arg(
-    path: str, parser: argparse.ArgumentParser
-) -> Baseline:
-    try:
-        return load_baseline(path)
-    except FileNotFoundError:
-        parser.error(f"baseline file not found: {path}")
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError("parser.error returns NoReturn")  # pragma: no cover
-
-
 def _print_summary(result: CheckResult) -> None:
     n = len(result.violations)
     summary = (
         f"repro-check: {result.files_checked} files, "
         f"{n} violation{'s' if n != 1 else ''}"
     )
-    if result.baseline_suppressed:
-        summary += f", {result.baseline_suppressed} baselined"
     if result.parse_errors:
         summary += f", {len(result.parse_errors)} unparsable"
     print(summary)
-    for rule, path, _message in result.baseline_stale:
-        print(
-            f"repro-check: stale baseline entry {rule} for {path} "
-            "matched nothing — delete it"
-        )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -354,30 +310,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_verify_locks(args, parser)
     if not args.paths:
         parser.error("no paths given (try `repro-check src tests`)")
-    if args.prune_baseline and not args.baseline:
-        parser.error("--prune-baseline requires --baseline FILE")
     select = _validate_select(args.select, parser) if args.select else None
-    baseline = (
-        _load_baseline_arg(args.baseline, parser) if args.baseline else None
-    )
     try:
-        result = check_paths(args.paths, select=select, baseline=baseline)
+        result = check_paths(args.paths, select=select)
     except FileNotFoundError as exc:
         parser.error(str(exc))
-    if args.write_baseline:
-        n = write_baseline(result.violations, args.write_baseline)
-        print(
-            f"repro-check: wrote {n} baseline entr"
-            f"{'y' if n == 1 else 'ies'} to {args.write_baseline}"
-        )
-        return 0
-    if args.prune_baseline:
-        assert baseline is not None
-        kept, dropped = prune_baseline(baseline, args.baseline)
-        print(
-            f"repro-check: pruned baseline {args.baseline}: "
-            f"{kept} kept, {dropped} dropped"
-        )
     for line in iter_rendered(result):
         print(line)
     if args.github:

@@ -16,7 +16,9 @@ RC100      A hash-order- or environment-dependent value (``set``
 RC101      Module-level mutable state (or an open handle) lives in a
            module whose functions run inside pool workers or
            initializers: fork-inherited copies diverge silently between
-           parent and workers.
+           parent and workers.  A name that a pool initializer (a
+           function passed as ``initializer=``) resets with
+           ``NAME.clear()`` is process-local and not flagged.
 RC102      Every ``SharedMemory(create=True)`` must be released —
            ``close()`` **and** ``unlink()`` — on all paths, i.e. in a
            ``finally`` block, possibly through a helper whose release
@@ -102,9 +104,10 @@ class NondetReachesMergeRule(ProjectRule):
                 )
 
 
-def _worker_entry_seeds(graph: ProjectGraph) -> set[str]:
-    """Functions handed to pools as initializers or dispatched tasks."""
-    seeds: set[str] = set()
+def _worker_entry_seeds(graph: ProjectGraph) -> tuple[set[str], set[str]]:
+    """(initializers, dispatched tasks) handed to process pools."""
+    initializers: set[str] = set()
+    tasks: set[str] = set()
     for info in graph.functions.values():
         mod = graph.modules[info.module]
         for site in info.calls:
@@ -113,7 +116,7 @@ def _worker_entry_seeds(graph: ProjectGraph) -> set[str]:
                 if kw.arg == "initializer":
                     qual = _resolve_name_arg(graph, mod, kw.value)
                     if qual is not None:
-                        seeds.add(qual)
+                        initializers.add(qual)
             func_name = dotted_name(node.func)
             if (
                 func_name is not None
@@ -122,8 +125,32 @@ def _worker_entry_seeds(graph: ProjectGraph) -> set[str]:
             ):
                 qual = _resolve_name_arg(graph, mod, node.args[0])
                 if qual is not None:
-                    seeds.add(qual)
-    return seeds
+                    tasks.add(qual)
+    return initializers, tasks
+
+
+def _initializer_resets(
+    graph: ProjectGraph, initializers: set[str]
+) -> dict[str, frozenset[str]]:
+    """Module → module-level names a pool initializer ``.clear()``s.
+
+    Every worker runs its initializer before any task, so a name the
+    initializer empties starts each worker from the same (empty) state:
+    the fork-inherited copy never leaks into a task.
+    """
+    out: dict[str, set[str]] = {}
+    for qual in sorted(initializers):
+        info = graph.functions[qual]
+        for node in ast.walk(info.node):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "clear"
+                and isinstance(node.func.value, ast.Name)
+                and not node.args
+            ):
+                out.setdefault(info.module, set()).add(node.func.value.id)
+    return {module: frozenset(names) for module, names in out.items()}
 
 
 def _resolve_name_arg(
@@ -153,21 +180,24 @@ class ForkUnsafeModuleStateRule(ProjectRule):
         "module-level mutable state (dict/list/set/bytearray or an open "
         "handle) in a module whose functions run inside pool workers or "
         "initializers; fork-inherited copies diverge silently between "
-        "parent and workers — keep worker state process-local and "
-        "explicitly initialized"
+        "parent and workers — keep worker state process-local: reset it "
+        "with NAME.clear() in the pool initializer"
     )
 
     def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
         graph = project.graph
-        reachable = graph.reachable_from(_worker_entry_seeds(graph))
+        initializers, tasks = _worker_entry_seeds(graph)
+        reachable = graph.reachable_from(initializers | tasks)
+        resets = _initializer_resets(graph, initializers)
         worker_modules = sorted({graph.functions[q].module for q in reachable})
         for module in worker_modules:
             mod = graph.modules[module]
+            reset = resets.get(module, frozenset())
             for stmt in mod.ctx.tree.body:
-                yield from self._check_stmt(graph, mod, stmt)
+                yield from self._check_stmt(mod, stmt, reset)
 
     def _check_stmt(
-        self, graph: ProjectGraph, mod: ModuleInfo, stmt: ast.stmt
+        self, mod: ModuleInfo, stmt: ast.stmt, reset: frozenset[str]
     ) -> Iterator[Violation]:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -180,6 +210,8 @@ class ForkUnsafeModuleStateRule(ProjectRule):
         names = [t.id for t in targets if isinstance(t, ast.Name)]
         # Dunder metadata (__all__ etc.) is read-only by convention.
         names = [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+        # Reset by the pool initializer: process-local per worker.
+        names = [n for n in names if n not in reset]
         if not names:
             return
         if _is_mutable_value(value):

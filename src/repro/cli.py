@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--profile", action="store_true",
-        help="install the sampling profiler (enables /debug/profile)",
+        help="enable /debug/profile (on-demand sampling profiler windows)",
     )
     sv.add_argument(
         "--profile-out", default=None, metavar="FILE",
@@ -596,13 +596,9 @@ def _cmd_serve(args) -> int:
 
     profiler = None
     if args.profile or args.profile_out:
-        # Must happen on the main thread, before any worker forks and
-        # before serve_forever: signal.signal is main-thread-only, and
-        # install() registers the at-fork disarm hook.
         from .obs.profile import SamplingProfiler
 
         profiler = SamplingProfiler()
-        profiler.install()
         if args.profile_out:
             profiler.start()
 

@@ -151,7 +151,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _profile(self, query: dict[str, list[str]], rid: str) -> None:
         """``/debug/profile?seconds=S``: one bounded profiling window."""
         profiler = self.server.profiler
-        if profiler is None or not profiler.installed:
+        if profiler is None:
             self._send_json(
                 503,
                 {"error": "profiler not enabled (start the server with --profile)"},
@@ -257,8 +257,8 @@ class SearchHTTPServer(ThreadingHTTPServer):
 
     *profiler* is the optional process-wide
     :class:`~repro.obs.profile.SamplingProfiler` backing
-    ``/debug/profile`` (must already be installed; the handler only
-    arms/disarms the timer, which is legal off the main thread).
+    ``/debug/profile`` (each request runs one bounded window on its
+    handler thread).
     """
 
     daemon_threads = True

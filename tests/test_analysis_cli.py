@@ -1,4 +1,4 @@
-"""repro-check CLI tests: exit codes, baseline flags, --github, verify mode."""
+"""repro-check CLI tests: exit codes, --github, verify mode."""
 
 import json
 import os
@@ -53,41 +53,6 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for code in ("RC001", "RC100", "RC101", "RC102", "RC103", "RC104"):
             assert code in out
-
-
-class TestBaselineFlags:
-    def test_write_then_check_roundtrip(self, tmp_path, capsys):
-        write(tmp_path, "repro/extend/k.py", VIOLATING)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["--write-baseline", str(baseline), str(tmp_path)]
-        ) == 0
-        data = json.loads(baseline.read_text())
-        assert data["version"] == 1 and len(data["entries"]) == 1
-        capsys.readouterr()
-        assert main(["--baseline", str(baseline), str(tmp_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_new_finding_still_fails(self, tmp_path):
-        write(tmp_path, "repro/extend/k.py", VIOLATING)
-        baseline = tmp_path / "baseline.json"
-        main(["--write-baseline", str(baseline), str(tmp_path)])
-        write(tmp_path, "repro/extend/k2.py", VIOLATING)
-        assert main(["-q", "--baseline", str(baseline), str(tmp_path)]) == 1
-
-    def test_stale_entry_is_reported(self, tmp_path, capsys):
-        path = write(tmp_path, "repro/extend/k.py", VIOLATING)
-        baseline = tmp_path / "baseline.json"
-        main(["--write-baseline", str(baseline), str(tmp_path)])
-        path.write_text("def f(x: int) -> int:\n    return x\n")
-        capsys.readouterr()
-        assert main(["--baseline", str(baseline), str(tmp_path)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_missing_baseline_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--baseline", str(tmp_path / "nope.json"), str(tmp_path)])
-        assert exc.value.code == 2
 
 
 class TestGithubAnnotations:
@@ -147,41 +112,6 @@ class TestVerifyDeterminism:
                 ]
             )
         assert exc.value.code == 2
-
-
-class TestPruneBaseline:
-    def test_requires_baseline_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--prune-baseline", str(tmp_path)])
-        assert exc.value.code == 2
-
-    def test_drops_stale_keeps_live(self, tmp_path, capsys):
-        live = write(tmp_path, "repro/extend/k.py", VIOLATING)
-        stale = write(tmp_path, "repro/extend/k2.py", VIOLATING)
-        baseline = tmp_path / "baseline.json"
-        main(["--write-baseline", str(baseline), str(tmp_path)])
-        stale.write_text("def f(x: int) -> int:\n    return x\n")
-        capsys.readouterr()
-        code = main(
-            ["--baseline", str(baseline), "--prune-baseline", str(tmp_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "1 kept, 1 dropped" in out
-        data = json.loads(baseline.read_text())
-        assert len(data["entries"]) == 1
-        assert data["entries"][0]["path"].endswith("k.py")
-        assert live.exists()
-
-    def test_tight_baseline_is_byte_identical_noop(self, tmp_path):
-        write(tmp_path, "repro/extend/k.py", VIOLATING)
-        baseline = tmp_path / "baseline.json"
-        main(["--write-baseline", str(baseline), str(tmp_path)])
-        before = baseline.read_text()
-        assert main(
-            ["-q", "--baseline", str(baseline), "--prune-baseline", str(tmp_path)]
-        ) == 0
-        assert baseline.read_text() == before
 
 
 class TestVerifyAllocs:
@@ -273,8 +203,7 @@ runpy.run_module("repro.analysis.cli", run_name="__main__")
 def test_runs_without_numpy():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, "--baseline", "repro-baseline.json",
-         "src", "tests", "benchmarks"],
+        [sys.executable, "-c", NO_NUMPY, "src", "tests", "benchmarks"],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,7 +2,8 @@
 
 The serve-integration twins (ids over HTTP, span adoption across pool
 death) live in ``tests/test_serve_tracing.py``; everything here runs
-without a server or a worker pool.
+without a server, and only the profiler's fork test starts a (two-worker)
+process pool.
 """
 
 import json
@@ -193,6 +194,10 @@ class TestSloTracker:
         assert snap["latency_exemplars"]["3"] == "two-sec"
 
 
+def _square(x):
+    return x * x
+
+
 class TestSamplingProfiler:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -200,7 +205,6 @@ class TestSamplingProfiler:
 
     def test_run_for_collects_samples_with_phases(self):
         profiler = SamplingProfiler(interval_seconds=0.002)
-        profiler.install()
         report = profiler.run_for(0.2)
         assert report is not None
         assert report["version"] == PROFILE_VERSION
@@ -212,6 +216,8 @@ class TestSamplingProfiler:
             line.rsplit(" ", 1)[1].isdigit() for line in report["collapsed"]
         )
         assert sum(report["phases"].values()) == report["samples"]
+        # The sampler never samples itself.
+        assert not any("profile-sampler" in line for line in report["collapsed"])
 
     def test_gapped_stage_samples_count_as_step3(self):
         stop = threading.Event()
@@ -221,7 +227,6 @@ class TestSamplingProfiler:
                 pass
 
         profiler = SamplingProfiler(interval_seconds=0.002)
-        profiler.install()
         worker = threading.Thread(target=gapped_stage)
         worker.start()
         try:
@@ -233,9 +238,30 @@ class TestSamplingProfiler:
         assert report["phases"].get("step3", 0) > 0
         assert "merge" not in report["phases"]
 
+    def test_busy_thread_does_not_starve_the_sampler(self):
+        # The sampler needs the GIL to wake, so a pure-Python busy loop
+        # slows it to about one tick per interval plus one switch
+        # interval; 25 of a nominal 100 ticks is a loose floor for CI.
+        stop = threading.Event()
+
+        def gapped_stage():
+            while not stop.is_set():
+                pass
+
+        profiler = SamplingProfiler(interval_seconds=0.01)
+        worker = threading.Thread(target=gapped_stage)
+        worker.start()
+        try:
+            report = profiler.run_for(1.0)
+        finally:
+            stop.set()
+            worker.join()
+        assert report is not None
+        assert report["ticks"] >= 25
+        assert report["phases"].get("step3", 0) >= 25
+
     def test_run_for_refused_while_session_running(self):
         profiler = SamplingProfiler(interval_seconds=0.005)
-        profiler.install()
         profiler.start()
         try:
             assert profiler.running
@@ -245,9 +271,70 @@ class TestSamplingProfiler:
         assert not profiler.running
         assert profiler.report()["version"] == PROFILE_VERSION
 
+    def test_run_for_refused_while_window_in_flight(self):
+        profiler = SamplingProfiler(interval_seconds=0.005)
+        reports = []
+        first = threading.Thread(target=lambda: reports.append(profiler.run_for(0.5)))
+        first.start()
+        try:
+            # Wait (bounded) until the first window's sampler is running.
+            for _ in range(400):
+                if any(t.name == "profile-sampler" for t in threading.enumerate()):
+                    break
+                first.join(timeout=0.001)
+            assert profiler.run_for(0.01) is None
+            with pytest.raises(RuntimeError):
+                profiler.start()
+        finally:
+            first.join(timeout=5.0)
+        assert not first.is_alive()
+        assert reports[0] is not None and reports[0]["ticks"] > 0
+
+    def test_racing_windows_never_run_two_samplers(self):
+        # Many racing windows under a tiny switch interval: all finish,
+        # each admitted report is whole, and no second sampler thread is
+        # ever seen while one is alive.
+        import sys
+
+        profiler = SamplingProfiler(interval_seconds=0.001)
+        done = threading.Event()
+        admitted = []
+        peak = [0]
+
+        def monitor():
+            while not done.is_set():
+                live = sum(
+                    t.name == "profile-sampler" for t in threading.enumerate()
+                )
+                peak[0] = max(peak[0], live)
+
+        def racer():
+            for _ in range(5):
+                report = profiler.run_for(0.01)
+                if report is not None:
+                    admitted.append(report)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        watcher = threading.Thread(target=monitor)
+        racers = [threading.Thread(target=racer) for _ in range(6)]
+        try:
+            watcher.start()
+            for t in racers:
+                t.start()
+            for t in racers:
+                t.join(timeout=30.0)
+        finally:
+            done.set()
+            watcher.join(timeout=5.0)
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in racers)
+        assert peak[0] == 1
+        assert admitted
+        assert all(sum(r["phases"].values()) == r["samples"] for r in admitted)
+
     def test_report_refused_while_armed(self):
         profiler = SamplingProfiler(interval_seconds=0.01)
-        profiler.install()
         profiler.start()
         try:
             with pytest.raises(RuntimeError):
@@ -255,23 +342,27 @@ class TestSamplingProfiler:
         finally:
             profiler.stop()
 
-    def test_uninstalled_run_for_returns_none(self):
-        assert SamplingProfiler().run_for(0.01) is None
+    def test_fork_pool_inside_session(self):
+        # No at-fork state: a fork pool started mid-session runs normally
+        # (the child gets no sampler thread) and the session report stays
+        # readable afterwards.
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
 
-    def test_install_off_main_thread_is_refused(self):
-        profiler = SamplingProfiler()
-        failures = []
-
-        def attempt():
-            try:
-                profiler.install()
-            except RuntimeError:
-                failures.append(True)
-
-        t = threading.Thread(target=attempt)
-        t.start()
-        t.join(timeout=5.0)
-        assert failures == [True]
+        profiler = SamplingProfiler(interval_seconds=0.002)
+        profiler.start()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=2, mp_context=mp.get_context("fork")
+            ) as pool:
+                results = list(pool.map(_square, range(8), timeout=60.0))
+        finally:
+            profiler.stop()
+        assert results == [x * x for x in range(8)]
+        report = profiler.report()
+        assert report["version"] == PROFILE_VERSION
+        assert report["ticks"] > 0
+        assert sum(report["phases"].values()) == report["samples"]
 
 
 SCRAPE = """\

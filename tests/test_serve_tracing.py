@@ -277,6 +277,56 @@ def http_get(port, path, headers=None):
         conn.close()
 
 
+class TestDebugProfile:
+    def test_profile_window_attributes_live_searches(self, serve_workload):
+        # ROADMAP item 4 acceptance: /debug/profile on a live server under
+        # load returns a window whose samples land in pipeline phases.
+        from repro.obs.profile import SamplingProfiler
+
+        queries, resident = serve_workload
+        svc = SearchService(
+            PipelineConfig(workers=2), resident, ServiceConfig(workers=2)
+        )
+        svc.start(warm=True)
+        server = SearchHTTPServer(
+            ("127.0.0.1", 0), svc, profiler=SamplingProfiler(0.002)
+        )
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.1},
+            daemon=True,
+        )
+        thread.start()
+        port = server.server_address[1]
+        workload = [(queries.names[i], queries[i].text()) for i in range(3)]
+        stop = threading.Event()
+        statuses = []
+
+        def drive():
+            while not stop.is_set():
+                out = search_request("127.0.0.1", port, workload, timeout=30)
+                statuses.append(out["http_status"])
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        try:
+            status, _, body = http_get(port, "/debug/profile?seconds=1")
+        finally:
+            stop.set()
+            driver.join(timeout=30)
+            server.shutdown()
+            server.server_close()
+            svc.drain(timeout=30)
+            thread.join(timeout=10)
+        assert status == 200
+        report = json.loads(body)
+        assert report["ticks"] > 0
+        assert sum(report["phases"].values()) == report["samples"]
+        phases = report["phases"]
+        assert any(phases.get(p, 0) > 0 for p in ("step1", "step2", "step3", "dispatch"))
+        assert statuses and set(statuses) == {200}
+
+
 class TestHttpIdEcho:
     def test_wellformed_id_is_echoed_everywhere(self, http_server):
         port, _, _ = http_server

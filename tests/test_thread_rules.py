@@ -48,19 +48,12 @@ class TestFixtures:
 
 
 class TestRealTree:
-    def test_src_is_clean_under_rc3xx_modulo_baseline(self):
-        # The acceptance gate for the thread/lock family: the remaining
-        # RC3xx debt is signal-context state that cannot take locks —
-        # the sampling profiler's SIGALRM handler (lock-free by design:
-        # the `_flight` lock serialises window owners and samples are
-        # read only while disarmed — DESIGN §10).
-        from repro.analysis.baseline import load_baseline
-
-        baseline = load_baseline(REPO / "repro-baseline.json")
-        result = check_paths([REPO / "src"], select=RC3XX, baseline=baseline)
+    def test_src_is_clean_under_rc3xx(self):
+        # The acceptance gate for the thread/lock family, with no
+        # suppression file: every shared field holds one common lock and
+        # no signal handler does more than set a flag and kick a thread.
+        result = check_paths([REPO / "src"], select=RC3XX)
         assert result.violations == []
-        assert result.baseline_suppressed == 15
-        assert [k for k in result.baseline_stale if k[0] in RC3XX] == []
 
 
 class TestLockNameAgreement:
