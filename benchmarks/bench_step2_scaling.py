@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import allocsan
 from repro.core.executor import ShardedStep2Executor
 from repro.extend.ungapped import (
     UngappedConfig,
@@ -120,27 +119,17 @@ def instrumented_rerun(
     """One obs-on re-run of a sharded mode, yielding its JSON run report.
 
     Runs *after* the timed repetitions on a fresh executor, so the wall
-    numbers recorded for the mode stay free of tracing and tracemalloc
-    overhead; the report embedded per configuration carries the span tree,
-    merged shard metrics and the allocation-sanitizer manifest instead of
-    timing claims.
+    numbers recorded for the mode stay free of tracing overhead; the
+    report embedded per configuration carries the span tree and merged
+    shard metrics instead of timing claims.
     """
     tracer = trace.Tracer(meta={"bench": "step2_scaling", "workers": n_workers})
     registry = obsmetrics.MetricsRegistry()
-    allocs = allocsan.AllocsanRecorder(
-        meta={"bench": "step2_scaling", "workers": n_workers}
-    )
     executor = ShardedStep2Executor(cfg, workers=n_workers, min_pairs_per_shard=0)
-    with (
-        trace.activate(tracer),
-        obsmetrics.activate(registry),
-        allocsan.activate(allocs),
-    ):
+    with trace.activate(tracer), obsmetrics.activate(registry):
         with trace.span("bench.step2", workers=n_workers):
             executor.run(index)
-    report = build_run_report(tracer=tracer, registry=registry)
-    report["allocsan"] = allocs.manifest()
-    return report
+    return build_run_report(tracer=tracer, registry=registry)
 
 
 def run_benchmark(
@@ -277,14 +266,6 @@ def test_step2_scaling_smoke(tmp_path):
         embedded = report["modes"][label]["obs_report"]
         assert validate_report(embedded) == []
         assert any(s["name"] == "bench.step2" for s in embedded["spans"])
-    # Allocation manifests ride the instrumented re-runs: the in-process
-    # mode records the kernel scope itself; the pooled mode records the
-    # parent-side merge (kernel scopes live in the worker processes).
-    alloc_local = report["modes"]["batched"]["obs_report"]["allocsan"]["scopes"]
-    assert "kernel.fused.score" in alloc_local
-    assert "step2.engine.run_stream" in alloc_local
-    alloc_pool = report["modes"]["batched_x2"]["obs_report"]["allocsan"]["scopes"]
-    assert "step2.merge" in alloc_pool
     out = tmp_path / "BENCH_step2.json"
     out.write_text(json.dumps(report))
     assert json.loads(out.read_text())["workload"]["pairs"] > 0

@@ -16,7 +16,7 @@ manifests and the ``repro-check --verify-determinism`` two-run harness.
 Only the numpy-free lint surface is re-exported here, so ``repro-check``
 runs on a bare interpreter; import the numpy-backed runtime checkers from
 their own modules (:mod:`~repro.analysis.contracts`,
-:mod:`~repro.analysis.determinism`, :mod:`~repro.analysis.allocsan`).
+:mod:`~repro.analysis.determinism`).
 """
 
 from .checker import CheckResult, check_paths, collect_files

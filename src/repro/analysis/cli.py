@@ -9,11 +9,6 @@ Usage::
     repro-check --verify-determinism Q.fasta G.fasta --workers 1,2
                                      # run the pipeline per worker count
                                      # and diff the detsan manifests
-    repro-check --verify-allocs Q.fasta G.fasta --workers 2
-                                     # run the pipeline under the
-                                     # allocation sanitizer and diff the
-                                     # manifest against the committed
-                                     # allocsan-budget.json
     repro-check --verify-locks Q.fasta R.fasta
                                      # boot the search service under the
                                      # lockset sanitizer, drive real
@@ -22,7 +17,7 @@ Usage::
                                      # RC300 thread/lock model
 
 Exit codes: ``0`` clean, ``1`` violations (or unparsable files, or a
-determinism/allocation diff) found, ``2`` usage error (argparse, missing
+determinism or lock-model diff) found, ``2`` usage error (argparse, missing
 paths).
 Output is one ``path:line:col: RC00X message`` line per finding,
 deterministic across runs.  There is no findings baseline: the tree must
@@ -77,14 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "once per worker count and diff the determinism manifests",
     )
     p.add_argument(
-        "--verify-allocs",
-        nargs=2,
-        metavar=("QUERIES", "GENOME"),
-        help="instead of linting: run the pipeline on this FASTA pair "
-        "under the allocation sanitizer and diff the per-scope "
-        "allocation manifest against the committed budget",
-    )
-    p.add_argument(
         "--verify-locks",
         nargs=2,
         metavar=("QUERIES", "RESIDENT"),
@@ -95,24 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
         "model",
     )
     p.add_argument(
-        "--allocs-budget",
-        default="allocsan-budget.json",
-        metavar="FILE",
-        help="budget file --verify-allocs compares against "
-        "(default: allocsan-budget.json)",
-    )
-    p.add_argument(
-        "--update-allocs-budget",
-        action="store_true",
-        help="with --verify-allocs: write the measured manifest as the "
-        "new budget instead of comparing",
-    )
-    p.add_argument(
         "--workers",
         default="1,2",
         metavar="N,M,...",
         help="worker counts exercised by --verify-determinism; "
-        "--verify-allocs uses the highest count given (default: 1,2)",
+        "--verify-locks serves with the highest count given (default: 1,2)",
     )
     p.add_argument(
         "-q",
@@ -197,52 +171,6 @@ def _run_verify(
     return 1
 
 
-def _run_verify_allocs(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    """``--verify-allocs`` mode: one recorded run, budget diff."""
-    # Lazy import: the lint path must not pull in numpy + the pipeline.
-    from .allocsan import verify_pipeline_allocs
-
-    queries, genome = args.verify_allocs
-    for path in (queries, genome):
-        if not Path(path).exists():
-            parser.error(f"no such file: {path}")
-    workers = max(_parse_workers(args.workers, parser))
-    budget_path = Path(args.allocs_budget)
-    if not args.update_allocs_budget and not budget_path.exists():
-        parser.error(
-            f"allocation budget not found: {budget_path} "
-            "(generate one with --update-allocs-budget)"
-        )
-    ok, manifest, problems = verify_pipeline_allocs(
-        queries,
-        genome,
-        budget_path,
-        workers=workers,
-        update=args.update_allocs_budget,
-    )
-    if not args.quiet:
-        for name, scope in manifest["scopes"].items():
-            print(
-                f"workers={workers} {name}: calls={scope['calls']} "
-                f"alloc={scope['alloc_bytes']}B peak={scope['peak_bytes']}B"
-            )
-    if args.update_allocs_budget:
-        print(f"repro-check: wrote allocation budget to {budget_path}")
-        return 0
-    if ok:
-        print(
-            f"repro-check: allocation budget verified against {budget_path}"
-        )
-        return 0
-    for line in problems:
-        print(f"allocation budget: {line}")
-        if args.github:
-            print(f"::error title=repro-check allocs::{line}")
-    return 1
-
-
 def _run_verify_locks(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
@@ -304,8 +232,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.verify_determinism:
         return _run_verify(args, parser)
-    if args.verify_allocs:
-        return _run_verify_allocs(args, parser)
     if args.verify_locks:
         return _run_verify_locks(args, parser)
     if not args.paths:

@@ -320,7 +320,7 @@ class ExplicitDtypeRule(Rule):
 
     code = "RC002"
     summary = (
-        "np.zeros/empty/full/arange/array in hot-path packages "
+        "np.zeros/empty/full/ones/arange/array in hot-path packages "
         "(extend/, psc/, hwsim/, core/{executor,supervisor,faults}.py) "
         "must pass an explicit dtype= to prevent int32/int64 drift "
         "between kernel and simulator"
@@ -430,7 +430,7 @@ class PublicAnnotationRule(Rule):
 
     code = "RC005"
     summary = (
-        "public functions in core/, extend/, index/, analysis/ must have "
+        "public functions in core/, extend/, index/, analysis/, obs/ must have "
         "complete parameter and return annotations (the mypy gate is only "
         "as strong as the annotations it sees)"
     )
@@ -547,7 +547,8 @@ class UnboundedBlockingRule(Rule):
 
     code = "RC107"
     summary = (
-        "potentially-unbounded blocking call under serve/; every "
+        "potentially-unbounded blocking call under serve/, "
+        "core/supervisor.py or core/executor.py; every "
         "queue.get/put, Event.wait, Thread.join, Lock.acquire and "
         "Future.result in the service must pass timeout= (not None) or be "
         "non-blocking (block=False / blocking=False) so a stuck component "

@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..analysis import allocsan
 from ..analysis import determinism as detsan
 from ..analysis.contracts import ArraySpec, check_array
 from ..extend.batched import BatchedUngappedEngine, EntryBlock
@@ -512,10 +511,9 @@ def _merge(
         # One shard (the in-process route): nothing to concatenate.
         offsets0, offsets1, scores = results[0][1:4]
     else:
-        with allocsan.measure("step2.merge"):
-            offsets0 = np.concatenate([r[1] for r in results])
-            offsets1 = np.concatenate([r[2] for r in results])
-            scores = np.concatenate([r[3] for r in results]).astype(np.int32)
+        offsets0 = np.concatenate([r[1] for r in results])
+        offsets1 = np.concatenate([r[2] for r in results])
+        scores = np.concatenate([r[3] for r in results]).astype(np.int32)
     return UngappedHits(offsets0, offsets1, scores, stats), timings
 
 

@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis import allocsan
 from ..analysis import determinism as detsan
 from ..extend.gapped import xdrop_gapped_extend
 from ..extend.stats import evalue as evalue_of
@@ -176,9 +175,6 @@ class SeedComparisonPipeline:
         #: Determinism-sanitizer manifest of the most recent run, when the
         #: sanitizer was active (``REPRO_DETSAN=1`` or a verify harness).
         self.last_detsan: dict[str, Any] | None = None
-        #: Allocation-sanitizer manifest of the most recent run, when that
-        #: sanitizer was active (``REPRO_ALLOCSAN=1`` or ``--verify-allocs``).
-        self.last_allocsan: dict[str, Any] | None = None
 
     @staticmethod
     def _root_span() -> AbstractContextManager[Any]:
@@ -266,10 +262,7 @@ class SeedComparisonPipeline:
         When the determinism sanitizer is active (an enclosing
         ``--verify-determinism`` harness, or ``REPRO_DETSAN=1``), every
         stage records its digest and the run's manifest lands in
-        :attr:`last_detsan` (and ``$REPRO_DETSAN_OUT``, if set).  The
-        allocation sanitizer (``--verify-allocs``, or ``REPRO_ALLOCSAN=1``)
-        works the same way: per-scope allocation counters land in
-        :attr:`last_allocsan` (and ``$REPRO_ALLOCSAN_OUT``, if set).
+        :attr:`last_detsan` (and ``$REPRO_DETSAN_OUT``, if set).
         """
         return self._compare(bank0, bank1, None, reset_profile)
 
@@ -301,20 +294,12 @@ class SeedComparisonPipeline:
         if reset_profile:
             self.profile = PipelineProfile()
         recorder, created = detsan.ensure_recorder()
-        alloc_rec, alloc_created = allocsan.ensure_recorder()
-        with (
-            detsan.activate(recorder),
-            allocsan.activate(alloc_rec),
-            self._root_span(),
-        ):
+        with detsan.activate(recorder), self._root_span():
             index = self._step1(bank0, bank1, resident)
             self.last_index = index
             hits = self.run_step2(index)
             self.last_hits = hits
-            with (
-                self.profile.timing(self.profile.step3, "step3.gapped"),
-                allocsan.measure("step3.gapped"),
-            ):
+            with self.profile.timing(self.profile.step3, "step3.gapped"):
                 report = gapped_stage(bank0, bank1, hits, self.config, self.profile)
             detsan.record_arrays(
                 "step3.alignments", _alignment_rows(report), order_sensitive=True
@@ -323,10 +308,6 @@ class SeedComparisonPipeline:
             self.last_detsan = recorder.manifest()
             if created:
                 detsan.maybe_write_manifest(recorder)
-        if alloc_rec is not None:
-            self.last_allocsan = alloc_rec.manifest()
-            if alloc_created:
-                allocsan.maybe_write_manifest(alloc_rec)
         return report
 
     def compare_with_genome(

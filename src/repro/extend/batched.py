@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import allocsan
 from ..analysis.contracts import contracted
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
@@ -244,35 +243,30 @@ class BatchedUngappedEngine:
             if registry is not None
             else None
         )
-        # Allocation-sanitizer scopes (no-ops unless a recorder is active):
-        # the kernel scope is the zero-churn claim the static RC203 rule
-        # proves about the code, measured about the run.
-        with allocsan.measure("step2.engine.run_stream"):
-            for p0, p1 in iter_block_batches(block, cfg.pair_chunk):
-                n = int(p0.shape[0])
-                self.batches += 1
-                self.max_batch_pairs = max(self.max_batch_pairs, n)
-                if batch_hist is not None:
-                    batch_hist.observe(n)
-                with allocsan.measure("kernel.fused.score"):
-                    scores = kernel.score(p0, p1)
-                # Boolean selection copies, so the kernel's scratch view
-                # stays safe past the next score() call.
-                keep = scores >= cfg.threshold
-                out0.append(p0[keep])
-                out1.append(p1[keep])
-                out_s.append(scores[keep])
-            stats.cells = stats.pairs * cfg.window
-            offsets0 = (
-                np.concatenate(out0) if out0 else np.empty(0, dtype=np.int64)
-            )
-            offsets1 = (
-                np.concatenate(out1) if out1 else np.empty(0, dtype=np.int64)
-            )
-            scores_all = (
-                np.concatenate(out_s).astype(np.int32)
-                if out_s
-                else np.empty(0, dtype=np.int32)
-            )
+        for p0, p1 in iter_block_batches(block, cfg.pair_chunk):
+            n = int(p0.shape[0])
+            self.batches += 1
+            self.max_batch_pairs = max(self.max_batch_pairs, n)
+            if batch_hist is not None:
+                batch_hist.observe(n)
+            scores = kernel.score(p0, p1)
+            # Boolean selection copies, so the kernel's scratch view
+            # stays safe past the next score() call.
+            keep = scores >= cfg.threshold
+            out0.append(p0[keep])
+            out1.append(p1[keep])
+            out_s.append(scores[keep])
+        stats.cells = stats.pairs * cfg.window
+        offsets0 = (
+            np.concatenate(out0) if out0 else np.empty(0, dtype=np.int64)
+        )
+        offsets1 = (
+            np.concatenate(out1) if out1 else np.empty(0, dtype=np.int64)
+        )
+        scores_all = (
+            np.concatenate(out_s).astype(np.int32)
+            if out_s
+            else np.empty(0, dtype=np.int32)
+        )
         stats.hits = int(scores_all.shape[0])
         return UngappedHits(offsets0, offsets1, scores_all, stats)

@@ -1,6 +1,5 @@
 """repro-check CLI tests: exit codes, --github, verify mode."""
 
-import json
 import os
 import pathlib
 import subprocess
@@ -112,73 +111,6 @@ class TestVerifyDeterminism:
                 ]
             )
         assert exc.value.code == 2
-
-
-class TestVerifyAllocs:
-    def test_missing_budget_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "--verify-allocs",
-                    str(EXAMPLES / "demo_proteins.fasta"),
-                    str(EXAMPLES / "demo_genome.fasta"),
-                    "--allocs-budget",
-                    str(tmp_path / "nope.json"),
-                ]
-            )
-        assert exc.value.code == 2
-
-    def test_missing_fasta_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "--verify-allocs",
-                    str(tmp_path / "nope.fasta"),
-                    str(tmp_path / "nope2.fasta"),
-                ]
-            )
-        assert exc.value.code == 2
-
-    def test_update_then_verify_roundtrip(self, tmp_path, capsys):
-        budget = tmp_path / "budget.json"
-        base = [
-            "--verify-allocs",
-            str(EXAMPLES / "demo_proteins.fasta"),
-            str(EXAMPLES / "demo_genome.fasta"),
-            "--workers",
-            "2",
-            "--allocs-budget",
-            str(budget),
-        ]
-        assert main(base + ["--update-allocs-budget"]) == 0
-        out = capsys.readouterr().out
-        assert "wrote allocation budget" in out
-        data = json.loads(budget.read_text())
-        assert any(
-            name.startswith("kernel.") and name.endswith(".score")
-            for name in data["scopes"]
-        )
-        assert "step2.engine.run_stream" in data["scopes"]
-        assert main(base) == 0
-        assert "allocation budget verified" in capsys.readouterr().out
-
-    def test_committed_budget_verifies(self, capsys):
-        # The acceptance gate: the budget checked into the repo must hold
-        # for the demo workload at the CI worker count.
-        code = main(
-            [
-                "--verify-allocs",
-                str(EXAMPLES / "demo_proteins.fasta"),
-                str(EXAMPLES / "demo_genome.fasta"),
-                "--workers",
-                "2",
-                "--allocs-budget",
-                str(REPO / "allocsan-budget.json"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "allocation budget verified" in out
 
 
 #: Runs repro-check with every ``numpy`` import refused, as on the CI job

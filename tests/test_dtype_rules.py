@@ -1,6 +1,7 @@
 """RC2xx kernel-rule tests: committed fixtures, real tree, kernel anchors."""
 
 import pathlib
+import shutil
 
 import pytest
 
@@ -89,6 +90,60 @@ class TestRealTree:
         # the step-2 kernel and everything its score path reaches.
         result = check_paths([REPO / "src"], select=RC2XX)
         assert result.violations == []
+
+
+class TestRealKernelMutations:
+    """The rules must catch per-batch allocation in the real kernel, not
+    only in the synthetic fixtures: one mutation per rule in a copy of
+    ``FusedKernel.score``, each pinned to the line it changes."""
+
+    #: (rule, exact line in fused.py, replacement whose first line is
+    #: the one the rule must flag).
+    MUTATIONS = [
+        (
+            "RC201",
+            "            np.take(scaled0[t:], base0, out=x)\n",
+            "            x[...] = scaled0[t:][base0]\n",
+        ),
+        (
+            "RC203",
+            "            np.take(sub_flat, idx, out=cost)\n",
+            "            tmp = np.empty(n, dtype=np.int16)\n"
+            "            np.take(sub_flat, idx, out=tmp)\n"
+            "            cost = tmp\n",
+        ),
+        (
+            "RC202",
+            "                np.add(score, cost, out=score)\n",
+            "                score[...] = score + cost\n",
+        ),
+    ]
+
+    def test_each_mutation_is_flagged_at_its_line(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            REPO / "src" / "repro",
+            copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        assert check_paths([copy], select=RC2XX).violations == []
+
+        fused = copy / "extend" / "backends" / "fused.py"
+        source = fused.read_text()
+        for _, old, new in self.MUTATIONS:
+            assert old in source, f"fused.py no longer contains {old!r}"
+            source = source.replace(old, new, 1)
+        fused.write_text(source)
+        lines = source.splitlines()
+        expected = sorted(
+            (rule, lines.index(new.splitlines()[0]) + 1)
+            for rule, _, new in self.MUTATIONS
+        )
+
+        result = check_paths([copy], select=RC2XX)
+        assert not result.parse_errors
+        assert {v.path for v in result.violations} == {str(fused)}
+        assert sorted((v.rule, v.line) for v in result.violations) == expected
 
 
 class TestSeededBug:

@@ -1,10 +1,18 @@
 """repro-check linter tests: each RC rule, noqa, select, and CLI exit codes."""
 
+import re
+
 import pytest
 
 from repro.analysis.checker import check_paths
 from repro.analysis.cli import main
-from repro.analysis.rules import REGISTRY, package_relative
+from repro.analysis.rules import (
+    ANNOTATION_SCOPES,
+    BLOCKING_SCOPE_FILES,
+    DTYPE_REQUIRED_FUNCS,
+    REGISTRY,
+    package_relative,
+)
 
 
 def write(tmp_path, rel, source):
@@ -223,6 +231,21 @@ class TestCli:
         out = capsys.readouterr().out
         for code in REGISTRY:
             assert code in out
+
+    @pytest.mark.parametrize(
+        "code, scope",
+        [
+            ("RC002", sorted(DTYPE_REQUIRED_FUNCS)),
+            ("RC005", ANNOTATION_SCOPES),
+            ("RC107", BLOCKING_SCOPE_FILES),
+        ],
+    )
+    def test_summary_names_every_scope_entry(self, code, scope):
+        # --list-rules is the user-facing statement of what a rule covers;
+        # it must not omit anything the rule actually enforces.
+        summary = REGISTRY[code].summary
+        for entry in scope:
+            assert re.search(rf"(?<!\w){re.escape(entry)}(?!\w)", summary), entry
 
     def test_repo_source_tree_is_clean(self):
         # The gate the CI job runs; the repo must dogfood its own linter,
