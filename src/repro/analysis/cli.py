@@ -9,16 +9,9 @@ Usage::
     repro-check --verify-determinism Q.fasta G.fasta --workers 1,2
                                      # run the pipeline per worker count
                                      # and diff the detsan manifests
-    repro-check --verify-locks Q.fasta R.fasta
-                                     # boot the search service under the
-                                     # lockset sanitizer, drive real
-                                     # requests, and cross-check observed
-                                     # locksets/orders against the static
-                                     # RC300 thread/lock model
 
 Exit codes: ``0`` clean, ``1`` violations (or unparsable files, or a
-determinism or lock-model diff) found, ``2`` usage error (argparse, missing
-paths).
+determinism diff) found, ``2`` usage error (argparse, missing paths).
 Output is one ``path:line:col: RC00X message`` line per finding,
 deterministic across runs.  There is no findings baseline: the tree must
 be clean, and a finding is either fixed or its rule is wrong.
@@ -72,21 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
         "once per worker count and diff the determinism manifests",
     )
     p.add_argument(
-        "--verify-locks",
-        nargs=2,
-        metavar=("QUERIES", "RESIDENT"),
-        help="instead of linting: boot the search service on this "
-        "query/resident FASTA pair under the lockset sanitizer, drive "
-        "real requests through it, and cross-check the observed "
-        "locksets and acquisition orders against the static thread/lock "
-        "model",
-    )
-    p.add_argument(
         "--workers",
         default="1,2",
         metavar="N,M,...",
-        help="worker counts exercised by --verify-determinism; "
-        "--verify-locks serves with the highest count given (default: 1,2)",
+        help="worker counts exercised by --verify-determinism "
+        "(default: 1,2)",
     )
     p.add_argument(
         "-q",
@@ -171,46 +154,6 @@ def _run_verify(
     return 1
 
 
-def _run_verify_locks(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    """``--verify-locks`` mode: one served load run, static/runtime diff."""
-    # Lazy import: the lint path must not pull in numpy + the serve stack.
-    from .locksan import verify_service_locks
-
-    queries, resident = args.verify_locks
-    for path in (queries, resident):
-        if not Path(path).exists():
-            parser.error(f"no such file: {path}")
-    workers = max(_parse_workers(args.workers, parser))
-    ok, manifest, problems = verify_service_locks(
-        queries, resident, workers=workers
-    )
-    if not args.quiet:
-        for name, entry in manifest["fields"].items():
-            candidates = entry["candidates"] or []
-            print(
-                f"{name}: threads={len(entry['threads'])} "
-                f"reads={entry['reads']} writes={entry['writes']} "
-                f"guard={','.join(candidates) if candidates else '-'}"
-            )
-        for outer, inners in manifest["order"].items():
-            for inner in inners:
-                print(f"order: {outer} -> {inner}")
-    if ok:
-        print(
-            "repro-check: lock model verified — "
-            f"{len(manifest['locks'])} locks, {len(manifest['fields'])} "
-            "guarded fields, zero violations/disagreements"
-        )
-        return 0
-    for line in problems:
-        print(f"lock model: {line}")
-        if args.github:
-            print(f"::error title=repro-check locks::{line}")
-    return 1
-
-
 def _print_summary(result: CheckResult) -> None:
     n = len(result.violations)
     summary = (
@@ -232,8 +175,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.verify_determinism:
         return _run_verify(args, parser)
-    if args.verify_locks:
-        return _run_verify_locks(args, parser)
     if not args.paths:
         parser.error("no paths given (try `repro-check src tests`)")
     select = _validate_select(args.select, parser) if args.select else None

@@ -21,10 +21,8 @@ rules need three facts the call graph alone does not carry:
   deadlock shape RC301 reports.
 
 Locks are named canonically — ``module.Class.attr`` for instance locks,
-``module.name`` for module-level locks — which is exactly the string the
-:mod:`repro.analysis.locksan` factories carry at runtime, so the static
-model and the runtime lockset sanitizer talk about the same objects.
-Resolution stays conservative in the same way :mod:`repro.analysis.graph`
+``module.name`` for module-level locks — so every finding names the field
+a reader would grep for.  Resolution stays conservative in the same way :mod:`repro.analysis.graph`
 is: an access or call the model cannot pin contributes *no information*,
 never evidence.
 """
@@ -80,13 +78,6 @@ SYNC_CONSTRUCTORS: frozenset[str] = frozenset(
 #: The subset that the lock model tracks as *locks* (held/released).
 LOCK_CONSTRUCTORS: frozenset[str] = frozenset(
     {"threading.Lock", "threading.RLock", "threading.Condition"}
-)
-
-#: :mod:`repro.analysis.locksan` factory leaves — the runtime seam.  A
-#: field assigned from one of these is a lock with the same canonical
-#: name the factory string carries.
-LOCKSAN_FACTORIES: frozenset[str] = frozenset(
-    {"make_lock", "make_rlock", "make_condition"}
 )
 
 #: Process-pool fork points (RC304's sinks).
@@ -153,8 +144,7 @@ def _ctor_kind(mod: ModuleInfo, value: ast.expr) -> str | None:
         if raw is None:
             continue
         expanded = _expand(mod, raw)
-        leaf = expanded.rpartition(".")[2]
-        if expanded in LOCK_CONSTRUCTORS or leaf in LOCKSAN_FACTORIES:
+        if expanded in LOCK_CONSTRUCTORS:
             return "lock"
         if expanded in SYNC_CONSTRUCTORS:
             return "sync"
@@ -762,11 +752,7 @@ class LockModel:
                 )
                 if raw is None:
                     continue
-                expanded = _expand(mod, raw)
-                if (
-                    expanded == "threading.Condition"
-                    or expanded.rpartition(".")[2] == "make_condition"
-                ):
+                if _expand(mod, raw) == "threading.Condition":
                     for target in node.targets:
                         if (
                             isinstance(target, ast.Attribute)
@@ -1155,31 +1141,6 @@ class LockModel:
         """Source path of the module an access lives in."""
         info = self.graph.functions[access.func]
         return str(self.graph.modules[info.module].ctx.path)
-
-    def guarded_fields(
-        self, scope_prefixes: tuple[str, ...] = ()
-    ) -> dict[str, frozenset[str]]:
-        """Fields with a non-empty lockset intersection over every access.
-
-        This is the static half of the locksan cross-check: the runtime
-        sanitizer must never observe one of these fields touched without
-        at least one of its guard locks held.
-        """
-        out: dict[str, frozenset[str]] = {}
-        for fname, accesses in self.field_accesses().items():
-            info = self.graph.functions[accesses[0].func]
-            rel = info.package_rel
-            if scope_prefixes and not (
-                rel.startswith(scope_prefixes) or rel in scope_prefixes
-            ):
-                continue
-            guard: frozenset[str] | None = None
-            for access in accesses:
-                held = self.effective_held(access)
-                guard = held if guard is None else guard & held
-            if guard:
-                out[fname] = guard
-        return out
 
 
 def find_lock_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:

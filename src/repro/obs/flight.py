@@ -12,11 +12,10 @@ Two bounded ring buffers, both keyed by request id:
 * :class:`RequestTraceStore` — the full span tree of the last N traced
   requests, served at ``GET /debug/trace/<request id>``.
 
-Both are internally locked with a plain ``threading.Lock`` rather than a
-locksan-instrumented one: ``obs/`` sits *below* the serving layer (the
-static lock model and RC30x scope cover ``serve/``), must stay importable
-with zero ``serve``/``core`` dependencies, and every method here is a
-short O(1)/O(N) critical section with no blocking calls inside.
+Both are internally locked with a plain ``threading.Lock``: ``obs/`` sits
+*below* the serving layer, must stay importable with zero
+``serve``/``core`` dependencies, and every method here is a short
+O(1)/O(N) critical section with no blocking calls inside.
 """
 
 from __future__ import annotations

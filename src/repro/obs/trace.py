@@ -320,13 +320,11 @@ def add_event(name: str, **attrs: Any) -> None:
     current = _CURRENT.get()
     if current is None:
         return
-    # Spans are few (one per stage/shard); a reverse scan is simpler and
-    # cheaper than an id->span map.  The event lands on the span after
-    # the lock is released: only this context's thread mutates its own
-    # open span, the lock just keeps the scan safe against appends.
-    with tracer._lock:
-        candidates = list(tracer._spans)
-    for candidate in reversed(candidates):
+    # Spans are few (one per stage/shard); a reverse scan over the
+    # ``spans`` snapshot is simpler and cheaper than an id->span map.  Only
+    # this context's thread mutates its own open span, so the event needs
+    # no lock once the snapshot is taken.
+    for candidate in reversed(tracer.spans):
         if candidate.span_id == current:
             candidate.add_event(name, **attrs)
             return

@@ -24,9 +24,9 @@ cannot observe a torn state.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 
-from ..analysis.locksan import make_lock, touch
 from ..obs import trace
 
 __all__ = ["BreakerState", "BreakerConfig", "CircuitBreaker"]
@@ -78,7 +78,7 @@ class CircuitBreaker:
 
     def __init__(self, config: BreakerConfig | None = None) -> None:
         self.config = config or BreakerConfig()
-        self._lock = make_lock("repro.serve.breaker.CircuitBreaker._lock")
+        self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
@@ -88,14 +88,12 @@ class CircuitBreaker:
     def trips(self) -> int:
         """Lifetime count of CLOSED/HALF_OPEN → OPEN transitions."""
         with self._lock:
-            touch("repro.serve.breaker.CircuitBreaker._trips")
             return self._trips
 
     @property
     def state(self) -> BreakerState:
         """Current state (transitioning OPEN → HALF_OPEN when due)."""
         with self._lock:
-            touch("repro.serve.breaker.CircuitBreaker._state")
             self._maybe_half_open()
             return self._state
 
@@ -107,14 +105,12 @@ class CircuitBreaker:
         is in flight at a time by construction.
         """
         with self._lock:
-            touch("repro.serve.breaker.CircuitBreaker._state")
             self._maybe_half_open()
             return self._state is not BreakerState.OPEN
 
     def record_success(self) -> None:
         """A pool-path request completed with a healthy run."""
         with self._lock:
-            touch("repro.serve.breaker.CircuitBreaker._state", write=True)
             if self._state is BreakerState.HALF_OPEN:
                 trace.add_event("breaker.close")
             self._state = BreakerState.CLOSED
@@ -123,7 +119,6 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         """A pool-path request needed recovery (or raised outright)."""
         with self._lock:
-            touch("repro.serve.breaker.CircuitBreaker._state", write=True)
             self._consecutive_failures += 1
             if self._state is BreakerState.HALF_OPEN or (
                 self._state is BreakerState.CLOSED
@@ -131,7 +126,6 @@ class CircuitBreaker:
             ):
                 self._state = BreakerState.OPEN
                 self._opened_at = trace.clock()
-                touch("repro.serve.breaker.CircuitBreaker._trips", write=True)
                 self._trips += 1
                 trace.add_event(
                     "breaker.open", consecutive=self._consecutive_failures

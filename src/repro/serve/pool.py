@@ -26,12 +26,12 @@ Each request ships only its (small) query bank inside the task payload.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..analysis.locksan import make_lock, touch
 from ..core.config import PipelineConfig
 from ..core.executor import StagedBank, Step2Engine
 from ..core.faults import FaultPlan, bank_digest
@@ -94,10 +94,8 @@ class WarmPool:
         self.resident_index = BankIndex(resident, config.seed_model)
         #: Guards every mutable field the dispatcher threads share:
         #: ``_pool``, ``_closed``, ``_staged``, ``_last_health``,
-        #: ``_last_timings`` and ``_bank_heals``.  Built through the locksan
-        #: factory so the runtime sanitizer can watch it under
-        #: ``REPRO_LOCKSAN=1``.
-        self._pool_lock = make_lock("repro.serve.pool.WarmPool._pool_lock")
+        #: ``_last_timings`` and ``_bank_heals``.
+        self._pool_lock = threading.Lock()
         self._last_health = RunHealth()
         self._last_timings: list[ShardTiming] = []
         self._bank_heals = 0
@@ -113,27 +111,23 @@ class WarmPool:
     def last_health(self) -> RunHealth:
         """Supervision counters of the most recent :meth:`step2` call."""
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._last_health")
             return self._last_health
 
     @last_health.setter
     def last_health(self, value: RunHealth) -> None:
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._last_health", write=True)
             self._last_health = value
 
     @property
     def last_timings(self) -> list[ShardTiming]:
         """Per-shard timings of the most recent :meth:`step2` call."""
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._last_timings")
             return self._last_timings
 
     @property
     def bank_heals(self) -> int:
         """Pool rebuilds + bank heals over the pool's lifetime."""
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._bank_heals")
             return self._bank_heals
 
     @property
@@ -154,7 +148,6 @@ class WarmPool:
         what RC304 forbids.
         """
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._pool")
             if self._closed or self.workers <= 1 or self._pool is not None:
                 return
         pool = self.engine.make_pool(self._bank, self.workers)
@@ -170,7 +163,6 @@ class WarmPool:
         """
         leftover = None
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._pool", write=True)
             if self._closed or self._pool is not None:
                 leftover = pool
             else:
@@ -182,7 +174,6 @@ class WarmPool:
     def pool_alive(self) -> bool:
         """True while a warm pool is held for the next request."""
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._pool")
             return self._pool is not None
 
     def close(self) -> None:
@@ -193,11 +184,9 @@ class WarmPool:
         lock across a join is the bounded-blocking shape RC107 rejects.
         """
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._closed", write=True)
             if self._closed:
                 return
             self._closed = True
-            touch("repro.serve.pool.WarmPool._pool", write=True)
             pool, self._pool = self._pool, None
         if pool is not None:
             _stop_pool(pool)
@@ -212,7 +201,6 @@ class WarmPool:
         ``BrokenProcessPool`` and rebuilds.
         """
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._pool")
             pool = self._pool
         if pool is None:
             return
@@ -233,7 +221,6 @@ class WarmPool:
         """
         plan = self.fault_plan or FaultPlan()
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._staged", write=True)
             n = min(64, self._staged.shape[0])
             self._staged[:n] ^= plan.corruption(request, n) | np.uint8(1)
 
@@ -246,11 +233,9 @@ class WarmPool:
         digest checks pass again without remapping.
         """
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._staged", write=True)
             if bank_digest(self._staged) == self._bank.digest:
                 return False
             self._staged[:] = self.resident.buffer
-            touch("repro.serve.pool.WarmPool._bank_heals", write=True)
             self._bank_heals += 1
         obstrace.add_event("serve.bank_heal")
         return True
@@ -285,7 +270,6 @@ class WarmPool:
                 hits, timings, health = self.engine.score_local(index, supervisor)
             else:
                 with self._pool_lock:
-                    touch("repro.serve.pool.WarmPool._pool", write=True)
                     held, self._pool = self._pool, None  # ownership to the run
                 hits, timings, health = self.engine.score_pooled(
                     index, self._bank, supervisor, pool=held, keep_pool=self._hold,
@@ -298,6 +282,4 @@ class WarmPool:
 
     def _keep(self, health: RunHealth, timings: list[ShardTiming]) -> None:
         with self._pool_lock:
-            touch("repro.serve.pool.WarmPool._last_health", write=True)
-            touch("repro.serve.pool.WarmPool._last_timings", write=True)
             self._last_health, self._last_timings = health, timings

@@ -32,7 +32,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..analysis.locksan import make_lock
 from ..core.config import PipelineConfig
 from ..core.executor import live_segment_names
 from ..core.faults import FaultKind, FaultPlan
@@ -173,9 +172,7 @@ class SearchService:
         # drain() samples its idle condition under the same lock — so a
         # ticket can never be invisible (out of the queue, _busy not yet
         # set) at the moment drain decides the service is idle.
-        self._dispatch_lock = make_lock(
-            "repro.serve.service.SearchService._dispatch_lock"
-        )
+        self._dispatch_lock = threading.Lock()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
         )

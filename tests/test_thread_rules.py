@@ -2,13 +2,16 @@
 
 import ast
 import pathlib
+import re
+import shutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.checker import check_paths, collect_files, parse_file
-from repro.analysis.locks import find_lock_cycle
+from repro.analysis.graph import ProjectGraph
+from repro.analysis.locks import LockAnalysis, find_lock_cycle
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -55,54 +58,89 @@ class TestRealTree:
         result = check_paths([REPO / "src"], select=RC3XX)
         assert result.violations == []
 
-
-class TestLockNameAgreement:
-    """Factory-seam string literals must be names the static model knows.
-
-    ``make_lock("repro.serve...")`` literals are the join key between the
-    runtime manifest and :class:`LockModel` — a typo in one would silently
-    break the ``--verify-locks`` cross-check, so the agreement is a test.
-    """
-
-    FACTORIES = {"make_lock", "make_rlock", "make_condition"}
-
-    def _factory_literals(self):
-        literals = []
-        for path in collect_files([REPO / "src" / "repro"]):
-            if path.name == "locksan.py":
-                continue  # the factory definitions themselves
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None
-                )
-                if name in self.FACTORIES and node.args:
-                    arg = node.args[0]
-                    assert isinstance(arg, ast.Constant) and isinstance(
-                        arg.value, str
-                    ), f"{path}: factory call without a literal name"
-                    literals.append(arg.value)
-        return literals
-
-    def test_every_factory_literal_is_a_model_lock(self):
-        from repro.analysis.graph import ProjectGraph
-        from repro.analysis.locks import LockAnalysis
-
-        contexts = [
-            parse_file(p) for p in collect_files([REPO / "src" / "repro"])
-        ]
-        analysis = LockAnalysis(
+    def test_serve_locks_keep_their_canonical_names(self):
+        # The names every RC3xx finding carries, and the one nesting the
+        # serve stack has: the dispatcher records metrics under its lock.
+        contexts = [parse_file(p) for p in collect_files([REPO / "src" / "repro"])]
+        model = LockAnalysis(
             ProjectGraph.from_contexts(c for c in contexts if c.in_package)
+        ).model
+        assert {
+            "repro.serve.service.SearchService._dispatch_lock",
+            "repro.serve.pool.WarmPool._pool_lock",
+            "repro.serve.breaker.CircuitBreaker._lock",
+        } <= set(model.locks)
+        assert set(model.order_edges) == {
+            (
+                "repro.serve.service.SearchService._dispatch_lock",
+                "repro.obs.metrics.MetricsRegistry._lock",
+            )
+        }
+
+
+class TestRealServeMutations:
+    """RC300 must catch a dropped lock in the real serve code, not only in
+    the synthetic fixtures: each mutation turns one ``with self._lock:``
+    into ``if True:`` in a copy of ``src/repro``.  Findings are pinned by
+    field, not line — RC300 reports at a write site, so a read-only
+    mutation (``pool_alive``) is reported at the write in ``_hold``."""
+
+    PREFIX = {
+        "pool.py": "repro.serve.pool.WarmPool.",
+        "breaker.py": "repro.serve.breaker.CircuitBreaker.",
+    }
+
+    #: (file under serve/, method whose one ``with`` is dropped, fields).
+    MUTATIONS = [
+        ("breaker.py", "record_success", {"_state", "_consecutive_failures"}),
+        ("breaker.py", "trips", {"_trips"}),
+        ("pool.py", "_keep", {"_last_health", "_last_timings"}),
+        ("pool.py", "close", {"_pool", "_closed"}),
+        ("pool.py", "corrupt_staged_bank", {"_staged"}),
+        ("pool.py", "pool_alive", {"_pool"}),
+        ("pool.py", "heal_if_corrupt", {"_staged", "_bank_heals"}),
+        ("pool.py", "step2", {"_pool"}),
+        ("pool.py", "bank_heals", {"_bank_heals"}),
+    ]
+
+    @pytest.fixture
+    def copy(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            REPO / "src" / "repro",
+            copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
         )
-        literals = self._factory_literals()
-        assert literals, "the factory seam is not wired anywhere"
-        unknown = sorted(set(literals) - set(analysis.model.locks))
-        assert unknown == [], f"factory names the model never discovered: {unknown}"
+        return copy
+
+    def test_unmutated_copy_is_clean(self, copy):
+        assert check_paths([copy], select=RC3XX).violations == []
+
+    @pytest.mark.parametrize(
+        "module,method,fields", MUTATIONS, ids=[m for _, m, _ in MUTATIONS]
+    )
+    def test_dropped_lock_names_the_field(self, copy, module, method, fields):
+        path = copy / "serve" / module
+        source = path.read_text()
+        [func] = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == method
+        ]
+        [scope] = [node for node in ast.walk(func) if isinstance(node, ast.With)]
+        lines = source.splitlines(keepends=True)
+        line = lines[scope.lineno - 1]
+        assert line.strip() in ("with self._lock:", "with self._pool_lock:")
+        lines[scope.lineno - 1] = line.replace(line.strip(), "if True:")
+        path.write_text("".join(lines))
+
+        result = check_paths([copy], select=RC3XX)
+        assert not result.parse_errors
+        found = set()
+        for v in result.violations:
+            named = re.search(r"shared field `([^`]+)`", v.message)
+            found.add((v.rule, named.group(1) if named else v.message))
+        assert found == {("RC300", self.PREFIX[module] + f) for f in fields}
 
 
 def _named(edges):
