@@ -7,8 +7,11 @@ engines are provided:
   gap penalties, run left and right from the seed anchor.  Dynamic
   programming rows keep an *active window* of columns; cells falling more
   than ``x_drop`` below the running best are killed, so cost tracks the
-  alignment's true extent rather than the sequence lengths.  This is the
-  engine the host runs in the accelerated pipeline.
+  alignment's true extent rather than the sequence lengths.  Each half is
+  a scalar loop over plain Python ints that visits only the live window of
+  each row (:func:`_xdrop_half`); :func:`xdrop_half_reference`, one fresh
+  numpy row per DP row, is its oracle in tests.  This is the engine the
+  host runs in the accelerated pipeline.
 * :func:`smith_waterman` — full (optionally banded) affine-gap local
   alignment with traceback, used as the ground-truth oracle in tests and
   for the CLC-style "sensitive" comparator of Table 5.
@@ -30,6 +33,7 @@ __all__ = [
     "GapPenalties",
     "GappedExtension",
     "xdrop_gapped_extend",
+    "xdrop_half_reference",
     "smith_waterman",
     "SWAlignment",
     "NEG_INF",
@@ -57,18 +61,128 @@ class GapPenalties:
 def _xdrop_half(
     a: np.ndarray,
     b: np.ndarray,
+    rows: list[list[int]],
+    gaps: GapPenalties,
+    x_drop: int,
+) -> tuple[int, int, int, int]:
+    """One direction of gapped X-drop DP, as a plain-int loop.
+
+    Same contract as :func:`xdrop_half_reference`, its oracle: *a* and *b*
+    are residue-code arrays (views welcome), *rows* the substitution matrix
+    as nested lists (``matrix.scores.tolist()``).  Each DP row is visited
+    only over its live window ``[max(lo, 1), min(hi + 1, n)]`` and stored
+    window-relative, so a row costs its ~30 live cells and nothing of the
+    ~4096-residue slice around them.  The semantics are the oracle's: the
+    cutoff is fixed before each row, the vertical-gap state survives in
+    killed cells, the horizontal one flows through them, and the row's
+    leftmost best cell wins a tie.
+    """
+    m, n = len(a), len(b)
+    if m == 0 or n == 0:
+        return 0, 0, 0, 0
+    go, ge = gaps.open + gaps.extend, gaps.extend
+    # Row 0 is the anchor followed by one growing horizontal gap; it stays
+    # alive out to column `hi`.  The window grows by at most one column a
+    # row, so no column past `hi + m` is ever reached.
+    if go > x_drop:
+        hi = 0
+    elif ge == 0:
+        hi = n
+    else:
+        hi = min(n, (x_drop - go) // ge + 1)
+    n = min(n, hi + m)
+    bl = b[:n].tolist()
+    # A stored row covers columns base .. base + len - 1: the left edge, the
+    # computed cells, and one dead cell past the right end.
+    H_prev = [0] + [-(go + ge * j) for j in range(hi)] + [NEG_INF]
+    F_prev = [NEG_INF] * (hi + 2)
+    base = 0
+    lo = 0
+    best = best_i = best_j = cells = 0
+    for i, ai in enumerate(a.tolist(), 1):
+        hi_new = hi + 1 if hi < n else n
+        j_first = lo if lo > 1 else 1
+        if j_first > hi_new:
+            break
+        width = hi_new - j_first + 1
+        cells += width
+        cutoff = best - x_drop
+        h_left = NEG_INF
+        if lo == 0:
+            h0 = -(go + ge * (i - 1))
+            if h0 >= cutoff:
+                h_left = h0
+        k = j_first - base
+        diag = H_prev[k - 1]
+        H = [h_left]
+        F = [NEG_INF]
+        put_h = H.append
+        put_f = F.append
+        e = NEG_INF
+        row_best = NEG_INF
+        srow = rows[ai]
+        for bj, hp, fp in zip(
+            bl[j_first - 1 : hi_new],
+            H_prev[k : k + width],
+            F_prev[k : k + width],
+        ):
+            f = hp - go
+            fp -= ge
+            if fp > f:
+                f = fp
+            h = diag + srow[bj]
+            diag = hp
+            if f > h:
+                h = f
+            e -= ge
+            t = h_left - go
+            if t > e:
+                e = t
+            if e > h:
+                h = e
+            if h < cutoff:
+                h = NEG_INF
+            elif h > row_best:
+                row_best = h
+            put_h(h)
+            put_f(f)
+            h_left = h
+        put_h(NEG_INF)
+        put_f(NEG_INF)
+        base = j_first - 1
+        if row_best > best:
+            best = row_best
+            best_i = i
+            best_j = base + H.index(row_best, 1)
+        if row_best == NEG_INF and H[0] == NEG_INF:
+            break
+        first = 0
+        while H[first] == NEG_INF:
+            first += 1
+        last = len(H) - 2
+        while H[last] == NEG_INF:
+            last -= 1
+        lo, hi = base + first, base + last
+        H_prev, F_prev = H, F
+    return best, best_i, best_j, cells
+
+
+def xdrop_half_reference(
+    a: np.ndarray,
+    b: np.ndarray,
     sub: np.ndarray,
     gaps: GapPenalties,
     x_drop: int,
 ) -> tuple[int, int, int, int]:
-    """One direction of gapped X-drop DP.
+    """One direction of gapped X-drop DP — the step-3 oracle.
 
     Aligns prefixes of *a* (rows) against prefixes of *b* (columns),
     anchored at (0, 0) with score 0; returns ``(best, best_i, best_j, cells)`` —
-    the maximum extension score and how many residues of each sequence it
-    consumed.  Diagonal and vertical moves are vectorised per row; the
-    horizontal-gap state needs a left-to-right scan, done in Python over
-    the (pruned) active window only.
+    the maximum extension score, how many residues of each sequence it
+    consumed, and the DP cells evaluated.  *sub* is the substitution matrix
+    as int64.  Every row is a fresh ``len(b) + 1`` array: deliberately
+    simple and slow.  Only tests call it; :func:`_xdrop_half` must match it
+    tuple for tuple.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -173,13 +287,13 @@ def xdrop_gapped_extend(
     diagonal move).  ``max_extent`` caps the DP extent per direction as a
     safety bound; BLAST-scale alignments sit far below it.
     """
-    sub = matrix.scores.astype(np.int64)
+    rows = matrix.scores.tolist()
     r0 = buf0[anchor0 : anchor0 + max_extent]
     r1 = buf1[anchor1 : anchor1 + max_extent]
-    sr, er0, er1, cr = _xdrop_half(r0, r1, sub, gaps, x_drop)
-    l0 = np.ascontiguousarray(buf0[max(0, anchor0 - max_extent) : anchor0][::-1])
-    l1 = np.ascontiguousarray(buf1[max(0, anchor1 - max_extent) : anchor1][::-1])
-    sl, el0, el1, cl = _xdrop_half(l0, l1, sub, gaps, x_drop)
+    sr, er0, er1, cr = _xdrop_half(r0, r1, rows, gaps, x_drop)
+    l0 = buf0[max(0, anchor0 - max_extent) : anchor0][::-1]
+    l1 = buf1[max(0, anchor1 - max_extent) : anchor1][::-1]
+    sl, el0, el1, cl = _xdrop_half(l0, l1, rows, gaps, x_drop)
     return GappedExtension(
         score=sr + sl,
         start0=anchor0 - el0,

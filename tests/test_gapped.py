@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.extend.gapped import (
+    GappedExtension,
     GapPenalties,
+    _xdrop_half,
     smith_waterman,
     xdrop_gapped_extend,
+    xdrop_half_reference,
 )
-from repro.seqs.alphabet import encode_protein
+from repro.seqs.alphabet import GAP_CODE, encode_protein
 from repro.seqs.generate import mutate_protein, random_protein
-from repro.seqs.matrices import BLOSUM62
+from repro.seqs.matrices import BLOSUM45, BLOSUM62, BLOSUM80
 
 
 class TestGapPenalties:
@@ -154,3 +157,118 @@ class TestXdropExtension:
         sw = smith_waterman(a, b)
         ge = xdrop_gapped_extend(a, 20, b, anchor, x_drop=50)
         assert ge.score <= sw.score
+
+
+# Residue codes including the gap sentinel; penalties down to zero, where a
+# gap is free and row 0 stays alive across the whole subject.
+CODES = st.integers(0, GAP_CODE)
+GAPS = st.builds(GapPenalties, open=st.integers(0, 14), extend=st.integers(0, 3))
+X_DROPS = st.integers(0, 100)
+MATRICES = st.sampled_from([BLOSUM62, BLOSUM80, BLOSUM45])
+
+
+def _codes(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint8)
+
+
+@st.composite
+def _queries(draw, longest: int) -> list[int]:
+    """Codes of a length drawn uniformly, so short sides stay rare."""
+    k = draw(st.integers(0, longest))
+    return draw(st.lists(CODES, min_size=k, max_size=k))
+
+
+@st.composite
+def _subjects(draw, head) -> np.ndarray:
+    """*head* or a random prefix, then seeded noise out to ``max_extent``.
+
+    Starting the subject with the query side keeps the DP alive for many
+    rows; the noise tail makes the subject much longer than the query.
+    """
+    prefix = draw(st.just(head) | st.lists(CODES, max_size=40))
+    tail = draw(st.integers(0, 4096 - len(prefix)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.integers(0, GAP_CODE + 1, tail, dtype=np.uint8)
+    return np.concatenate([_codes(prefix), noise])
+
+
+@st.composite
+def _halves(draw) -> tuple[np.ndarray, np.ndarray]:
+    a = draw(_queries(40))
+    return _codes(a), draw(_subjects(a))
+
+
+def _reference_extension(buf0, anchor0, buf1, anchor1, matrix, gaps, x_drop):
+    """``xdrop_gapped_extend`` rebuilt on the step-3 oracle."""
+    sub = matrix.scores.astype(np.int64)
+    sr, er0, er1, cr = xdrop_half_reference(
+        buf0[anchor0 : anchor0 + 4096], buf1[anchor1 : anchor1 + 4096], sub, gaps, x_drop
+    )
+    sl, el0, el1, cl = xdrop_half_reference(
+        buf0[max(0, anchor0 - 4096) : anchor0][::-1],
+        buf1[max(0, anchor1 - 4096) : anchor1][::-1],
+        sub,
+        gaps,
+        x_drop,
+    )
+    return GappedExtension(
+        score=sr + sl,
+        start0=anchor0 - el0,
+        end0=anchor0 + er0,
+        start1=anchor1 - el1,
+        end1=anchor1 + er1,
+        cells=cr + cl,
+    )
+
+
+class TestXdropOracle:
+    """The live-window loop against :func:`xdrop_half_reference`."""
+
+    @staticmethod
+    def _both(a, b, gaps, x_drop, matrix=BLOSUM62):
+        got = _xdrop_half(a, b, matrix.scores.tolist(), gaps, x_drop)
+        want = xdrop_half_reference(a, b, matrix.scores.astype(np.int64), gaps, x_drop)
+        return got, want
+
+    @given(_halves(), GAPS, X_DROPS, MATRICES)
+    @example((_codes([]), _codes([1, 2])), GapPenalties(), 38, BLOSUM62)
+    @example((_codes([3]), _codes([])), GapPenalties(), 38, BLOSUM62)
+    @example((_codes([17]), _codes([17])), GapPenalties(0, 0), 0, BLOSUM62)
+    @example((_codes([GAP_CODE] * 3), _codes([GAP_CODE] * 5)), GapPenalties(0, 0), 100, BLOSUM62)
+    @settings(max_examples=150, deadline=None)
+    def test_half_matches_reference(self, half, gaps, x_drop, matrix):
+        a, b = half
+        got, want = self._both(a, b, gaps, x_drop, matrix)
+        assert got == want
+
+    @given(st.data(), GAPS, X_DROPS, MATRICES)
+    @settings(max_examples=60, deadline=None)
+    def test_extension_matches_reference(self, data, gaps, x_drop, matrix):
+        buf0 = _codes(data.draw(_queries(60)))
+        buf1 = data.draw(_subjects(buf0.tolist()))
+        anchor0 = data.draw(st.integers(0, len(buf0)))
+        anchor1 = data.draw(st.integers(0, len(buf1)))
+        got = xdrop_gapped_extend(
+            buf0, anchor0, buf1, anchor1, matrix=matrix, gaps=gaps, x_drop=x_drop
+        )
+        want = _reference_extension(buf0, anchor0, buf1, anchor1, matrix, gaps, x_drop)
+        assert got == want
+
+    def test_cutoff_is_fixed_before_each_row(self):
+        """Row 2 finds a new best at column 1; cutting at it mid-row would
+        kill a cell to its right that the oracle keeps alive."""
+        got, want = self._both(
+            encode_protein("TMV"), encode_protein("MFFSC"), GapPenalties(2, 2), 7
+        )
+        assert got == want == (1, 2, 1, 12)
+
+    def test_window_shrinks_left_then_grows_right(self):
+        """Row 0 is alive out to column 29.  Over the P/D mismatch rows the
+        right edge stalls at column 39; once the W run resumes the cutoff
+        jumps, the left edge leaps from column 10 to 17 (row 21), and the
+        band then grows right one column a row to column 59.  Row storage
+        reused across rows would read stale cells at both edges here."""
+        a = encode_protein("W" * 10 + "P" * 6 + "W" * 20)
+        b = encode_protein("W" * 10 + "D" * 6 + "W" * 60)
+        got, want = self._both(a, b, GapPenalties(11, 1), 40)
+        assert got == want == (324, 36, 36, 1110)

@@ -81,6 +81,15 @@ class TestProfileAccounting:
         assert p.step3.operations > 0  # DP cells
         assert p.total_wall > 0
 
+    def test_step3_counts_are_pinned(self, planted_workload):
+        """DP cells and extensions feed ``HostCostModel.step3_seconds`` and
+        EXPERIMENTS Tables 1/7: a step-3 rewrite must not move them."""
+        queries, genome, _ = planted_workload
+        pipe = SeedComparisonPipeline()
+        pipe.compare_with_genome(queries, genome)
+        assert pipe.profile.step3.operations == 30999
+        assert pipe.profile.step3.items == 6
+
     def test_wall_fractions_sum_to_one(self, planted_workload):
         queries, genome, _ = planted_workload
         pipe = SeedComparisonPipeline()
