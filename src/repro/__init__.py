@@ -18,8 +18,10 @@ Quick start::
     genome = random_genome(rng, 100_000)
     report = SeedComparisonPipeline().compare_with_genome(proteins, genome)
 
-Subpackages are imported on demand (``import repro.core``), never here:
-the ``repro-check`` lint (:mod:`repro.analysis`) must import without numpy.
+Subpackages are imported on demand (``import repro.core``), never here.
+The boundary holds both ways: the ``repro-check`` lint
+(:mod:`repro.analysis`) imports without numpy, and the runtime
+(``compare``, ``serve``) never imports the lint.
 """
 
 __version__ = "1.0.0"

@@ -123,7 +123,7 @@ def _run_verify(
 ) -> int:
     """``--verify-determinism`` mode: N pipeline runs, manifest diff."""
     # Lazy import: the lint path must not pull in numpy + the pipeline.
-    from .determinism import verify_pipeline_determinism
+    from ..core.determinism import verify_pipeline_determinism
 
     queries, genome = args.verify_determinism
     for path in (queries, genome):

@@ -280,13 +280,12 @@ def verify_pipeline_determinism(
     diff lines)`` where the diff lines compare every run against the
     first.
     """
-    # Imported lazily: the analysis package must stay importable without
-    # dragging in the whole pipeline (and repro.core itself records into
-    # this module, so a top-level import would be circular).
-    from ..core.config import PipelineConfig
-    from ..core.pipeline import SeedComparisonPipeline
+    # Imported lazily: the pipeline records into this module, so a
+    # top-level import would be circular.
     from ..seqs.alphabet import DNA
     from ..seqs.fasta import load_bank, read_fasta
+    from .config import PipelineConfig
+    from .pipeline import SeedComparisonPipeline
 
     queries = load_bank(queries_path)
     genome = next(iter(read_fasta(genome_path, DNA)))

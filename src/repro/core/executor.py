@@ -63,13 +63,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..analysis import determinism as detsan
-from ..analysis.contracts import ArraySpec, check_array
 from ..extend.batched import BatchedUngappedEngine, EntryBlock
 from ..extend.ungapped import UngappedConfig, UngappedHits, UngappedStats
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
 from ..obs import trace as obstrace
+from . import determinism as detsan
 from .faults import BankCorruption, FaultKind, FaultPlan, FaultSpec, bank_digest
 from .partition import split_entries_contiguous
 from .profile import RunHealth, ShardTiming
@@ -109,11 +108,6 @@ _WORKER: dict[str, Any] = {}
 #: copy-on-write view of this dict and run their own atexit handlers) from
 #: unlinking segments the parent still owns.
 _LIVE_SEGMENTS: dict[str, tuple[int, SharedMemory]] = {}
-
-#: Contract every shared-memory bank view must satisfy: the batched kernel
-#: gathers residues straight out of these buffers, so a wrong dtype here is
-#: silent score corruption in every worker.
-_BANK_VIEW_SPEC = ArraySpec(dtype=np.uint8, ndim=1)
 
 #: Observability payload riding a shard result: (exported worker spans,
 #: serialized worker metrics), or None when the worker was not observed.
@@ -213,7 +207,6 @@ def _init_worker(
     _LIVE_SEGMENTS.clear()
     shm = _attach_shared(name, unregister)
     view = np.ndarray((size,), dtype=np.uint8, buffer=shm.buf)
-    check_array("step-2 worker bank-1 view", view, _BANK_VIEW_SPEC)
     _WORKER.clear()
     _WORKER.update(
         shm=shm,  # keep alive for the process lifetime
@@ -621,7 +614,6 @@ class StagedBank:
     def __init__(self, buffer: np.ndarray) -> None:
         from multiprocessing import shared_memory
 
-        check_array("step-2 bank-1 buffer", buffer, _BANK_VIEW_SPEC)
         #: CRC-32 of the staged bytes.
         self.digest = bank_digest(buffer)
         self.shm: SharedMemory = shared_memory.SharedMemory(

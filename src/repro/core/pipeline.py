@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis import determinism as detsan
 from ..extend.gapped import xdrop_gapped_extend
 from ..extend.stats import evalue as evalue_of
 from ..extend.stats import gapped_params
@@ -36,6 +35,7 @@ from ..index.kmer import BankIndex, TwoBankIndex
 from ..obs import trace
 from ..seqs.sequence import Sequence, SequenceBank
 from ..seqs.translate import translated_bank
+from . import determinism as detsan
 from .config import PipelineConfig
 from .executor import ShardedStep2Executor
 from .profile import PipelineProfile

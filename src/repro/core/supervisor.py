@@ -40,8 +40,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..analysis import determinism as detsan
 from ..obs import trace
+from . import determinism as detsan
 from .faults import BankCorruption
 from .profile import RunHealth
 

@@ -37,16 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.contracts import contracted
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
 from .backends import FusedKernel, check_against_oracle
-from .ungapped import (
-    BankBuffer,
-    UngappedConfig,
-    UngappedHits,
-    UngappedStats,
-)
+from .ungapped import UngappedConfig, UngappedHits, UngappedStats
 
 __all__ = [
     "BatchedUngappedEngine",
@@ -213,9 +207,8 @@ class BatchedUngappedEngine:
             index.index0.bank.buffer, index.index1.bank.buffer, block
         )
 
-    @contracted
     def run_stream(
-        self, buf0: BankBuffer, buf1: BankBuffer, block: EntryBlock
+        self, buf0: np.ndarray, buf1: np.ndarray, block: EntryBlock
     ) -> UngappedHits:
         """Run step 2 over the entries of *block* against raw buffers.
 

@@ -35,18 +35,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Annotated
 
 import numpy as np
 
-from ..analysis.contracts import ArraySpec, contracted
 from ..index.kmer import SeedEntry, TwoBankIndex
 from ..seqs.matrices import BLOSUM62, SubstitutionMatrix
 from ..seqs.sequence import SequenceBank
 
 __all__ = [
     "ScoreSemantics",
-    "BankBuffer",
     "ungapped_score_reference",
     "ungapped_scores",
     "UngappedConfig",
@@ -55,15 +52,6 @@ __all__ = [
     "UngappedExtender",
     "ungapped_xdrop",
 ]
-
-#: 1-D uint8 bank buffer: residue codes with pad/gap sentinels.  Checked at
-#: runtime under ``REPRO_CONTRACTS=1`` (see :mod:`repro.analysis.contracts`).
-BankBuffer = Annotated[np.ndarray, ArraySpec(dtype=np.uint8, ndim=1)]
-#: ``(K, L)`` uint8 window matrices; the two sides of one outer-product
-#: call must agree on the named window ``width`` dimension.
-WindowMatrix0 = Annotated[np.ndarray, ArraySpec(dtype=np.uint8, shape=("k0", "width"))]
-WindowMatrix1 = Annotated[np.ndarray, ArraySpec(dtype=np.uint8, shape=("k1", "width"))]
-
 
 class ScoreSemantics(enum.Enum):
     """Window-scoring recurrence variant."""
@@ -101,13 +89,12 @@ def ungapped_score_reference(
     return best
 
 
-@contracted
 def ungapped_scores(
-    windows0: WindowMatrix0,
-    windows1: WindowMatrix1,
+    windows0: np.ndarray,
+    windows1: np.ndarray,
     matrix: SubstitutionMatrix = BLOSUM62,
     semantics: ScoreSemantics = ScoreSemantics.KADANE,
-) -> Annotated[np.ndarray, ArraySpec(dtype=np.int32, shape=("k0", "k1"))]:
+) -> np.ndarray:
     """Score the full cross product of two window sets.
 
     Parameters
@@ -237,12 +224,7 @@ class UngappedExtender:
     def __init__(self, config: UngappedConfig | None = None) -> None:
         self.config = config or UngappedConfig()
 
-    @contracted
-    def windows_for(
-        self,
-        bank: SequenceBank,
-        offsets: Annotated[np.ndarray, ArraySpec(dtype=np.int64, shape=("k",))],
-    ) -> Annotated[np.ndarray, ArraySpec(dtype=np.uint8, shape=("k", None))]:
+    def windows_for(self, bank: SequenceBank, offsets: np.ndarray) -> np.ndarray:
         """Extract scoring windows centred on seed anchors."""
         cfg = self.config
         return bank.windows(offsets, left=cfg.n, width=cfg.window)

@@ -240,7 +240,7 @@ class Tracer:
 #: The tracer of the run in flight, or None.  Module state on purpose —
 #: instrumentation spans pipeline, executor, supervisor and the hardware
 #: models without threading a tracer through every signature (the same
-#: pattern as :mod:`repro.analysis.determinism`).  Parent-process only:
+#: pattern as :mod:`repro.core.determinism`).  Parent-process only:
 #: workers get a fresh tracer per task, never this one.
 _ACTIVE: Tracer | None = None
 

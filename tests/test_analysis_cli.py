@@ -140,3 +140,25 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 violations" in proc.stdout
+
+
+#: Imports the runtime entry points and prints every loaded ``repro.analysis``
+#: module: the lint stays out of ``compare`` and serve start-up.
+RUNTIME_IMPORTS = """
+import sys
+
+import repro.cli
+import repro.serve.server
+
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "analysis"]))
+"""
+
+
+def test_runtime_never_imports_lint():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_IMPORTS],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"

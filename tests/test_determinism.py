@@ -5,7 +5,7 @@ import pathlib
 
 import numpy as np
 
-from repro.analysis.determinism import (
+from repro.core.determinism import (
     DetsanRecorder,
     activate,
     active,

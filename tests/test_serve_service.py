@@ -213,9 +213,9 @@ class TestChaos:
         )
         # A dwell no slow run can outlast: the open-phase assertions below
         # must observe the breaker before its reset, and wall-clock sleeps
-        # made this racy under REPRO_CONTRACTS (slow pool-death requests
-        # burned through a short dwell before the degraded submit).  The
-        # recovery phase rewinds ``_opened_at`` instead of sleeping.
+        # made this racy (slow pool-death requests burned through a short
+        # dwell before the degraded submit).  The recovery phase rewinds
+        # ``_opened_at`` instead of sleeping.
         dwell = 300.0
         svc, queries = make_service(
             serve_workload,
