@@ -88,16 +88,22 @@ def _report_rows(report):
 def _bench_config(workers: int) -> PipelineConfig:
     """Pipeline config used by both the cold and warm arms.
 
-    ``min_pairs_per_shard=0`` matters to the cold arm only — the floor is
-    applied by the one-shot ``ShardedStep2Executor.run`` alone, never by
-    the warm pool.  It forces the pooled step-2 engine at bench scale
-    (same precedent as ``bench_step2_scaling``'s sharded modes): without
-    it the cold path drops to the in-process small-workload fallback and
-    never pays the pool spawn + bank staging that warm serving amortises,
-    so the comparison would be between two different routes instead of
-    between per-request and per-boot setup cost.
+    ``min_pairs_per_shard=0`` forces the pooled step-2 engine at bench
+    scale (same precedent as ``bench_step2_scaling``'s sharded modes).
+    Both front ends apply a pair floor — the one-shot
+    ``ShardedStep2Executor.run`` this config's, the warm pool its own
+    (:func:`_service_config`).  Without it both arms drop to in-process
+    scoring, the cold one never pays the pool spawn + bank staging that
+    warm serving amortises, and the comparison would be between two
+    different routes instead of between per-request and per-boot setup
+    cost.
     """
     return PipelineConfig(workers=workers, min_pairs_per_shard=0)
+
+
+def _service_config(workers: int, **service_kw) -> ServiceConfig:
+    """The warm arms' service policy: the pool route, as in the cold arm."""
+    return ServiceConfig(workers=workers, min_pairs_per_shard=0, **service_kw)
 
 
 def bench_cold(queries, resident, workers: int, requests: int):
@@ -130,7 +136,7 @@ def bench_warm(queries, resident, workers: int, requests: int, **service_kw):
     svc = SearchService(
         _bench_config(workers),
         resident,
-        ServiceConfig(workers=workers, **service_kw),
+        _service_config(workers, **service_kw),
     )
     t0 = time.perf_counter()
     svc.start(warm=True)
@@ -169,12 +175,12 @@ def measure_obs_overhead(queries, resident, workers: int, requests: int):
     """
     twins = {
         True: SearchService(
-            _bench_config(workers), resident, ServiceConfig(workers=workers)
+            _bench_config(workers), resident, _service_config(workers)
         ),
         False: SearchService(
             _bench_config(workers),
             resident,
-            ServiceConfig(workers=workers, tracing=False),
+            _service_config(workers, tracing=False),
         ),
     }
     wall = {True: 0.0, False: 0.0}
@@ -204,7 +210,7 @@ def measure_obs_overhead(queries, resident, workers: int, requests: int):
 def bench_http(queries, resident, workers: int, requests: int, concurrency: int):
     """The full stack: HTTP server + threaded stdlib load client."""
     svc = SearchService(
-        _bench_config(workers), resident, ServiceConfig(workers=workers)
+        _bench_config(workers), resident, _service_config(workers)
     )
     svc.start(warm=True)
     server = SearchHTTPServer(("127.0.0.1", 0), svc)

@@ -70,9 +70,9 @@ def drive(port: int, requests: int, out: Path) -> dict:
     cmd = [
         sys.executable, "-m", "repro.serve.client",
         "--port", str(port), "--fasta", str(DATA),
-        # the full demo bank per request: small query sets can fall below
-        # the warm pool's n_shared_keys cutoff and route in-process, which
-        # would never exercise the injected pool deaths
+        # the full demo bank per request: a small query set can share too
+        # few seed keys to shard and route in-process, which would never
+        # exercise the injected pool deaths
         "--requests", str(requests), "--per-request", "6",
         "--concurrency", "1", "--out", str(out),
     ]
@@ -100,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
             [
                 sys.executable, "-m", "repro.cli", "serve", str(DATA),
                 "--port", str(args.port), "--workers", "2",
+                # the demo bank sits far below the warm pair floor: a floor
+                # of 0 keeps every request on the pool the plan kills
+                "--min-pairs-per-shard", "0",
                 "--fault-plan", str(plan_path),
                 "--breaker-threshold", "3",
                 "--breaker-reset-seconds", str(BREAKER_RESET_SECONDS),

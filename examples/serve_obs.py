@@ -104,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
             [
                 sys.executable, "-m", "repro.cli", "serve", str(DATA),
                 "--port", str(args.port), "--workers", "2",
+                # keep the demo's small requests on the pool the plan kills
+                "--min-pairs-per-shard", "0",
                 "--fault-plan", str(plan_path),
                 "--trace-dir", str(trace_dir), "--profile",
             ],

@@ -105,9 +105,16 @@ class NondetReachesMergeRule(ProjectRule):
 
 
 def _worker_entry_seeds(graph: ProjectGraph) -> tuple[set[str], set[str]]:
-    """(initializers, dispatched tasks) handed to process pools."""
+    """(initializers, dispatched tasks) handed to process pools.
+
+    A task is either named at the dispatch (``pool.submit(fn, ...)``) or
+    held: ``pool.submit(self._task, ...)`` in a method of a class whose
+    ``__init__`` stores a parameter as ``self._task`` — then the tasks are
+    the functions every constructor call passes for that parameter.
+    """
     initializers: set[str] = set()
     tasks: set[str] = set()
+    held: set[tuple[str, str]] = set()  # (class qualname prefix, attribute)
     for info in graph.functions.values():
         mod = graph.modules[info.module]
         for site in info.calls:
@@ -126,7 +133,59 @@ def _worker_entry_seeds(graph: ProjectGraph) -> tuple[set[str], set[str]]:
                 qual = _resolve_name_arg(graph, mod, node.args[0])
                 if qual is not None:
                     tasks.add(qual)
+                elif info.class_name is not None:
+                    target = dotted_name(node.args[0]) or ""
+                    owner, _, attr = target.partition(".")
+                    if owner == "self" and attr and "." not in attr:
+                        held.add((f"{info.module}.{info.class_name}", attr))
+    for cls, attr in sorted(held):
+        tasks |= _constructor_args_for(graph, cls, attr)
     return initializers, tasks
+
+
+def _constructor_args_for(graph: ProjectGraph, cls: str, attr: str) -> set[str]:
+    """Functions passed to ``cls(...)`` for the parameter stored as ``self.attr``.
+
+    A method of the class itself (``self.attr`` never assigned in
+    ``__init__``) is its own answer.
+    """
+    method = f"{cls}.{attr}"
+    if method in graph.functions:
+        return {method}
+    init = graph.functions.get(f"{cls}.__init__")
+    if init is None:
+        return set()
+    param = None
+    for node in ast.walk(init.node):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and dotted_name(node.targets[0]) == f"self.{attr}"
+            and isinstance(node.value, ast.Name)
+        ):
+            param = node.value.id
+    if param is None or param not in init.param_names():
+        return set()
+    args = init.node.args
+    positional = [p.arg for p in [*args.posonlyargs, *args.args]][1:]  # no self
+    found: set[str] = set()
+    for caller in graph.functions.values():
+        mod = graph.modules[caller.module]
+        for site in caller.calls:
+            if site.callee != init.qualname:
+                continue
+            passed = [kw.value for kw in site.node.keywords if kw.arg == param]
+            if param in positional:
+                pos = positional.index(param)
+                if pos < len(site.node.args) and not any(
+                    isinstance(a, ast.Starred) for a in site.node.args[: pos + 1]
+                ):
+                    passed.append(site.node.args[pos])
+            for value in passed:
+                qual = _resolve_name_arg(graph, mod, value)
+                if qual is not None:
+                    found.add(qual)
+    return found
 
 
 def _initializer_resets(

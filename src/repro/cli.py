@@ -89,6 +89,17 @@ def _add_obs_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_min_pairs_arg(
+    sp: argparse.ArgumentParser, default: int, instead: str
+) -> None:
+    sp.add_argument(
+        "--min-pairs-per-shard", type=nonnegative_int, default=default,
+        help="below this many step-2 pairs per shard, a multi-worker "
+        f"run scores in-process instead of {instead} "
+        "(0 disables the heuristic)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     p = argparse.ArgumentParser(
@@ -129,12 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="deterministic fault-injection plan (inline JSON or a "
             "path) applied to step-2 workers — chaos testing only",
         )
-        sp.add_argument(
-            "--min-pairs-per-shard", type=nonnegative_int, default=1 << 18,
-            help="below this many step-2 pairs per shard, a multi-worker "
-            "run scores in-process instead of paying pool startup "
-            "(0 disables the heuristic)",
-        )
+        _add_min_pairs_arg(sp, 1 << 18, "paying pool startup")
         sp.add_argument("--max-hits", type=int, default=25, help="alignments to print")
         sp.add_argument(
             "--render", type=int, default=0, metavar="N",
@@ -184,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=positive_int, default=2,
         help="warm step-2 worker processes (1 = in-process only)",
     )
+    _add_min_pairs_arg(sv, 1 << 15, "shipping it to the warm pool")
     sv.add_argument(
         "--queue-depth", type=positive_int, default=8,
         help="admission queue depth; beyond it requests shed with 429",
@@ -579,6 +586,7 @@ def _cmd_serve(args) -> int:
         resident,
         ServiceConfig(
             workers=args.workers,
+            min_pairs_per_shard=args.min_pairs_per_shard,
             queue_depth=args.queue_depth,
             default_deadline_seconds=None if deadline is None else deadline / 1e3,
             breaker=BreakerConfig(

@@ -59,7 +59,7 @@ import signal
 import time
 import warnings
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Literal
 
 import numpy as np
 
@@ -131,6 +131,9 @@ ShardResult = tuple[
 
 #: One step-2 run: merged hits, one timing per shard, supervision health.
 Step2Run = tuple[UngappedHits, list[ShardTiming], RunHealth]
+
+#: Where one step-2 run scores (:meth:`Step2Engine.route`).
+Route = Literal["local", "small", "pool"]
 
 
 def _pool_context() -> tuple[BaseContext, bool]:
@@ -644,6 +647,10 @@ class Step2Engine:
         Optional deterministic fault injection
         (:class:`~repro.core.faults.FaultPlan`) applied inside the pool
         tasks — the chaos-testing hook.
+    min_pairs_per_shard:
+        Pair-count floor below which a multi-worker run scores in-process
+        (:meth:`route`): on small workloads the pool's fixed costs exceed
+        the scoring itself.  ``0`` disables the floor.
 
     The engine keeps no per-run state — each run returns its hits, shard
     timings and health — so the warm pool holds one for its lifetime
@@ -656,11 +663,29 @@ class Step2Engine:
         workers: int = 1,
         supervisor: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
+        min_pairs_per_shard: int = 1 << 18,
     ) -> None:
         self.config = config or UngappedConfig()
         self.workers = max(1, int(workers))
         self.supervisor = supervisor or SupervisorConfig()
         self.fault_plan = fault_plan
+        self.min_pairs_per_shard = max(0, int(min_pairs_per_shard))
+
+    def route(self, index: TwoBankIndex) -> Route:
+        """Where a run over *index* scores — the one rule of both front ends.
+
+        ``"local"``: one worker, or too few shared keys to cut two shards
+        per worker.  ``"small"``: fewer than :attr:`min_pairs_per_shard`
+        pairs per worker, so the pool's fixed costs (split, pickling, IPC
+        — plus spawn and staging for a one-shot) would exceed the scoring;
+        scored in-process and recorded as
+        ``RunHealth.small_workload_fallbacks``.  ``"pool"``: sharded.
+        """
+        if self.workers == 1 or index.n_shared_keys < 2 * self.workers:
+            return "local"
+        if index.total_pairs < self.workers * self.min_pairs_per_shard:
+            return "small"
+        return "pool"
 
     def make_pool(self, bank: StagedBank, workers: int) -> ProcessPoolExecutor:
         """A fresh pool of *workers* processes, each mapping *bank*."""
@@ -772,15 +797,9 @@ class Step2Engine:
 class ShardedStep2Executor(Step2Engine):
     """One-shot front end of the step-2 engine (:meth:`run`).
 
-    Takes the :class:`Step2Engine` parameters plus:
-
-    min_pairs_per_shard:
-        Pair-count floor below which a multi-worker :meth:`run` scores
-        in-process instead of paying pool spawn + shared-memory staging
-        (on small workloads those fixed costs exceed the scoring itself,
-        making 2 workers *slower* than 1).  ``0`` disables the heuristic.
-        The decision is recorded as ``RunHealth.small_workload_fallbacks``
-        and the matching supervisor-event metric.
+    Takes the :class:`Step2Engine` parameters; its ``min_pairs_per_shard``
+    floor (default ``1 << 18``) also covers pool spawn and shared-memory
+    staging, which a one-shot pays per run.
 
     ``workers=1`` runs the batched engine in-process (no pool, no shared
     memory); ``N > 1`` shards the key space over a supervised
@@ -801,8 +820,9 @@ class ShardedStep2Executor(Step2Engine):
         fault_plan: FaultPlan | None = None,
         min_pairs_per_shard: int = 1 << 18,
     ) -> None:
-        super().__init__(config, workers, supervisor, fault_plan)
-        self.min_pairs_per_shard = max(0, int(min_pairs_per_shard))
+        super().__init__(
+            config, workers, supervisor, fault_plan, min_pairs_per_shard
+        )
         #: Per-shard timings of the most recent :meth:`run`.
         self.last_timings: list[ShardTiming] = []
         #: Supervision counters of the most recent :meth:`run`.
@@ -810,15 +830,9 @@ class ShardedStep2Executor(Step2Engine):
 
     def run(self, index: TwoBankIndex) -> UngappedHits:
         """Run step 2 over *index*, sharded across the configured workers."""
-        n_entries = index.n_shared_keys
-        if self.workers == 1 or n_entries < 2 * self.workers:
-            # Pool overhead cannot pay for itself on a near-empty work list.
-            return self._run_local(index)
-        if index.total_pairs < self.workers * self.min_pairs_per_shard:
-            # Too few pairs per shard for pool spawn + shared-memory
-            # staging to pay for itself (the BENCH_step2 2-worker
-            # regression): score in-process and record the decision.
-            return self._run_local(index, small_workload=True)
+        route = self.route(index)
+        if route != "pool":
+            return self._run_local(index, small_workload=route == "small")
         try:
             return self._run_pool(index)
         except OSError as exc:  # pragma: no cover

@@ -46,7 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from ..seqs.sequence import SequenceBank
 
-__all__ = ["WarmPool"]
+__all__ = ["WARM_MIN_PAIRS_PER_SHARD", "WarmPool"]
+
+#: Default step-2 pair floor per worker for the warm pool.  Below it a
+#: request scores in-process: the pool is already spawned and the bank
+#: staged, so only the split, pickling and IPC are at stake — but at
+#: ~11 k pairs those cost more than the scoring they spread (DESIGN §9,
+#: "The warm pair floor").  Lower than a one-shot's ``1 << 18``, which
+#: also covers spawn and staging.
+WARM_MIN_PAIRS_PER_SHARD = 1 << 15
 
 
 class WarmPool:
@@ -69,6 +77,10 @@ class WarmPool:
     supervisor:
         Per-request supervision policy template; each request overlays
         its own absolute deadline via :func:`dataclasses.replace`.
+    min_pairs_per_shard:
+        Pair floor per worker below which :meth:`step2` scores a request
+        in-process (:meth:`~repro.core.executor.Step2Engine.route`);
+        ``0`` sends every shardable request to the pool.
     """
 
     def __init__(
@@ -78,17 +90,22 @@ class WarmPool:
         workers: int = 2,
         fault_plan: FaultPlan | None = None,
         supervisor: SupervisorConfig | None = None,
+        min_pairs_per_shard: int = WARM_MIN_PAIRS_PER_SHARD,
     ) -> None:
         self.config = config
         self.resident = resident
         self.workers = max(1, int(workers))
         self.fault_plan = fault_plan
         self.supervisor = supervisor or config.supervisor_config()
-        #: The step-2 engine.  :meth:`step2` routes by the warm rule alone
-        #: (``n_shared_keys < 2 * workers`` scores in-process) — no
-        #: pair-count floor, the pool is already paid for.
+        #: The step-2 engine; :meth:`step2` routes each request by its
+        #: :meth:`~repro.core.executor.Step2Engine.route`, the rule a
+        #: one-shot run follows too, with the warm floor.
         self.engine = Step2Engine(
-            config.ungapped_config(), self.workers, self.supervisor, fault_plan
+            config.ungapped_config(),
+            self.workers,
+            self.supervisor,
+            fault_plan,
+            min_pairs_per_shard,
         )
         #: Resident index built once; every request joins against it.
         self.resident_index = BankIndex(resident, config.seed_model)
@@ -250,7 +267,10 @@ class WarmPool:
     ) -> UngappedHits:
         """Score one request's joint *index* on the warm pool.
 
-        ``deadline_at`` is the request's absolute deadline, plumbed into
+        The engine's :meth:`~repro.core.executor.Step2Engine.route` picks
+        pool or in-process; a request below the pair floor is counted in
+        ``RunHealth.small_workload_fallbacks``.  ``deadline_at`` is the
+        request's absolute deadline, plumbed into
         :attr:`~repro.core.supervisor.SupervisorConfig.deadline`;
         ``use_pool=False`` is the breaker's degraded route (in-process,
         bit-identical, no pool interaction at all).  ``request_id``
@@ -261,13 +281,12 @@ class WarmPool:
         supervisor = replace(
             self.supervisor, deadline=deadline_at, request_id=request_id
         )
+        route = self.engine.route(index) if use_pool else "local"
         try:
-            if (
-                not use_pool
-                or self.workers == 1
-                or index.n_shared_keys < 2 * self.workers
-            ):
-                hits, timings, health = self.engine.score_local(index, supervisor)
+            if route != "pool":
+                hits, timings, health = self.engine.score_local(
+                    index, supervisor, small_workload=route == "small"
+                )
             else:
                 with self._pool_lock:
                     held, self._pool = self._pool, None  # ownership to the run

@@ -67,10 +67,41 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: BaseHTTPRequestHandler honors this as the connection socket timeout.
     timeout = CONNECTION_TIMEOUT
+    #: StreamRequestHandler sets TCP_NODELAY on each accepted socket: a
+    #: response leaves when it is written, not when the client's delayed
+    #: ACK for the previous segment arrives.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         _log.debug("%s %s", self.address_string(), format % args)
+
+    def _send(
+        self,
+        code: int,
+        content_type: str,
+        payload: bytes,
+        headers: dict[str, str],
+    ) -> None:
+        """Write one whole response — status line, headers, body — in one
+        ``sendall``, so a client that leaves Nagle on is not stalled by a
+        headers-then-body pair of small sends either.
+
+        The head is what ``send_response``/``send_header`` would buffer;
+        ``end_headers`` would then send it apart from the body.
+        """
+        self.log_request(code)
+        reason = self.responses.get(code, ("",))[0]
+        lines = [
+            f"{self.protocol_version} {code} {reason}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(payload)}",
+            *(f"{name}: {value}" for name, value in headers.items()),
+        ]
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.wfile.write(head + payload)
 
     def _send_json(
         self,
@@ -79,16 +110,14 @@ class _Handler(BaseHTTPRequestHandler):
         retry_after: float | None = None,
         request_id: str | None = None,
     ) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        headers: dict[str, str] = {}
         if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
+            headers["X-Request-Id"] = request_id
         if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        self.end_headers()
-        self.wfile.write(payload)
+            headers["Retry-After"] = f"{retry_after:g}"
+        self._send(
+            code, "application/json", json.dumps(body).encode("utf-8"), headers
+        )
 
     def _request_id(self) -> str:
         """The request's identity: honoured from the header or minted."""
@@ -112,13 +141,12 @@ class _Handler(BaseHTTPRequestHandler):
                     request_id=rid,
                 )
         elif path == "/metrics":
-            text = service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(text)))
-            self.send_header("X-Request-Id", rid)
-            self.end_headers()
-            self.wfile.write(text)
+            self._send(
+                200,
+                "text/plain; version=0.0.4",
+                service.metrics_text().encode("utf-8"),
+                {"X-Request-Id": rid},
+            )
         elif path == "/debug/requests":
             limit = None
             if "limit" in query:

@@ -45,7 +45,7 @@ from ..obs.metrics import prometheus_text
 from ..obs.slo import SloConfig, SloTracker
 from .admission import AdmissionQueue, Ticket
 from .breaker import STATE_VALUES, BreakerConfig, BreakerState, CircuitBreaker
-from .pool import WarmPool
+from .pool import WARM_MIN_PAIRS_PER_SHARD, WarmPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.profile import PipelineProfile
@@ -70,6 +70,10 @@ class ServiceConfig:
     ----------
     workers:
         Warm-pool worker process count.
+    min_pairs_per_shard:
+        Step-2 pair floor per worker below which a request scores
+        in-process instead of on the warm pool (``0``: every shardable
+        request goes to the pool).
     queue_depth:
         Admission queue capacity; requests beyond it shed with 429.
     retry_after_seconds:
@@ -104,6 +108,7 @@ class ServiceConfig:
     """
 
     workers: int = 2
+    min_pairs_per_shard: int = WARM_MIN_PAIRS_PER_SHARD
     queue_depth: int = 8
     retry_after_seconds: float = 1.0
     default_deadline_seconds: float | None = None
@@ -156,6 +161,7 @@ class SearchService:
             resident,
             workers=self.service.workers,
             fault_plan=fault_plan,
+            min_pairs_per_shard=self.service.min_pairs_per_shard,
         )
         self.breaker = CircuitBreaker(self.service.breaker)
         self.queue = AdmissionQueue(self.service.queue_depth, self.registry)

@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
-from repro.analysis.checker import check_paths
+from repro.analysis.checker import check_paths, collect_files, parse_file
+from repro.analysis.concurrency import _worker_entry_seeds
+from repro.analysis.graph import ProjectGraph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +57,25 @@ class TestRealTree:
         result = check_paths([REPO / "src"], select=RC1XX)
         assert result.violations == []
 
+    def test_step2_kernel_modules_are_worker_reachable(self):
+        # The pool task reaches the supervisor as a constructor argument
+        # and is submitted as ``self._task``; RC101 must still follow it
+        # into the batched engine and its kernel, which run in every
+        # worker, rather than stop at the initializer's modules.
+        contexts = [parse_file(p) for p in collect_files([REPO / "src"])]
+        graph = ProjectGraph.from_contexts(c for c in contexts if c.in_package)
+        initializers, tasks = _worker_entry_seeds(graph)
+        assert "repro.core.executor._score_shard" in tasks
+        modules = {
+            graph.functions[q].module
+            for q in graph.reachable_from(initializers | tasks)
+        }
+        assert {
+            "repro.extend.batched",
+            "repro.extend.backends.fused",
+            "repro.extend.ungapped",
+        } <= modules
+
 
 class TestSeededBug:
     """An ordering bug planted in merge code must be caught statically."""
@@ -99,3 +120,51 @@ class TestSeededBug:
         )
         result = check_paths([tmp_path], select=["RC100"])
         assert result.violations == []
+
+
+class TestHeldPoolTask:
+    """A task handed to a supervisor's constructor and submitted as
+    ``self._task`` is a worker entry point like a directly submitted one."""
+
+    SUPERVISOR = (
+        "class Supervisor:\n"
+        "    def __init__(self, pool: object, task: object) -> None:\n"
+        "        self._pool = pool\n"
+        "        self._task = task\n\n"
+        "    def run(self, shard: int) -> object:\n"
+        "        return self._pool.submit(self._task, shard)\n"
+    )
+
+    def write(self, tmp_path, caller):
+        core = tmp_path / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "supervisor.py").write_text(self.SUPERVISOR)
+        (core / "kernel.py").write_text(
+            "_CACHE = {}\n\n\n"
+            "def score(shard: int) -> int:\n"
+            "    _CACHE[shard] = shard\n"
+            "    return shard\n"
+        )
+        (core / "executor.py").write_text(
+            "from .kernel import score\n"
+            "from .supervisor import Supervisor\n\n\n"
+            "def _task(shard: int) -> int:\n"
+            "    return score(shard)\n\n\n"
+            f"def run(pool: object) -> object:\n    {caller}\n"
+        )
+        return check_paths([tmp_path], select=["RC101"]).violations
+
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            "return Supervisor(pool, _task).run(0)",
+            "sup = Supervisor(pool, task=_task)\n    return sup.run(0)",
+        ],
+    )
+    def test_state_behind_a_held_task_is_flagged(self, tmp_path, caller):
+        violations = self.write(tmp_path, caller)
+        assert [v.message.split("`")[1] for v in violations] == ["_CACHE"]
+
+    def test_unrelated_constructor_argument_is_not_a_task(self, tmp_path):
+        # Only the parameter stored in the submitted attribute counts.
+        assert self.write(tmp_path, "return Supervisor(_task, pool).run(0)") == []

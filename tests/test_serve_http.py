@@ -6,6 +6,7 @@ warm pool is covered by ``test_serve_service.py``).
 """
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.faults import FaultKind, FaultPlan, FaultSpec
+from repro.core.pipeline import SeedComparisonPipeline
 from repro.seqs.sequence import BankBuilder
 from repro.serve import SearchService, ServiceConfig
 from repro.serve.client import run_load, search_request
@@ -249,3 +251,120 @@ class TestClient:
         # the stalled request still completes (stall < socket timeout)
         assert summary["served"] == 2
         assert summary["wall_seconds"] >= 0.3
+
+
+class _RecordingSocket:
+    """An accepted socket that records every ``sendall`` made on it, and
+    whether TCP_NODELAY was set at the time."""
+
+    def __init__(self, sock, sends):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data):
+        nodelay = self._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        self._sends.append((bytes(data), nodelay))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _RecordingServer(SearchHTTPServer):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sends = []
+
+    def get_request(self):
+        sock, addr = super().get_request()
+        return _RecordingSocket(sock, self.sends), addr
+
+
+def _reference_rows(queries, resident):
+    report = SeedComparisonPipeline(PipelineConfig(workers=1)).compare_banks(
+        queries, resident
+    )
+    return [
+        [a.seq0_name, a.seq1_name, [a.start0, a.end0], [a.start1, a.end1],
+         a.raw_score, a.ungapped_score, a.bit_score, a.evalue]
+        for a in report.alignments
+    ]
+
+
+def _response_rows(body):
+    return [
+        [r["query"], r["subject"], r["query_range"], r["subject_range"],
+         r["raw_score"], r["ungapped_score"], r["bit_score"], r["evalue"]]
+        for r in json.loads(body)["alignments"]
+    ]
+
+
+class TestTransport:
+    """Responses leave in one write on a TCP_NODELAY socket — checked on
+    the socket calls themselves, not by timing."""
+
+    def test_each_response_is_one_sendall_on_a_nodelay_socket(
+        self, http_workload
+    ):
+        queries, resident = http_workload
+        plan = FaultPlan(
+            seed=7, specs=(FaultSpec(kind=FaultKind.QUEUE_OVERFLOW, request=0),)
+        )
+        svc = SearchService(
+            PipelineConfig(workers=1),
+            resident,
+            ServiceConfig(workers=1, retry_after_seconds=2.5),
+            fault_plan=plan,
+        )
+        svc.start(warm=False)
+        server = _RecordingServer(("127.0.0.1", 0), svc)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        try:
+            host, port = server.server_address[0], server.server_address[1]
+            shed = _post(host, port, _query_payload(queries))
+            ok = _post(host, port, _query_payload(queries))
+            metrics = _get(host, port, "/metrics")
+            bad = _post(host, port, b"{not json")
+        finally:
+            server.drain_and_shutdown(timeout=30)
+            server.server_close()
+            thread.join(timeout=10)
+        assert shed[0] == 429 and shed[2].get("Retry-After") == "2.5"
+        assert ok[0] == 200 and metrics[0] == 200 and bad[0] == 400
+        bodies = [shed[1], ok[1], metrics[1], bad[1]]
+        assert len(server.sends) == len(bodies)
+        for (data, nodelay), code, body in zip(
+            server.sends, (429, 200, 200, 400), bodies, strict=True
+        ):
+            assert nodelay
+            head, sep, rest = data.partition(b"\r\n\r\n")
+            assert sep and rest == body
+            assert head.startswith(f"HTTP/1.1 {code} ".encode())
+            assert b"\r\nX-Request-Id: " in head
+            assert f"\r\nContent-Length: {len(body)}".encode() in head
+
+    def test_keep_alive_client_with_nagle_on(self, live_server, http_workload):
+        # A plain http.client connection (Nagle left on) reused for 20
+        # requests: every response arrives whole and correct.
+        host, port, _svc, queries = live_server
+        reference = _reference_rows(*http_workload)
+        assert reference
+        payload = json.dumps(_query_payload(queries)).encode()
+        conn = HTTPConnection(host, port, timeout=10)
+        try:
+            for i in range(20):
+                conn.request(
+                    "POST", "/search", body=payload,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                body = resp.read()
+                assert resp.status == 200, i
+                assert resp.getheader("X-Request-Id")
+                assert _response_rows(body) == reference
+        finally:
+            conn.close()

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
-from repro.core.executor import live_segment_names
+from repro.core.executor import ShardedStep2Executor, live_segment_names
 from repro.core.faults import FaultKind, FaultPlan, FaultSpec
 from repro.core.pipeline import SeedComparisonPipeline
 from repro.core.profile import RunHealth
 from repro.core.supervisor import DeadlineExceeded
+from repro.index.kmer import BankIndex, TwoBankIndex
 from repro.obs.export import validate_serve_metrics
 from repro.obs.metrics import prometheus_text
 from repro.seqs.sequence import BankBuilder
@@ -29,6 +30,7 @@ from repro.serve import (
     SearchService,
     ServiceConfig,
 )
+from repro.serve.pool import WARM_MIN_PAIRS_PER_SHARD, WarmPool
 
 AA = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -88,6 +90,9 @@ def metric_value(text, series):
 def make_service(serve_workload, fault_plan=None, **service_kw):
     queries, resident = serve_workload
     service_kw.setdefault("workers", 2)
+    # These banks sit far below the warm pair floor; a floor of 0 keeps
+    # every shardable request on the pool, which is what these tests test.
+    service_kw.setdefault("min_pairs_per_shard", 0)
     svc = SearchService(
         PipelineConfig(workers=2),
         resident,
@@ -536,3 +541,67 @@ class TestMetricsSurface:
             assert len(snap["live_segments"]) == 1
         finally:
             svc.drain(timeout=30)
+
+
+@pytest.fixture(scope="module")
+def route_workload():
+    """A ledger-shaped resident bank (4000 proteins of 200 aa) and two
+    requests on either side of the warm pair floor at 2 workers."""
+    rng = np.random.default_rng(31)
+    rb = BankBuilder()
+    for i in range(4000):
+        rb.add(f"res{i}", _rand_seq(rng, 200))
+    small, large = BankBuilder(), BankBuilder()
+    for i in range(3):
+        small.add(f"short{i}", _rand_seq(rng, 100))
+    for i in range(24):
+        large.add(f"long{i}", _rand_seq(rng, 100))
+    return rb.build(), small.build(), large.build()
+
+
+class TestWarmRoute:
+    """``WarmPool.step2`` follows the engine's one route rule."""
+
+    def test_pair_floor_routes_small_requests_in_process(self, route_workload):
+        resident, small, large = route_workload
+        config = PipelineConfig(workers=2)
+        pool = WarmPool(config, resident, workers=2)
+        floor = 2 * WARM_MIN_PAIRS_PER_SHARD
+        try:
+            pool.warm_up()
+            for queries, via, fallbacks in (
+                (small, ["local"], 1),
+                (large, ["pool", "pool"], 0),
+            ):
+                index = TwoBankIndex(
+                    BankIndex(queries, config.seed_model), pool.resident_index
+                )
+                if via == ["local"]:
+                    # The floor was measured on ~11 k-pair requests.
+                    assert 8_000 < index.total_pairs < 16_000
+                    assert index.n_shared_keys >= 2 * pool.workers
+                else:
+                    assert index.total_pairs > floor
+                hits = pool.step2(index)
+                assert [t.via for t in pool.last_timings] == via
+                assert pool.last_health.small_workload_fallbacks == fallbacks
+                assert pool.last_health.healthy
+                ref = ShardedStep2Executor(config.ungapped_config()).run(index)
+                assert np.array_equal(hits.offsets0, ref.offsets0)
+                assert np.array_equal(hits.offsets1, ref.offsets1)
+                assert np.array_equal(hits.scores, ref.scores)
+                assert hits.scores.dtype == ref.scores.dtype
+                assert hits.stats == ref.stats
+        finally:
+            pool.close()
+        assert live_segment_names() == ()
+
+    def test_serve_cli_default_is_the_warm_floor(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        serve = parser.parse_args(["serve", "bank.fasta"])
+        assert serve.min_pairs_per_shard == WARM_MIN_PAIRS_PER_SHARD
+        compare = parser.parse_args(["compare", "q.fasta", "g.fasta"])
+        assert compare.min_pairs_per_shard == 1 << 18
+        assert ServiceConfig().min_pairs_per_shard == WARM_MIN_PAIRS_PER_SHARD

@@ -51,6 +51,9 @@ def serve_workload():
 def make_service(serve_workload, fault_plan=None, **service_kw):
     queries, resident = serve_workload
     service_kw.setdefault("workers", 2)
+    # These banks sit far below the warm pair floor; a floor of 0 keeps
+    # every shardable request on the pool, which is what these tests test.
+    service_kw.setdefault("min_pairs_per_shard", 0)
     svc = SearchService(
         PipelineConfig(workers=2),
         resident,
