@@ -4,7 +4,7 @@ These rules guard the property PR 1–3 built the executor around — a
 bit-identical step-2 merge across any worker count, retry, and fallback —
 at the places where Python silently loses it.  Unlike RC001–RC005 they are
 *cross-module*: each runs over :class:`~repro.analysis.flows.ProjectAnalyses`
-(call graph + taint/release fixpoints) rather than one file.
+(call graph + taint fixpoint) rather than one file.
 
 =========  =============================================================
 RC100      A hash-order- or environment-dependent value (``set``
@@ -19,10 +19,6 @@ RC101      Module-level mutable state (or an open handle) lives in a
            parent and workers.  A name that a pool initializer (a
            function passed as ``initializer=``) resets with
            ``NAME.clear()`` is process-local and not flagged.
-RC102      Every ``SharedMemory(create=True)`` must be released —
-           ``close()`` **and** ``unlink()`` — on all paths, i.e. in a
-           ``finally`` block, possibly through a helper whose release
-           behaviour the call graph proves.
 RC103      Floating-point accumulation over an unordered iteration
            (``sum`` over ``set``/dict-values) — float addition is not
            associative, so the reduction value depends on hash order.
@@ -30,6 +26,10 @@ RC104      ``time.sleep`` inside a retry loop outside
            ``core/supervisor.py`` — ad-hoc backoff bypasses the
            supervisor's pair-count-derived deadlines and backoff policy.
 =========  =============================================================
+
+The one shared-memory segment (``StagedBank``) is not a rule's target:
+``test_executor.py::TestSegmentsUnlinked`` checks that the segment is
+gone from the system after each of its release paths.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .flows import FunctionFlow, ProjectAnalyses
-from .graph import CallSite, FunctionInfo, ModuleInfo, ProjectGraph, dotted_name
+from .graph import FunctionInfo, ModuleInfo, ProjectGraph, dotted_name
 from .rules import ProjectRule, Violation, register
 
 __all__ = [
     "MERGE_SCOPE",
     "NondetReachesMergeRule",
     "ForkUnsafeModuleStateRule",
-    "ShmLifecycleRule",
     "UnorderedFloatReductionRule",
     "RawRetryLoopRule",
 ]
@@ -305,131 +304,6 @@ def _is_open_handle(node: ast.expr) -> bool:
         isinstance(node, ast.Call)
         and dotted_name(node.func) in ("open", "io.open", "gzip.open")
     )
-
-
-@register
-class ShmLifecycleRule(ProjectRule):
-    """RC102 — shared-memory segments are released on every path."""
-
-    code = "RC102"
-    summary = (
-        "SharedMemory(create=True) without close()+unlink() coverage in a "
-        "finally block (directly, or via a helper the call graph proves "
-        "releases its argument/elements); a leaked segment survives the "
-        "process and fills /dev/shm"
-    )
-
-    def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
-        graph = project.graph
-        for info in graph.functions.values():
-            yield from self._check_function(project, info)
-
-    def _check_function(
-        self, project: ProjectAnalyses, info: FunctionInfo
-    ) -> Iterator[Violation]:
-        creations = list(_shm_creations(info))
-        if not creations:
-            return
-        graph = project.graph
-        sites = {id(s.node): s for s in info.calls}
-        appended_to = _append_map(info.node)
-        released = _released_names(info.node, sites, project)
-        for var, node in creations:
-            covered = released.get(var, frozenset())
-            for container in appended_to.get(var, ()):
-                covered = covered | released.get(container, frozenset())
-            missing = sorted({"close", "unlink"} - covered)
-            if missing:
-                pretty = " and ".join(f"{m}()" for m in missing)
-                yield self.violation_at(
-                    _module_path(graph, info.module),
-                    node,
-                    f"SharedMemory segment `{var}` created in {info.name}() "
-                    f"is missing {pretty} on the exception path; release it "
-                    "in a finally block",
-                )
-
-
-def _shm_creations(info: FunctionInfo) -> Iterator[tuple[str, ast.AST]]:
-    """(variable, creation node) for every ``SharedMemory(create=True)``."""
-    for node in ast.walk(info.node):
-        if not isinstance(node, ast.Assign):
-            continue
-        call = node.value
-        if not isinstance(call, ast.Call):
-            continue
-        name = dotted_name(call.func)
-        if name is None or name.rpartition(".")[2] != "SharedMemory":
-            continue
-        create = any(
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in call.keywords
-        )
-        if not create:
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                yield target.id, node
-
-
-def _append_map(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, set[str]]:
-    """Variable → containers it is ``append``-ed to inside the function."""
-    out: dict[str, set[str]] = {}
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and isinstance(node.func.value, ast.Name)
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Name)
-        ):
-            out.setdefault(node.args[0].id, set()).add(node.func.value.id)
-    return out
-
-
-def _released_names(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    sites: dict[int, CallSite],
-    project: ProjectAnalyses,
-) -> dict[str, frozenset[str]]:
-    """Name → cleanup methods applied to it inside any ``finally`` block.
-
-    Direct ``name.close()``/``name.unlink()`` calls count, as do calls
-    ``helper(name)`` whose callee the release fixpoint proves closes and/or
-    unlinks that parameter (or its elements) — so ``finally:
-    _release_segment(shm)``, or a helper looping over a segment list, is
-    accepted.
-    """
-    out: dict[str, frozenset[str]] = {}
-
-    def note(name: str, methods: frozenset[str]) -> None:
-        out[name] = out.get(name, frozenset()) | methods
-
-    for try_node in (n for n in ast.walk(fn) if isinstance(n, ast.Try)):
-        for stmt in try_node.finalbody:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("close", "unlink")
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    note(node.func.value.id, frozenset({node.func.attr}))
-                    continue
-                site = sites.get(id(node))
-                if site is None or site.callee is None:
-                    continue
-                releases = project.release.releases(site.callee)
-                for pos, arg in enumerate(node.args):
-                    if isinstance(arg, ast.Name):
-                        methods = releases.get(pos, frozenset())
-                        if methods:
-                            note(arg.id, methods)
-    return out
 
 
 @register

@@ -1,6 +1,7 @@
 """Flow-sensitive hazard framework over :class:`~repro.analysis.graph.ProjectGraph`.
 
-Two families of fixpoint summaries feed the RC1xx rules:
+One fixpoint summary feeds the RC1xx rules, and
+:class:`ProjectAnalyses` bundles it with the RC2xx and RC3xx substrates.
 
 **Order/nondeterminism taints** (:class:`FlowAnalysis`).  A value is tainted
 ``unordered`` when its iteration order is hash- or environment-dependent
@@ -15,24 +16,16 @@ result, transitively.  Order-insensitive reducers (``sorted``, ``len``,
 ``min``, ``max``, ``sum``, ``any``, ``all``, ``np.sort``, ``np.unique``)
 neutralise the taint.
 
-**Resource-release summaries** (:class:`ReleaseAnalysis`).  For RC102 the
-question "does this ``finally`` block release the segment?" must look
-through helpers: a ``_release_segments(segments)`` releases because it
-loops over its parameter calling ``_release_segment``, which calls
-``.close()`` and ``.unlink()``.  :meth:`ReleaseAnalysis.releases` answers, per function
-and parameter position, which of ``close``/``unlink`` are (transitively)
-applied to that argument or its elements.
-
-Both analyses are conservative in the linting direction that minimises
-false positives: an unresolved call contributes *no* taint and *no*
-release — rules only act on evidence the resolver actually pinned down.
+The analysis is conservative in the linting direction that minimises
+false positives: an unresolved call contributes *no* taint — rules only
+act on evidence the resolver actually pinned down.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .graph import CallSite, FunctionInfo, ProjectGraph, dotted_name
@@ -46,7 +39,6 @@ __all__ = [
     "IterationHazard",
     "FunctionFlow",
     "FlowAnalysis",
-    "ReleaseAnalysis",
     "ProjectAnalyses",
     "NONDET_CALLS",
 ]
@@ -315,105 +307,6 @@ def _append_targets(body: list[ast.stmt]) -> Iterator[str]:
                 yield node.func.value.id
 
 
-@dataclass
-class _ReleaseFacts:
-    """Which cleanup methods reach each parameter position of a function."""
-
-    per_param: dict[int, frozenset[str]] = field(default_factory=dict)
-
-    def add(self, index: int, methods: frozenset[str]) -> bool:
-        old = self.per_param.get(index, frozenset())
-        new = old | methods
-        if new != old:
-            self.per_param[index] = new
-            return True
-        return False
-
-
-class ReleaseAnalysis:
-    """Transitive ``close``/``unlink`` coverage of function parameters.
-
-    ``releases(qualname)[i]`` is the subset of ``{"close", "unlink"}``
-    applied — directly, elementwise via a loop, or through a project call —
-    to parameter *i* of the function.  Used by RC102 to accept cleanup
-    helpers like ``_release_segment``.
-    """
-
-    _METHODS: frozenset[str] = frozenset({"close", "unlink"})
-
-    def __init__(self, graph: ProjectGraph) -> None:
-        self.graph = graph
-        self._facts: dict[str, _ReleaseFacts] = {
-            q: _ReleaseFacts() for q in graph.functions
-        }
-        self._solve()
-
-    def releases(self, qualname: str) -> dict[int, frozenset[str]]:
-        """Cleanup methods reaching each parameter of *qualname*."""
-        facts = self._facts.get(qualname)
-        return dict(facts.per_param) if facts is not None else {}
-
-    # ------------------------------------------------------------------
-    def _solve(self) -> None:
-        for _ in range(len(self.graph.functions) + 1):
-            changed = False
-            for qual, info in self.graph.functions.items():
-                if self._update(qual, info):
-                    changed = True
-            if not changed:
-                return
-
-    def _update(self, qual: str, info: FunctionInfo) -> bool:
-        params = {name: i for i, name in enumerate(info.param_names())}
-        # Loop variables ranging over a parameter count as that parameter's
-        # elements; releasing every element releases the container.
-        element_of: dict[str, int] = {}
-        for node in ast.walk(info.node):
-            if (
-                isinstance(node, (ast.For, ast.AsyncFor))
-                and isinstance(node.iter, ast.Name)
-                and node.iter.id in params
-                and isinstance(node.target, ast.Name)
-            ):
-                element_of[node.target.id] = params[node.iter.id]
-        changed = False
-        facts = self._facts[qual]
-
-        def param_index(name: str) -> int | None:
-            if name in params:
-                return params[name]
-            return element_of.get(name)
-
-        for site in info.calls:
-            node = site.node
-            # Direct ``p.close()`` / ``p.unlink()``.
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._METHODS
-                and isinstance(node.func.value, ast.Name)
-            ):
-                index = param_index(node.func.value.id)
-                if index is not None and facts.add(
-                    index, frozenset({node.func.attr})
-                ):
-                    changed = True
-            # Transitive: ``helper(p)`` where helper releases its argument.
-            if site.callee is not None:
-                callee_facts = self._facts.get(site.callee)
-                if callee_facts is None:
-                    continue
-                for pos, arg in enumerate(node.args):
-                    if not isinstance(arg, ast.Name):
-                        continue
-                    index = param_index(arg.id)
-                    if index is None:
-                        continue
-                    methods = callee_facts.per_param.get(pos, frozenset())
-                    if methods and facts.add(index, methods):
-                        changed = True
-        return changed
-
-
 #: Callback signature rules use to visit hazards without re-walking.
 HazardVisitor = Callable[[FunctionInfo, IterationHazard], None]
 
@@ -421,15 +314,14 @@ HazardVisitor = Callable[[FunctionInfo, IterationHazard], None]
 class ProjectAnalyses:
     """The bundle handed to project rules: graph plus lazy fixpoints.
 
-    Several RC1xx rules share the taint and release analyses; computing
-    each at most once per check run keeps ``repro-check`` fast on large
-    trees.  Rules that only need reachability touch neither.
+    Several rules share each analysis; computing each at most once per
+    check run keeps ``repro-check`` fast on large trees.  Rules that only
+    need reachability touch none of them.
     """
 
     def __init__(self, graph: ProjectGraph) -> None:
         self.graph = graph
         self._flow: FlowAnalysis | None = None
-        self._release: ReleaseAnalysis | None = None
         self._dtypes: DtypeAnalysis | None = None
         self._locks: LockAnalysis | None = None
 
@@ -439,13 +331,6 @@ class ProjectAnalyses:
         if self._flow is None:
             self._flow = FlowAnalysis(self.graph)
         return self._flow
-
-    @property
-    def release(self) -> ReleaseAnalysis:
-        """The (cached) close/unlink release fixpoint."""
-        if self._release is None:
-            self._release = ReleaseAnalysis(self.graph)
-        return self._release
 
     @property
     def dtypes(self) -> DtypeAnalysis:

@@ -1,6 +1,6 @@
 """Whole-package thread and lock model (the RC300-series substrate).
 
-The RC1xx rules reason about *processes* (fork, shared memory); the serve
+The RC1xx rules reason about *processes* (fork-inherited state); the serve
 layer added *threads*: a dispatcher, HTTP handler threads, a drain thread
 kicked from a signal handler, pool-worker initializers.  The RC300-series
 rules need three facts the call graph alone does not carry:
@@ -78,17 +78,6 @@ SYNC_CONSTRUCTORS: frozenset[str] = frozenset(
 #: The subset that the lock model tracks as *locks* (held/released).
 LOCK_CONSTRUCTORS: frozenset[str] = frozenset(
     {"threading.Lock", "threading.RLock", "threading.Condition"}
-)
-
-#: Process-pool fork points (RC304's sinks).
-FORK_CONSTRUCTORS: frozenset[str] = frozenset(
-    {
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "multiprocessing.Pool",
-        "multiprocessing.pool.Pool",
-        "multiprocessing.Process",
-    }
 )
 
 #: Methods whose accesses run before the object is published — init-time
@@ -173,7 +162,7 @@ class ThreadRoot:
 
 @dataclass(frozen=True)
 class SignalHandlerInfo:
-    """One function registered via ``signal.signal`` (RC302's subjects)."""
+    """One function registered via ``signal.signal`` (a signal thread root)."""
 
     label: str
     #: Function the registration happens in (carries the resolved calls).
@@ -202,7 +191,6 @@ class CallEvent:
     func: str
     node: ast.AST
     callee: str | None
-    raw: str | None
     held: frozenset[str]
     #: Whether the method receiver chain is rooted in a thread-shared
     #: class (``self.pool.last_health.merge()`` from SearchService: True;
@@ -686,8 +674,6 @@ class LockModel:
         self.entry: dict[str, frozenset[str]] = {}
         #: Lock-order edges ``(outer, inner)`` → a witness node + file.
         self.order_edges: dict[tuple[str, str], tuple[str, ast.AST]] = {}
-        #: Functions from which a process-pool fork point is reachable.
-        self.fork_reaching: set[str] = set()
         self._discover_locks()
         for info in graph.functions.values():
             self.summaries[info.qualname] = self._walk_function(info)
@@ -696,7 +682,6 @@ class LockModel:
             for qual, s in self.summaries.items()
         }
         self._compute_entry()
-        self._compute_fork_reaching()
         self._compute_order_edges()
         self._runs_on = self._compute_runs_on()
 
@@ -876,7 +861,6 @@ class LockModel:
             if isinstance(node, ast.Call):
                 site = self._site_of.get(id(node))
                 callee = site.callee if site is not None else None
-                raw = site.raw if site is not None else dotted_name(node.func)
                 shared: bool | None = None
                 if isinstance(node.func, ast.Attribute):
                     if callee is None:
@@ -894,7 +878,6 @@ class LockModel:
                         func=info.qualname,
                         node=node,
                         callee=callee,
-                        raw=raw,
                         held=held,
                         receiver_shared=shared,
                     )
@@ -922,7 +905,6 @@ class LockModel:
                                 func=info.qualname,
                                 node=node,
                                 callee=getter,
-                                raw=None,
                                 held=held,
                                 receiver_shared=self.threads.receiver_shared(
                                     info, node.value
@@ -1044,27 +1026,6 @@ class LockModel:
             qual: (locks if locks is not None else frozenset())
             for qual, locks in top.items()
         }
-
-    def _compute_fork_reaching(self) -> None:
-        direct = {
-            event.func
-            for summary in self.summaries.values()
-            for event in summary.calls
-            if event.raw in FORK_CONSTRUCTORS
-        }
-        reverse: dict[str, set[str]] = {}
-        for qual, callees in self._edges.items():
-            for callee in callees:
-                reverse.setdefault(callee, set()).add(qual)
-        seen = set(direct)
-        queue = deque(direct)
-        while queue:
-            qual = queue.popleft()
-            for caller in reverse.get(qual, ()):
-                if caller not in seen:
-                    seen.add(caller)
-                    queue.append(caller)
-        self.fork_reaching = seen
 
     def _compute_order_edges(self) -> None:
         # Locks each function may acquire, transitively.

@@ -1,4 +1,4 @@
-"""RC300-series rules: thread/lock/signal discipline over the serve stack.
+"""RC300-series rules: thread and lock discipline over the serve stack.
 
 ==========  ==============================================================
 RC300       A thread-shared mutable field (instance attribute of a
@@ -12,12 +12,6 @@ RC300       A thread-shared mutable field (instance attribute of a
 RC301       The lock-order graph (lock A held while acquiring lock B,
             locally or through a callee) contains a cycle — two threads
             taking the locks in opposite orders can deadlock.
-RC302       A ``signal.signal`` handler does more than set a flag and
-            kick a thread: attribute/global mutation, lock acquisition,
-            or any call outside a small async-signal-safe allowlist.
-            This encodes the invariant ``serve/server.py`` documents by
-            hand ("the signal handler only sets a flag and kicks the
-            shutdown thread").
 RC303       An ``Event.wait``/``Condition.wait`` result is discarded with
             no predicate re-check loop — a lost or spurious wakeup then
             silently corrupts the protocol.  ``Condition.wait`` must sit
@@ -26,15 +20,14 @@ RC303       An ``Event.wait``/``Condition.wait`` result is discarded with
             ``set()`` anywhere (the sanctioned interruptible-sleep
             idiom), but a fresh ``threading.Event().wait(t)`` per sleep
             is always wrong.
-RC304       A process pool is forked while a lock is held (directly, or
-            through a callee that reaches a fork point) — the child
-            inherits the lock in a possibly-locked state and deadlocks
-            on first acquire.  Extends RC101's fork discipline from
-            module globals to instance state.
 ==========  ==============================================================
 
-All five consume :mod:`repro.analysis.locks` — the thread-root model and
+All three consume :mod:`repro.analysis.locks` — the thread-root model and
 the interprocedural lockset fixpoint — via ``ProjectAnalyses.locks``.
+Signal handlers are thread roots there, so RC300 sees what they touch.
+The serve stack's one signal handler and its one fork point are pinned
+by direct tests (``test_serve_http.py::TestSignalDrain``,
+``test_serve_service.py::TestForkOutsideLock``).
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .graph import FunctionInfo, ProjectGraph, dotted_name
-from .locks import FORK_CONSTRUCTORS, LockAnalysis, find_lock_cycle
+from .locks import LockAnalysis, find_lock_cycle
 from .rules import ProjectRule, Violation, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,45 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "InconsistentLocksetRule",
     "LockOrderCycleRule",
-    "SignalHandlerPurityRule",
     "UncheckedWaitRule",
-    "ForkWhileLockedRule",
 ]
-
-#: Method leaves a signal handler may call: event flag-set, thread kick,
-#: logging (CPython's logging is re-entrant enough for a one-line notice,
-#: and the serve drain handler depends on it), and cheap predicates.
-_SIGNAL_SAFE_LEAVES: frozenset[str] = frozenset(
-    {
-        "set",
-        "is_set",
-        "start",
-        "debug",
-        "info",
-        "warning",
-        "error",
-        "exception",
-        "critical",
-        "log",
-    }
-)
-
-#: Full dotted calls a signal handler may make.
-_SIGNAL_SAFE_CALLS: frozenset[str] = frozenset(
-    {
-        "threading.Thread",
-        "os.kill",
-        "os.write",
-        "os.getpid",
-        "os._exit",
-        "callable",
-        "isinstance",
-        "len",
-        "str",
-        "int",
-        "getattr",
-    }
-)
 
 
 def _module_path(graph: ProjectGraph, module: str) -> Path:
@@ -225,101 +181,6 @@ class LockOrderCycleRule(ProjectRule):
             + "; acquire locks in one fixed global order to rule out "
             "deadlock",
         )
-
-
-@register
-class SignalHandlerPurityRule(ProjectRule):
-    """RC302 — signal handlers only set a flag and kick a thread."""
-
-    code = "RC302"
-    summary = (
-        "a signal handler does more than flag-set + thread-kick "
-        "(mutates attributes/globals, acquires a lock, or calls outside "
-        "the async-signal-safe allowlist); run real work on a thread the "
-        "handler starts, never in signal context"
-    )
-
-    def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
-        analysis: LockAnalysis = project.locks
-        threads, model = analysis.threads, analysis.model
-        graph = model.graph
-        for handler in threads.signal_handlers:
-            owner = handler.owner
-            if handler.qualname is not None:
-                owner = graph.functions[handler.qualname]
-            path = _module_path(graph, handler.owner.module)
-            site_of = {id(s.node): s for s in owner.calls}
-            yield from self._check_handler(handler.node, path, site_of, owner)
-
-    def _check_handler(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        path: Path,
-        site_of: dict[int, object],
-        owner: FunctionInfo,
-    ) -> Iterator[Violation]:
-        name = node.name
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        yield self.violation_at(
-                            path,
-                            sub,
-                            f"signal handler {name}() mutates shared state; "
-                            "set a threading.Event and do the work on a "
-                            "thread instead",
-                        )
-            elif isinstance(sub, (ast.With, ast.AsyncWith)):
-                yield self.violation_at(
-                    path,
-                    sub,
-                    f"signal handler {name}() enters a context manager "
-                    "(lock acquisition is not async-signal-safe)",
-                )
-            elif isinstance(sub, ast.Call):
-                raw = dotted_name(sub.func)
-                site = site_of.get(id(sub))
-                expanded = getattr(site, "raw", None) or raw
-                leaf = (
-                    sub.func.attr
-                    if isinstance(sub.func, ast.Attribute)
-                    else (expanded or "").rpartition(".")[2]
-                )
-                if leaf == "acquire":
-                    yield self.violation_at(
-                        path,
-                        sub,
-                        f"signal handler {name}() acquires a lock; a "
-                        "handler interrupting the lock's holder deadlocks",
-                    )
-                    continue
-                if leaf in _SIGNAL_SAFE_LEAVES:
-                    # Allowlisted by method name even when the receiver is
-                    # dynamic (``Thread(...).start()`` — the thread kick).
-                    continue
-                if expanded is None:
-                    yield self.violation_at(
-                        path,
-                        sub,
-                        f"signal handler {name}() makes a dynamic call; "
-                        "only flag-set + thread-kick are async-signal-safe",
-                    )
-                    continue
-                if expanded in _SIGNAL_SAFE_CALLS or expanded.startswith(
-                    "signal."
-                ):
-                    continue
-                yield self.violation_at(
-                    path,
-                    sub,
-                    f"signal handler {name}() calls {expanded}() which is "
-                    "not in the async-signal-safe allowlist; set a flag "
-                    "and run it on a thread",
-                )
 
 
 @register
@@ -481,52 +342,3 @@ class UncheckedWaitRule(ProjectRule):
             parent = parents.get(id(cur))
         return not isinstance(parent, ast.Expr)
 
-
-@register
-class ForkWhileLockedRule(ProjectRule):
-    """RC304 — never fork a process pool while holding a lock."""
-
-    code = "RC304"
-    summary = (
-        "a process pool is created while a lock is held (directly or "
-        "through a callee reaching a fork point); the forked child "
-        "inherits the lock possibly-locked and deadlocks on first "
-        "acquire — release locks before forking"
-    )
-
-    def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
-        analysis: LockAnalysis = project.locks
-        model = analysis.model
-        graph = model.graph
-        for qual in sorted(model.summaries):
-            summary = model.summaries[qual]
-            entry = model.entry.get(qual, frozenset())
-            info = graph.functions[qual]
-            path = _module_path(graph, info.module)
-            for event in summary.calls:
-                held = entry | event.held
-                if not held:
-                    continue
-                locks = ", ".join(sorted(held))
-                if event.raw in FORK_CONSTRUCTORS:
-                    yield self.violation_at(
-                        path,
-                        event.node,
-                        f"{info.name}() creates a process pool while "
-                        f"holding [{locks}]; the forked child inherits the "
-                        "lock possibly-locked — build the pool outside the "
-                        "lock and publish it under the lock",
-                    )
-                elif (
-                    event.callee is not None
-                    and event.callee != qual
-                    and event.callee in model.fork_reaching
-                ):
-                    leaf = event.callee.rpartition(".")[2]
-                    yield self.violation_at(
-                        path,
-                        event.node,
-                        f"{info.name}() calls {leaf}() while holding "
-                        f"[{locks}], and {leaf}() can reach a process-pool "
-                        "fork point; release the lock before forking",
-                    )

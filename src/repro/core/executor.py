@@ -90,7 +90,6 @@ __all__ = [
     "Step2Engine",
     "live_segment_names",
     "release_all_segments",
-    "install_signal_cleanup",
 ]
 
 _log = logging.getLogger(__name__)
@@ -101,10 +100,9 @@ _WORKER: dict[str, Any] = {}
 #: Shared-memory segments this process *created* and has not yet released,
 #: keyed by segment name and stamped with the creating pid.  The per-run
 #: ``try/finally`` remains the primary cleanup; this registry is the
-#: backstop for long-lived processes (the serving layer) that die between
-#: runs — its :func:`release_all_segments` hook runs at interpreter exit
-#: and, when installed, on SIGTERM, so a killed server never leaks
-#: ``/dev/shm``.  The pid stamp keeps forked pool workers (which inherit a
+#: backstop for long-lived processes (the serving layer) that exit without
+#: reaching their release — its :func:`release_all_segments` hook runs at
+#: interpreter exit.  The pid stamp keeps forked pool workers (which inherit a
 #: copy-on-write view of this dict and run their own atexit handlers) from
 #: unlinking segments the parent still owns.
 _LIVE_SEGMENTS: dict[str, tuple[int, SharedMemory]] = {}
@@ -533,8 +531,7 @@ def live_segment_names() -> tuple[str, ...]:
 def release_all_segments() -> None:
     """Release every tracked segment owned by this process.
 
-    Registered with :mod:`atexit` at import and chained onto SIGTERM by
-    :func:`install_signal_cleanup`.  Idempotent — the per-run
+    Registered with :mod:`atexit` at import.  Idempotent — the per-run
     ``try/finally`` in :meth:`ShardedStep2Executor._run_pool` untracks
     the segment as it releases it, so on a clean run this finds nothing.
     Never raises: it runs on the way down, where a cleanup error must not
@@ -551,40 +548,6 @@ def release_all_segments() -> None:
             _log.warning(
                 "exit-time shared-memory cleanup failed for %s: %r", name, exc
             )
-
-
-def install_signal_cleanup(
-    signums: tuple[int, ...] = (signal.SIGTERM,),
-) -> None:
-    """Chain shared-memory cleanup onto termination signals.
-
-    For each signal the previous disposition is preserved: a callable
-    handler runs after the cleanup; ``SIG_DFL``/``SIG_IGN`` are restored
-    and the signal re-raised so the process still dies with the correct
-    wait status.  Long-lived hosts (``repro-serve``) call this once at
-    startup; one-shot CLI runs rely on the per-run ``finally`` plus the
-    atexit hook instead.
-    """
-    for signum in signums:
-        previous = signal.getsignal(signum)
-
-        def _handler(
-            num: int, frame: Any, _previous: Any = previous
-        ) -> None:
-            # RC302 wants handlers that only set a flag; this one really
-            # does work, deliberately: SIGTERM is the *last* chance to
-            # unlink shared-memory segments, and every call below is
-            # reentrancy-tolerant (dict.pop + close/unlink, both
-            # idempotent).  Chaining the previous handler is likewise the
-            # documented contract of install_signal_cleanup.
-            release_all_segments()  # noqa: RC302
-            if callable(_previous):
-                _previous(num, frame)  # noqa: RC302
-            else:
-                signal.signal(num, signal.SIG_DFL)
-                os.kill(os.getpid(), num)
-
-        signal.signal(signum, _handler)
 
 
 atexit.register(release_all_segments)

@@ -160,9 +160,11 @@ class WarmPool:
         bare executor is not actually warm — a no-op probe forces the
         spawn (and the initializer's segment mapping) to happen at boot.
 
-        The pool is *built* (a fork point) outside :attr:`_pool_lock` and
-        only *published* under it — forking with the lock held is exactly
-        what RC304 forbids.
+        That probe ``submit`` is the fork point, so it runs outside
+        :attr:`_pool_lock` and the pool is only *published* under it: a
+        child forked while the lock is held inherits it locked.
+        ``test_serve_service.py::TestForkOutsideLock`` records the lock's
+        state at every worker start.
         """
         with self._pool_lock:
             if self._closed or self.workers <= 1 or self._pool is not None:

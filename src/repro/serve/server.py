@@ -316,12 +316,13 @@ def serve_forever(
 
     The signal handler only sets a flag and kicks the shutdown thread —
     all real work (drain, pool stop, shm release) happens outside signal
-    context.  Deliberately *not* chained through
-    :func:`repro.core.executor.install_signal_cleanup`: that hook
-    releases segments immediately, which would yank the staged bank out
-    from under in-flight requests; here the drain releases them in order,
+    context: ``shutdown()`` waits for this loop, which the handler
+    interrupts, so draining inside the handler would hang.  Nothing
+    releases segments at signal time, which would yank the staged bank
+    out from under in-flight requests; the drain releases them in order,
     and the executor's atexit registration backstops any path where the
-    drain never completes.
+    drain never completes.  ``test_serve_http.py::TestSignalDrain`` pins
+    this on a real ``serve`` process.
     """
     stop = threading.Event()
 

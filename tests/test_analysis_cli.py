@@ -50,7 +50,7 @@ class TestExitCodes:
     def test_list_rules_includes_rc1xx(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RC001", "RC100", "RC101", "RC102", "RC103", "RC104"):
+        for code in ("RC001", "RC100", "RC101", "RC103", "RC104"):
             assert code in out
 
 

@@ -205,42 +205,3 @@ class TestTaintFlows:
         hazards = pa.flow.function_flow(info).hazards
         assert len(hazards) == 1
         assert any(t.kind == "nondet" for t in hazards[0].taints)
-
-
-class TestReleaseAnalysis:
-    def test_direct_release_facts(self, tmp_path):
-        pa = ProjectAnalyses(
-            build_graph(
-                tmp_path,
-                {
-                    "repro/core/a.py": (
-                        "def release(shm) -> None:\n"
-                        "    try:\n"
-                        "        shm.close()\n"
-                        "    finally:\n"
-                        "        shm.unlink()\n"
-                    )
-                },
-            )
-        )
-        rel = pa.release.releases("repro.core.a.release")
-        assert rel.get(0) == frozenset({"close", "unlink"})
-
-    def test_elementwise_and_transitive_release(self, tmp_path):
-        pa = ProjectAnalyses(
-            build_graph(
-                tmp_path,
-                {
-                    "repro/core/a.py": (
-                        "def release_one(shm) -> None:\n"
-                        "    shm.close()\n"
-                        "    shm.unlink()\n\n"
-                        "def release_all(segments) -> None:\n"
-                        "    for shm in segments:\n"
-                        "        release_one(shm)\n"
-                    )
-                },
-            )
-        )
-        rel = pa.release.releases("repro.core.a.release_all")
-        assert rel.get(0) == frozenset({"close", "unlink"})

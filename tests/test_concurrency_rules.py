@@ -11,7 +11,7 @@ from repro.analysis.graph import ProjectGraph
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-RC1XX = ["RC100", "RC101", "RC102", "RC103", "RC104", "RC105", "RC107", "RC110"]
+RC1XX = ["RC100", "RC101", "RC103", "RC104", "RC105", "RC107", "RC110"]
 
 
 def codes_for(tree):

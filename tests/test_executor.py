@@ -1,10 +1,13 @@
 """Sharded step-2 executor tests: determinism, profile plumbing, CLI."""
 
+from multiprocessing.shared_memory import SharedMemory
+
 import numpy as np
 import pytest
 
+from repro.core import executor
 from repro.core.config import PipelineConfig
-from repro.core.executor import ShardedStep2Executor
+from repro.core.executor import ShardedStep2Executor, StagedBank
 from repro.core.faults import FaultKind, FaultPlan, FaultSpec
 from repro.core.partition import split_entries_contiguous
 from repro.core.pipeline import SeedComparisonPipeline
@@ -451,6 +454,54 @@ class TestOneEngine:
         assert self.rows(pool.last_timings) == self.rows(ex.last_timings)
         assert len(ex.last_timings) == 2
         assert ex.last_health.healthy == (plan is None)
+
+
+def assert_unlinked(name):
+    """Segment *name* is gone from the system, not only from the registry."""
+    try:
+        shm = SharedMemory(name=name)
+    except FileNotFoundError:
+        return
+    shm.close()
+    shm.unlink()
+    pytest.fail(f"shared-memory segment {name} outlived its release")
+
+
+class TestSegmentsUnlinked:
+    """Each release path of the one staged segment unlinks it.
+    ``live_segment_names()`` only reads this process's registry, so the
+    tests reopen each segment by name."""
+
+    @pytest.fixture
+    def staged(self, monkeypatch):
+        names = []
+        track = executor._track_segment
+
+        def spy(shm):
+            names.append(shm.name)
+            track(shm)
+
+        monkeypatch.setattr(executor, "_track_segment", spy)
+        return names
+
+    def test_staged_bank_release(self, workload, staged):
+        StagedBank(workload[1].buffer).release()
+        [name] = staged
+        assert_unlinked(name)
+
+    def test_sharded_run(self, workload, staged):
+        ShardedStep2Executor(CFG, workers=2, **POOL).run(workload[2])
+        [name] = staged
+        assert_unlinked(name)
+
+    def test_warm_pool_close(self, workload, staged):
+        from repro.serve.pool import WarmPool
+
+        pool = WarmPool(PipelineConfig(workers=2), workload[1], workers=2)
+        pool.warm_up()
+        pool.close()
+        [name] = staged
+        assert_unlinked(name)
 
 
 class TestPipelineIntegration:

@@ -1,10 +1,13 @@
 """repro-check linter tests: each RC rule, noqa, select, and CLI exit codes."""
 
+import io
+import pathlib
 import re
+import tokenize
 
 import pytest
 
-from repro.analysis.checker import check_paths
+from repro.analysis.checker import check_paths, collect_files
 from repro.analysis.cli import main
 from repro.analysis.rules import (
     ANNOTATION_SCOPES,
@@ -250,8 +253,46 @@ class TestCli:
     def test_repo_source_tree_is_clean(self):
         # The gate the CI job runs; the repo must dogfood its own linter,
         # with no suppression file.
-        import pathlib
-
         repo = pathlib.Path(__file__).resolve().parents[1]
         trees = [str(repo / d) for d in ("src", "tests", "benchmarks")]
         assert main(["-q", *trees]) == 0
+
+
+#: An RC suppression: inline ``# noqa: RC…`` or file-level ``# repro-check:
+#: noqa``.  The lookbehind skips the examples checker.py's own comments
+#: quote in backticks.
+_SUPPRESSION = re.compile(
+    r"(?<!`)#\s*(?:noqa:\s*RC\d{3}|repro-check:\s*noqa)", re.IGNORECASE
+)
+
+
+def suppressions(source):
+    """Line numbers of comments that suppress an RC rule (docstrings skipped)."""
+    return [
+        tok.start[0]
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT and _SUPPRESSION.search(tok.string)
+    ]
+
+
+class TestNoSuppression:
+    def test_scanner_finds_inline_and_file_level_suppressions(self):
+        source = (
+            '"""# noqa: RC001 in a docstring is not a comment."""\n'
+            "#: ``# noqa: RC001`` quoted in a doc comment\n"
+            "x = 1  # noqa: RC300\n"
+            "# repro-check: noqa: RC101\n"
+            "y = 2  # noqa: F401\n"
+        )
+        assert suppressions(source) == [3, 4]
+
+    def test_src_carries_no_rc_suppression(self):
+        # Every rule is clean on src/ on its own terms: a finding is fixed
+        # or its rule is wrong, never silenced.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        found = {
+            str(path.relative_to(src)): lines
+            for path in collect_files([src])
+            if (lines := suppressions(path.read_text(encoding="utf-8")))
+        }
+        assert found == {}

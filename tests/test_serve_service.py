@@ -10,6 +10,7 @@ faults were injected around it.
 
 import threading
 import time
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
@@ -471,6 +472,44 @@ class TestDrain:
         finally:
             release.set()
             svc.drain(timeout=5)
+
+
+class TestForkOutsideLock:
+    """No pool worker is forked while ``WarmPool._pool_lock`` is held: the
+    child would inherit the lock locked and deadlock on its first
+    acquire.  Under the ``fork`` context ``ProcessPoolExecutor`` forks at
+    its first ``submit``, not at construction, so the spy sits on the
+    process start itself."""
+
+    def test_workers_start_with_the_pool_lock_free(
+        self, serve_workload, monkeypatch
+    ):
+        queries, resident = serve_workload
+        config = PipelineConfig(workers=2)
+        pool = WarmPool(config, resident, workers=2, min_pairs_per_shard=0)
+        index = TwoBankIndex(
+            BankIndex(queries, config.seed_model), pool.resident_index
+        )
+        held = []
+        start = BaseProcess.start
+
+        def spy(proc):
+            held.append(pool._pool_lock.locked())
+            start(proc)
+
+        monkeypatch.setattr(BaseProcess, "start", spy)
+        try:
+            pool.warm_up()
+            assert held == [False, False]
+            pool.step2(index)
+            assert [t.via for t in pool.last_timings] == ["pool", "pool"]
+            pool.kill_workers()
+            pool.step2(index)
+            assert pool.last_health.pool_rebuilds >= 1
+        finally:
+            pool.close()
+        assert len(held) >= 4
+        assert not any(held)
 
 
 class TestMetricsSurface:

