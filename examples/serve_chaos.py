@@ -9,8 +9,11 @@ client, and asserts the full resilience story from the *outside*:
    the CRC check self-heals the staged bank),
 2. the circuit breaker trips, then closes again after its dwell,
 3. the ``/metrics`` scrape validates against the checked-in serve schema,
-4. SIGTERM drains cleanly: exit code 0 and no shared-memory segments
-   leaked in ``/dev/shm``.
+4. SIGTERM drains cleanly: exit code 0, no shared-memory segments left
+   in ``/dev/shm``, and no ``leaked shared_memory objects`` warning from
+   the resource tracker on the server's stderr — the tracker unlinks any
+   segment the server forgot, so ``/dev/shm`` alone cannot see a missing
+   unlink.
 
 Run:  PYTHONPATH=src python examples/serve_chaos.py [--port N]
 """
@@ -24,6 +27,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -108,7 +112,15 @@ def main(argv: list[str] | None = None) -> int:
                 "--breaker-reset-seconds", str(BREAKER_RESET_SECONDS),
             ],
             cwd=REPO,
+            stderr=subprocess.PIPE,
+            text=True,
         )
+        # Drain the server's log while it runs (a full pipe would block
+        # it).  EOF comes once every writer is gone — the resource
+        # tracker, which reports leaked segments as it exits, included.
+        log: list[str] = []
+        reader = threading.Thread(target=lambda: log.extend(server.stderr), daemon=True)
+        reader.start()
         try:
             wait_ready(args.port, server)
 
@@ -153,8 +165,12 @@ def main(argv: list[str] | None = None) -> int:
             if server.poll() is None:
                 server.send_signal(signal.SIGTERM)
             rc = server.wait(timeout=60)
+            reader.join(timeout=30)
+        err = "".join(log)
+        sys.stderr.write(err)
 
     assert rc == 0, f"server exited {rc} after SIGTERM"
+    assert "leaked shared_memory" not in err, "the resource tracker unlinked a leaked segment"
     leaked = shm_entries() - shm_before
     assert not leaked, f"shared memory leaked: {sorted(leaked)}"
     print("phase 4 ok: clean SIGTERM drain, zero shm leaks")

@@ -12,6 +12,9 @@ happens at two levels, most local wins:
 * file-level ``# repro-check: noqa`` (whole file) or
   ``# repro-check: noqa: RC101`` (listed codes, file-wide) on any line.
 
+Both are read from comment tokens only: the same text inside a string
+literal or a docstring is data, not a directive.
+
 There is no findings baseline: a finding is either fixed or the rule is
 wrong.
 
@@ -23,7 +26,9 @@ enforces.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -48,12 +53,16 @@ _SKIP_DIRS = frozenset(
 
 #: ``# noqa: RC001, RC004`` (codes required — a bare ``# noqa`` does not
 #: silence RC rules; invariants are suppressed one at a time, on purpose).
-_NOQA = re.compile(r"#\s*noqa:\s*(?P<codes>RC\d{3}(?:\s*,\s*RC\d{3})*)", re.IGNORECASE)
+#: Matched in comment tokens only, and not right after a backtick, so a
+#: string literal or a quoted example in a doc comment silences nothing.
+_NOQA = re.compile(
+    r"(?<!`)#\s*noqa:\s*(?P<codes>RC\d{3}(?:\s*,\s*RC\d{3})*)", re.IGNORECASE
+)
 
 #: File-level suppression: ``# repro-check: noqa`` silences every rule for
 #: the file; ``# repro-check: noqa: RC101, RC103`` only the listed codes.
 _FILE_NOQA = re.compile(
-    r"#\s*repro-check:\s*noqa(?::\s*(?P<codes>RC\d{3}(?:\s*,\s*RC\d{3})*))?",
+    r"(?<!`)#\s*repro-check:\s*noqa(?::\s*(?P<codes>RC\d{3}(?:\s*,\s*RC\d{3})*))?",
     re.IGNORECASE,
 )
 
@@ -103,28 +112,41 @@ def parse_file(path: Path) -> FileContext:
     )
 
 
+def _comments(source: str) -> Iterator[tuple[int, str]]:
+    """``(line, text)`` of every comment token in *source*.
+
+    The file already parsed, so tokenizing cannot fail on syntax; a
+    tokenizer that still gives up ends the scan rather than the check.
+    """
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.start[0], tok.string
+    except (tokenize.TokenError, SyntaxError):
+        return
+
+
+def _codes(text: str) -> frozenset[str]:
+    return frozenset(c.strip().upper() for c in text.split(","))
+
+
 def _suppressed_codes(source: str) -> dict[int, frozenset[str]]:
     """Line number → RC codes silenced by a ``# noqa: RC...`` comment."""
     out: dict[int, frozenset[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _NOQA.search(line)
+    for lineno, comment in _comments(source):
+        m = _NOQA.search(comment)
         if m:
-            codes = frozenset(
-                c.strip().upper() for c in m.group("codes").split(",")
-            )
-            out[lineno] = codes
+            out[lineno] = _codes(m.group("codes"))
     return out
 
 
 def _file_suppression(source: str) -> frozenset[str] | None:
     """File-wide suppression: ``None`` off, empty set = all codes, else codes."""
-    for line in source.splitlines():
-        m = _FILE_NOQA.search(line)
+    for _, comment in _comments(source):
+        m = _FILE_NOQA.search(comment)
         if m:
             codes = m.group("codes")
-            if codes is None:
-                return frozenset()
-            return frozenset(c.strip().upper() for c in codes.split(","))
+            return frozenset() if codes is None else _codes(codes)
     return None
 
 

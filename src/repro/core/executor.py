@@ -1,4 +1,4 @@
-"""The step-2 engine: one worker protocol over a bank staged once.
+"""The pool engine: one worker protocol over a bank staged once.
 
 The paper scales step 2 with one host protocol that drives N compute
 units over banks staged once in board memory (Table 3); Nguyen &
@@ -34,20 +34,30 @@ This module is that protocol in software, and its only implementation:
   supervision health, one :class:`~repro.core.profile.ShardTiming` per
   shard and the detsan shard details.
 
-:class:`Step2Engine` ties these together (:meth:`Step2Engine.score_pooled`,
-:meth:`Step2Engine.score_local`), and two front ends drive it.
-:meth:`ShardedStep2Executor.run` is the one-shot: stage bank 1, supervise
-one run on a fresh pool, stop the pool, release the segment.
-:class:`repro.serve.pool.WarmPool` stages its resident bank once and hands
-one pool from request to request.  Outputs, health counters and shard
-timings of the two therefore agree by construction.
+Step 3 rides the same protocol.  Its planner (:func:`_plan_partitions`)
+deals whole (query, subject) pairs to partitions, its task
+(:func:`_extend_rows`) runs step 3's containment loop
+(:func:`_extend_anchors`) over one partition against the same
+digest-checked bank-1 view, under the same supervisor, and its merge
+(:func:`_merge_extensions`) restores the serial extension order.  The
+in-process route (:func:`extend_local`) is that loop over one partition.
 
-Deterministic fault injection (:mod:`repro.core.faults`) hooks into the
-task: a :class:`~repro.core.faults.FaultPlan` addressed by ``(shard,
-attempt)`` can crash the process, stall it, truncate its result arrays or
-corrupt its bank-1 view.  The digest check catches the corruption —
-injected or real — and re-maps the view from the clean segment rather
-than silently scoring garbage.
+:class:`Step2Engine` ties these together (:meth:`Step2Engine.score_pooled`,
+:meth:`Step2Engine.score_local`, :meth:`Step2Engine.extend_pooled`), and
+two front ends drive it.  :meth:`ShardedStep2Executor.run` is the
+one-shot: stage bank 1, supervise one run on a fresh pool, stop the pool,
+release the segment — or, inside :meth:`ShardedStep2Executor.holding`,
+keep both for step 3.  :class:`repro.serve.pool.WarmPool` stages its
+resident bank once and hands one pool from request to request.  Outputs,
+health counters and shard timings of the two therefore agree by
+construction.
+
+Deterministic fault injection (:mod:`repro.core.faults`) hooks into both
+tasks: a :class:`~repro.core.faults.FaultPlan` addressed by ``(step,
+shard, attempt)`` can crash the process, stall it, truncate its result
+arrays or corrupt its bank-1 view.  The digest check catches the
+corruption — injected or real — and re-maps the view from the clean
+segment rather than silently scoring garbage.
 """
 
 from __future__ import annotations
@@ -58,12 +68,15 @@ import os
 import signal
 import time
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Literal
 
 import numpy as np
 
 from ..extend.batched import BatchedUngappedEngine, EntryBlock
+from ..extend.gapped import GapPenalties, xdrop_gapped_extend
 from ..extend.ungapped import UngappedConfig, UngappedHits, UngappedStats
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
@@ -77,6 +90,7 @@ from .supervisor import (
     ShardOutcome,
     ShardSupervisor,
     SupervisorConfig,
+    _stop_pool,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,10 +98,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.context import BaseContext
     from multiprocessing.shared_memory import SharedMemory
 
+    from ..seqs.matrices import SubstitutionMatrix
+
 __all__ = [
+    "STEP3_MIN_PAIRS_PER_WORKER",
+    "AnchorBlock",
+    "Extensions",
     "ShardedStep2Executor",
     "StagedBank",
     "Step2Engine",
+    "extend_local",
     "live_segment_names",
     "release_all_segments",
 ]
@@ -127,11 +147,80 @@ ShardResult = tuple[
     Any,
 ]
 
+#: Step-3 task payload: (partition id, ranks, spans, scores, (anchors,
+#: contained, cells, extensions), wall seconds, obs payload).  ``spans`` is
+#: ``(n, 4)`` — start0, end0, start1, end1 in bank offsets — and
+#: ``scores`` ``(n, 2)`` — raw score, DP cells — one row per extension.
+ExtendResult = tuple[
+    int, np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int], float, Any
+]
+
 #: One step-2 run: merged hits, one timing per shard, supervision health.
 Step2Run = tuple[UngappedHits, list[ShardTiming], RunHealth]
 
 #: Where one step-2 run scores (:meth:`Step2Engine.route`).
 Route = Literal["local", "small", "pool"]
+
+#: Step-3 pair floor per worker (:meth:`Step2Engine.route_step3`): below
+#: ``workers ×`` this many distinct (query, subject) pairs, step 3 extends
+#: in-process.  On the warm pool the two routes cross between 5 and 10
+#: pairs at 2 workers (DESIGN §11, "The step-3 pair floor").
+STEP3_MIN_PAIRS_PER_WORKER = 4
+
+
+@dataclass(frozen=True)
+class AnchorBlock:
+    """Step-3 work: anchors in the global descending-score order.
+
+    ``ranks`` is each anchor's position in that order, ``offsets0`` /
+    ``offsets1`` its bank offsets and ``pairs`` its (query, subject) pair
+    key; a partition is a row subset (:meth:`take`) that keeps the order.
+    The X-drop parameters ride along, so a pool task needs nothing else.
+    """
+
+    ranks: np.ndarray
+    offsets0: np.ndarray
+    offsets1: np.ndarray
+    pairs: np.ndarray
+    matrix: SubstitutionMatrix
+    gaps: GapPenalties
+    x_drop: int
+
+    def take(self, rows: np.ndarray) -> AnchorBlock:
+        """The anchors at *rows* (ascending, so still in global order)."""
+        return replace(
+            self,
+            ranks=self.ranks[rows],
+            offsets0=self.offsets0[rows],
+            offsets1=self.offsets1[rows],
+            pairs=self.pairs[rows],
+        )
+
+    @property
+    def n_pairs(self) -> int:
+        """Distinct (query, subject) pairs among the anchors."""
+        return int(np.unique(self.pairs).size)
+
+
+@dataclass(frozen=True)
+class Extensions:
+    """Step 3's extensions, merged into the serial (ascending-rank) order.
+
+    One row per extension run — anchors skipped by containment have none.
+    ``health`` holds the supervision events of a pooled run (``shards``
+    stays 0: partitions are not step-2 shards); an in-process run has
+    none.
+    """
+
+    ranks: np.ndarray
+    spans: np.ndarray
+    scores: np.ndarray
+    health: RunHealth
+
+    @property
+    def cells(self) -> int:
+        """DP cells computed over every extension."""
+        return int(self.scores[:, 1].sum())
 
 
 def _pool_context() -> tuple[BaseContext, bool]:
@@ -283,6 +372,50 @@ def _package_hits(
     )
 
 
+def _inject_fault(unit: int, attempt: int, step: int) -> FaultSpec | None:
+    """Apply the plan's pre-work fault for ``(step, unit, attempt)``, if any."""
+    plan: FaultPlan | None = _WORKER["fault_plan"]
+    spec = plan.worker_fault(unit, attempt, step) if plan is not None else None
+    if spec is not None:
+        _apply_worker_fault(spec, unit)
+    return spec
+
+
+def _truncate(result: tuple[Any, ...], spec: FaultSpec | None) -> tuple[Any, ...]:
+    """Apply an injected ``TRUNCATE``: short row arrays against untruncated
+    counts — the supervisor's validation must catch this, never the merge."""
+    if spec is None or spec.kind is not FaultKind.TRUNCATE:
+        return result
+    drop = max(1, int(spec.drop))
+    return result[:1] + tuple(a[:-drop] for a in result[1:4]) + result[4:]
+
+
+def _observed(
+    observe: bool,
+    request_id: str | None,
+    name: str,
+    attrs: dict[str, Any],
+    work: Callable[[], Any],
+) -> tuple[Any, ObsPayload | None]:
+    """Run *work* in a pool task, inside a fresh tracer/registry when observed.
+
+    The worker's spans and metrics ride back in the result tuple — the
+    parent adopts the spans under its own unit span and merges the metrics
+    (worker ``perf_counter`` readings are meaningless in the parent, so
+    spans are rebased there, not here).  *request_id* rides along so those
+    spans carry the originating request's identity.
+    """
+    if not observe:
+        return work(), None
+    tracer = obstrace.Tracer()
+    registry = obsmetrics.MetricsRegistry()
+    ident = {} if request_id is None else {"request_id": request_id}
+    with obstrace.activate(tracer), obsmetrics.activate(registry):
+        with obstrace.span(name, **attrs, pid=os.getpid(), **ident):
+            out = work()
+    return out, (tuple(tracer.export()), registry.to_dict())
+
+
 def _score_shard(
     shard: int,
     attempt: int,
@@ -298,44 +431,21 @@ def _score_shard(
     "shard 2, first attempt" deterministically regardless of which process
     picks the task up.  Bank 0 arrives as *query_bytes* — the small side of
     the comparison, so shipping it per task costs less than staging it.
-
     When *observe* is set (the parent's run is traced or metered), the
-    shard is scored inside a fresh per-process tracer/registry whose
-    contents ride back in the result tuple — the parent adopts the spans
-    under its shard span and merges the metrics (worker ``perf_counter``
-    readings are meaningless in the parent, so spans are rebased there,
-    not here).  *request_id*
-    rides along so those spans carry the originating request's identity.
+    shard is scored under :func:`_observed`.
     """
     t0 = obstrace.clock()
-    plan: FaultPlan | None = _WORKER["fault_plan"]
-    spec = plan.worker_fault(shard, attempt) if plan is not None else None
-    if spec is not None:
-        _apply_worker_fault(spec, shard)
+    spec = _inject_fault(shard, attempt, step=2)
     bank1 = _verified_bank1()
     bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
     engine = BatchedUngappedEngine(_WORKER["config"])
-    obs_payload: ObsPayload | None = None
-    if observe:
-        tracer = obstrace.Tracer()
-        registry = obsmetrics.MetricsRegistry()
-        ident = {} if request_id is None else {"request_id": request_id}
-        with obstrace.activate(tracer), obsmetrics.activate(registry):
-            with obstrace.span(
-                "step2.worker", shard=shard, attempt=attempt, pid=os.getpid(),
-                **ident,
-            ):
-                hits = engine.run_stream(bank0, bank1, block)
-        obs_payload = (tuple(tracer.export()), registry.to_dict())
-    else:
-        hits = engine.run_stream(bank0, bank1, block)
-    result = _package_hits(shard, hits, obstrace.clock() - t0, engine, obs_payload)
-    if spec is not None and spec.kind is FaultKind.TRUNCATE:
-        drop = max(1, int(spec.drop))
-        # Short result arrays against untruncated stats: the supervisor's
-        # validation must catch this, never the merge.
-        result = result[:1] + tuple(a[:-drop] for a in result[1:4]) + result[4:]
-    return result
+    hits, obs_payload = _observed(
+        observe, request_id, "step2.worker", {"shard": shard, "attempt": attempt},
+        lambda: engine.run_stream(bank0, bank1, block),
+    )
+    return _truncate(
+        _package_hits(shard, hits, obstrace.clock() - t0, engine, obs_payload), spec
+    )
 
 
 def _score_local(
@@ -355,6 +465,82 @@ def _score_local(
     engine = BatchedUngappedEngine(config)
     hits = engine.run_stream(bank0, bank1, block)
     return _package_hits(shard, hits, obstrace.clock() - t0, engine)
+
+
+def _extend_anchors(
+    buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+    """Step 3's loop: gapped X-drop over *block*'s anchors, in their order.
+
+    An anchor inside an earlier extension of the *same* pair is skipped
+    (BLAST's HSP-containment rule), so anchors of different pairs never
+    interact and any partition by pair extends exactly what the serial loop
+    would.  Containment is tested in bank offsets: a pair's anchors and
+    extensions share one sequence start per bank, so the comparison is the
+    per-sequence one shifted by a constant.  Returns ``(ranks, spans,
+    scores, (anchors, contained, cells, extensions))``.
+    """
+    covered: dict[int, list[tuple[int, int, int, int]]] = {}
+    rows: list[tuple[int, int, int, int, int, int, int]] = []
+    cells = 0
+    for rank, p0, p1, key in zip(
+        block.ranks.tolist(),
+        block.offsets0.tolist(),
+        block.offsets1.tolist(),
+        block.pairs.tolist(),
+    ):
+        ranges = covered.setdefault(key, [])
+        if any(a0 <= p0 < b0 and a1 <= p1 < b1 for a0, b0, a1, b1 in ranges):
+            continue
+        ext = xdrop_gapped_extend(
+            buf0, p0, buf1, p1,
+            matrix=block.matrix, gaps=block.gaps, x_drop=block.x_drop,
+        )
+        cells += ext.cells
+        ranges.append((ext.start0, ext.end0, ext.start1, ext.end1))
+        rows.append(
+            (rank, ext.start0, ext.end0, ext.start1, ext.end1, ext.score, ext.cells)
+        )
+    n = len(rows)
+    table = np.array(rows, dtype=np.int64).reshape(n, 7)
+    counters = (len(block.ranks), len(block.ranks) - n, cells, n)
+    return table[:, 0], table[:, 1:5], table[:, 5:], counters
+
+
+def _extend_rows(
+    part: int,
+    attempt: int,
+    request_id: str | None,
+    query_bytes: bytes,
+    observe: bool,
+    block: AnchorBlock,
+) -> ExtendResult:
+    """Pool task: extend one step-3 partition against the staged bank 1.
+
+    The step-3 twin of :func:`_score_shard`: the same fault hook (addressed
+    with ``step=3``), the same digest-checked bank-1 view, bank 0 as
+    *query_bytes*, and the same observation wrapper.
+    """
+    t0 = obstrace.clock()
+    spec = _inject_fault(part, attempt, step=3)
+    bank1 = _verified_bank1()
+    bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
+    (ranks, spans, scores, counters), obs_payload = _observed(
+        observe, request_id, "step3.worker", {"partition": part, "attempt": attempt},
+        lambda: _extend_anchors(bank0, bank1, block),
+    )
+    wall = obstrace.clock() - t0
+    return _truncate((part, ranks, spans, scores, counters, wall, obs_payload), spec)
+
+
+def _extend_here(
+    bank0: np.ndarray, bank1: np.ndarray, part: int, block: AnchorBlock
+) -> ExtendResult:
+    """In-process :func:`_extend_rows`: the in-process route and the pool's
+    last resort, over the host's own bank buffers."""
+    t0 = obstrace.clock()
+    ranks, spans, scores, counters = _extend_anchors(bank0, bank1, block)
+    return (part, ranks, spans, scores, counters, obstrace.clock() - t0, None)
 
 
 def _publish_shard_metrics(
@@ -455,29 +641,12 @@ def _merge(
                 digest=detsan.shard_digest([o0, o1, sc]),
             )
         if tracer is not None:
-            # Retrospective shard span: the wall is known and the merge
-            # happens right after completion, so backdate the span to end
-            # now.  Worker spans reparent under it with their timeline
-            # rebased onto this span's start (worker perf_counter origins
-            # are per-process).
-            shard_span = tracer.record(
-                "step2.shard",
-                wall,
-                shard=shard,
-                via=outcome.via,
-                attempts=outcome.attempts,
-                pairs=pairs,
-                hits=hits_n,
-                retry_wall_seconds=outcome.retry_wall_seconds,
-                **ident,
+            _record_unit_span(
+                tracer, "step2.shard", wall, obs_payload,
+                shard=shard, via=outcome.via, attempts=outcome.attempts,
+                pairs=pairs, hits=hits_n,
+                retry_wall_seconds=outcome.retry_wall_seconds, **ident,
             )
-            if obs_payload is not None and obs_payload[0]:
-                worker_spans = obs_payload[0]
-                tracer.adopt(
-                    worker_spans,
-                    shard_span.span_id,
-                    rebase=(worker_spans[0]["start"], shard_span.start),
-                )
         if registry is not None:
             if obs_payload is not None:
                 registry.merge(obs_payload[1])
@@ -509,6 +678,104 @@ def _merge(
         offsets1 = np.concatenate([r[2] for r in results])
         scores = np.concatenate([r[3] for r in results]).astype(np.int32)
     return UngappedHits(offsets0, offsets1, scores, stats), timings
+
+
+def _plan_partitions(
+    block: AnchorBlock, workers: int
+) -> tuple[dict[int, AnchorBlock], dict[int, int]]:
+    """Step-3 planner: whole (query, subject) pairs per partition.
+
+    Pairs are dealt longest-first by hit count (ties: the pair met first
+    in the global order) to the least-loaded partition (ties: the lowest
+    id).  Each partition keeps its anchors in the global order.  Returns
+    each partition's :class:`AnchorBlock` and its anchor count.
+    """
+    keys, first, inverse, counts = np.unique(
+        block.pairs, return_index=True, return_inverse=True, return_counts=True
+    )
+    n_parts = max(1, min(workers, keys.size))
+    load = [0] * n_parts
+    owner = np.zeros(keys.size, dtype=np.int64)
+    for pair in sorted(range(keys.size), key=lambda k: (-counts[k], first[k])):
+        part = min(range(n_parts), key=lambda q: (load[q], q))
+        owner[pair] = part
+        load[part] += int(counts[pair])
+    part_of = owner[inverse]
+    parts = {p: block.take(np.flatnonzero(part_of == p)) for p in range(n_parts)}
+    return parts, {p: len(b.ranks) for p, b in parts.items()}
+
+
+def _record_unit_span(
+    tracer: obstrace.Tracer,
+    name: str,
+    wall: float,
+    obs_payload: ObsPayload | None,
+    **attrs: Any,
+) -> None:
+    """A retrospective span for one accepted pool unit, its worker's spans
+    adopted under it.
+
+    The wall is known and the merge happens right after completion, so the
+    span is backdated to end now.  Worker spans reparent under it with
+    their timeline rebased onto its start (worker ``perf_counter`` origins
+    are per-process).
+    """
+    unit_span = tracer.record(name, wall, **attrs)
+    if obs_payload is not None and obs_payload[0]:
+        worker_spans = obs_payload[0]
+        tracer.adopt(
+            worker_spans,
+            unit_span.span_id,
+            rebase=(worker_spans[0]["start"], unit_span.start),
+        )
+
+
+def _merge_extensions(
+    outcomes: list[ShardOutcome], health: RunHealth, request_id: str | None
+) -> Extensions:
+    """Fold accepted step-3 partitions into the serial extension order.
+
+    Ranks are unique, so sorting the concatenated rows by rank restores
+    exactly the order the single loop runs its extensions in.  Like
+    :func:`_merge` it publishes: the step-3 funnel counters, one
+    ``step3.partition`` span per partition.
+    """
+    tracer = obstrace.active()
+    registry = obsmetrics.active()
+    ident = {} if request_id is None else {"request_id": request_id}
+    for outcome in outcomes:
+        part, _, _, _, (n_in, contained, cells, n_ext), wall = outcome.result[:6]
+        if tracer is not None:
+            _record_unit_span(
+                tracer, "step3.partition", wall, outcome.result[6],
+                partition=part, via=outcome.via, attempts=outcome.attempts,
+                anchors=n_in, extensions=n_ext, **ident,
+            )
+        if registry is not None:
+            if outcome.result[6] is not None:
+                registry.merge(outcome.result[6][1])
+            registry.counter("step3_anchors_total").inc(n_in)
+            registry.counter("step3_contained_total").inc(contained)
+            registry.counter("step3_extensions_total").inc(n_ext)
+            registry.counter("step3_cells_total").inc(cells)
+            registry.counter("step3_partitions_total", via=outcome.via).inc()
+    results = [o.result for o in outcomes]
+    ranks = np.concatenate([r[1] for r in results])
+    serial = np.argsort(ranks, kind="stable")
+    return Extensions(
+        ranks=ranks[serial],
+        spans=np.concatenate([r[2] for r in results])[serial],
+        scores=np.concatenate([r[3] for r in results])[serial],
+        health=replace(health, shards=0),
+    )
+
+
+def extend_local(buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock) -> Extensions:
+    """Step 3 in-process: the pool task's loop over one partition of all
+    anchors, merged and published like a pooled run."""
+    result = _extend_here(buf0, buf1, 0, block)
+    outcome = ShardOutcome(shard=0, result=result, attempts=1, via="local")
+    return _merge_extensions([outcome], RunHealth(), None)
 
 
 def _track_segment(shm: SharedMemory) -> None:
@@ -595,7 +862,7 @@ class StagedBank:
 
 
 class Step2Engine:
-    """The step-2 engine: pool recipe, in-process route, supervised run.
+    """The pool engine: pool recipe, routes, supervised step-2 and step-3 runs.
 
     Parameters
     ----------
@@ -617,7 +884,8 @@ class Step2Engine:
 
     The engine keeps no per-run state — each run returns its hits, shard
     timings and health — so the warm pool holds one for its lifetime
-    while it owns the staging and the pool itself.
+    while it owns the staging and the pool itself.  Step 3 rides the same
+    pool and staging (:meth:`route_step3`, :meth:`extend_pooled`).
     """
 
     def __init__(
@@ -648,6 +916,20 @@ class Step2Engine:
             return "local"
         if index.total_pairs < self.workers * self.min_pairs_per_shard:
             return "small"
+        return "pool"
+
+    def route_step3(self, block: AnchorBlock) -> Literal["local", "pool"]:
+        """Where step 3 over *block* extends — the step-3 rule of both
+        front ends.
+
+        ``"pool"`` once there are at least :data:`STEP3_MIN_PAIRS_PER_WORKER`
+        distinct pairs per worker (and at least two, to split).  An engine
+        whose step-2 floor is off (``min_pairs_per_shard=0``: chaos drills,
+        the determinism harness) has no step-3 floor either.
+        """
+        floor = STEP3_MIN_PAIRS_PER_WORKER if self.min_pairs_per_shard else 0
+        if self.workers == 1 or block.n_pairs < max(2, self.workers * floor):
+            return "local"
         return "pool"
 
     def make_pool(self, bank: StagedBank, workers: int) -> ProcessPoolExecutor:
@@ -757,6 +1039,52 @@ class Step2Engine:
         return hits, timings, health
 
 
+    def extend_pooled(
+        self,
+        buf0: np.ndarray,
+        buf1: np.ndarray,
+        block: AnchorBlock,
+        bank: StagedBank,
+        supervisor: SupervisorConfig,
+        pool: ProcessPoolExecutor | None = None,
+        keep_pool: Callable[[ProcessPoolExecutor | None], None] | None = None,
+    ) -> Extensions:
+        """Supervise step 3 over *block* on the pool, one task per partition.
+
+        *bank* holds *buf1*'s bytes; *pool* and *keep_pool* work as in
+        :meth:`score_pooled`, and so does ``supervisor.deadline``: a run it
+        cuts off raises :class:`~repro.core.supervisor.DeadlineExceeded`
+        with the remaining partitions cancelled.  A partition whose retries
+        run out extends in-process, so the result never changes.
+        """
+        parts, anchor_counts = _plan_partitions(block, self.workers)
+        query_bytes = buf0.tobytes()
+        observe = obstrace.active() is not None or obsmetrics.active() is not None
+        payloads = {
+            p: (supervisor.request_id, query_bytes, observe, part)
+            for p, part in parts.items()
+        }
+        size = self.workers if keep_pool is not None else len(parts)
+        sup = ShardSupervisor(
+            supervisor,
+            lambda: self.make_pool(bank, size),
+            _extend_rows,
+            lambda p: _extend_here(buf0, buf1, p, parts[p]),
+            initial_pool=pool,
+            keep_pool=keep_pool is not None,
+            stage="step3",
+        )
+        try:
+            outcomes, health = sup.run(payloads, anchor_counts)
+        except DeadlineExceeded as exc:
+            exc.health = replace(exc.health, shards=0)
+            raise
+        finally:
+            if keep_pool is not None:
+                keep_pool(sup.final_pool)
+        return _merge_extensions(outcomes, health, supervisor.request_id)
+
+
 class ShardedStep2Executor(Step2Engine):
     """One-shot front end of the step-2 engine (:meth:`run`).
 
@@ -773,6 +1101,10 @@ class ShardedStep2Executor(Step2Engine):
     :attr:`last_timings` holds one :class:`~repro.core.profile.ShardTiming`
     per shard of the latest :meth:`run`; :attr:`last_health` its
     :class:`~repro.core.profile.RunHealth` counters.
+
+    Inside :meth:`holding`, a pooled :meth:`run` keeps its staged bank and
+    pool for :meth:`extend` (step 3), so a ``compare`` still spawns one
+    pool; both are released when the block exits.
     """
 
     def __init__(
@@ -790,6 +1122,41 @@ class ShardedStep2Executor(Step2Engine):
         self.last_timings: list[ShardTiming] = []
         #: Supervision counters of the most recent :meth:`run`.
         self.last_health: RunHealth = RunHealth()
+        self._holding = False
+        self._bank: StagedBank | None = None
+        self._pool: ProcessPoolExecutor | None = None
+
+    @contextmanager
+    def holding(self) -> Iterator[ShardedStep2Executor]:
+        """Keep a pooled run's staged bank and pool until the block exits,
+        then stop the pool and release the segment."""
+        self._holding = True
+        try:
+            yield self
+        finally:
+            self._holding = False
+            pool, self._pool = self._pool, None
+            bank, self._bank = self._bank, None
+            try:
+                if pool is not None:
+                    _stop_pool(pool)
+            finally:
+                if bank is not None:
+                    bank.release()
+
+    def _keep(self, pool: ProcessPoolExecutor | None) -> None:
+        self._pool = pool
+
+    def extend(self, buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock) -> Extensions:
+        """Step 3 over *block*: on the pool :meth:`run` left staged, when
+        :meth:`route_step3` says so; in-process otherwise (also when step 2
+        ran in-process, so no pool was spawned)."""
+        if self._bank is None or self.route_step3(block) != "pool":
+            return extend_local(buf0, buf1, block)
+        return self.extend_pooled(
+            buf0, buf1, block, self._bank, self.supervisor,
+            pool=self._pool, keep_pool=self._keep,
+        )
 
     def run(self, index: TwoBankIndex) -> UngappedHits:
         """Run step 2 over *index*, sharded across the configured workers."""
@@ -818,8 +1185,16 @@ class ShardedStep2Executor(Step2Engine):
 
     def _run_pool(self, index: TwoBankIndex) -> UngappedHits:
         """The one-shot: stage bank 1, supervise one run on a fresh pool
-        (stopped by the supervisor), release the segment."""
+        (stopped by the supervisor), release the segment — or, inside
+        :meth:`holding`, keep both for step 3."""
         bank = StagedBank(index.index1.bank.buffer)
+        if self._holding and self._bank is None:
+            self._bank = bank
+            return self._record(
+                lambda: self.score_pooled(
+                    index, bank, self.supervisor, keep_pool=self._keep
+                )
+            )
         try:
             return self._record(
                 lambda: self.score_pooled(index, bank, self.supervisor)

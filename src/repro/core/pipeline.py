@@ -11,7 +11,8 @@ sequence banks:
 3. **gapped extension** — anchors are extended with the gapped X-drop
    engine, deduplicated BLAST-style (an anchor falling inside an already
    extended alignment of the same sequence pair is skipped), scored in
-   bits, and filtered at the configured E-value.
+   bits, and filtered at the configured E-value.  Pairs never interact,
+   so the extensions may run on the step-2 pool, partitioned by pair.
 
 The pipeline is structured so step 2 is swappable: the accelerated pipeline
 (:mod:`repro.rasc.accelerated`) substitutes the PSC-operator model for
@@ -22,7 +23,7 @@ split the paper deploys on the Altix + RASC-100.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from typing import Any
 
 import numpy as np
@@ -37,7 +38,7 @@ from ..seqs.sequence import Sequence, SequenceBank
 from ..seqs.translate import translated_bank
 from . import determinism as detsan
 from .config import PipelineConfig
-from .executor import ShardedStep2Executor
+from .executor import AnchorBlock, Extensions, ShardedStep2Executor, extend_local
 from .profile import PipelineProfile
 from .results import Alignment, ComparisonReport
 
@@ -45,6 +46,10 @@ __all__ = ["SeedComparisonPipeline", "gapped_stage"]
 
 #: Type of a step-2 implementation: index → surviving anchor pairs.
 Step2Fn = Callable[[TwoBankIndex], UngappedHits]
+
+#: Type of a step-3 runner: (bank-0 buffer, bank-1 buffer, anchors in the
+#: global order) → the extensions, in that order.
+Step3Fn = Callable[[np.ndarray, np.ndarray, AnchorBlock], Extensions]
 
 
 def _alignment_rows(report: ComparisonReport) -> list[np.ndarray]:
@@ -75,6 +80,7 @@ def gapped_stage(
     hits: UngappedHits,
     config: PipelineConfig,
     profile: PipelineProfile | None = None,
+    extend: Step3Fn | None = None,
 ) -> ComparisonReport:
     """Step 3: gapped extension + dedup + statistics over anchor pairs.
 
@@ -83,66 +89,72 @@ def gapped_stage(
     previously extended alignment of the same sequence pair is skipped
     (BLAST's HSP-containment rule), which collapses the many seed hits one
     true alignment generates.
+
+    The extensions themselves run in *extend* — in-process by default
+    (:func:`~repro.core.executor.extend_local`); a pool front end passes
+    its own runner, which may partition the anchors by pair across
+    workers.  Either way the extensions come back in the serial order, so
+    E-values and the alignment list (and thus the non-total
+    ``report.sort()`` key's tie order) are the same.
     """
     params = gapped_params(config.matrix.name, config.gaps.open, config.gaps.extend)
     db_len = bank1.total_residues
     report = ComparisonReport(
         n_seed_pairs=hits.stats.pairs, n_ungapped_hits=len(hits)
     )
-    if len(hits) == 0:
-        return report
     order = np.argsort(-hits.scores, kind="stable")
-    seq0_ids = bank0.seq_id_of(hits.offsets0)
-    seq1_ids = bank1.seq_id_of(hits.offsets1)
-    pos0 = hits.offsets0 - bank0.starts[seq0_ids]
-    pos1 = hits.offsets1 - bank1.starts[seq1_ids]
-    covered: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    cells = 0
-    n_ext = 0
-    for r in order:
-        s0, s1 = int(seq0_ids[r]), int(seq1_ids[r])
-        p0, p1 = int(pos0[r]), int(pos1[r])
-        key = (s0, s1)
-        ranges = covered.setdefault(key, [])
-        if any(a0 <= p0 < b0 and a1 <= p1 < b1 for a0, b0, a1, b1 in ranges):
-            continue
-        ext = xdrop_gapped_extend(
-            bank0.buffer,
-            int(hits.offsets0[r]),
-            bank1.buffer,
-            int(hits.offsets1[r]),
-            matrix=config.matrix,
-            gaps=config.gaps,
-            x_drop=config.gapped_x_drop,
-        )
-        n_ext += 1
-        cells += ext.cells
-        l0 = int(bank0.starts[s0])
-        l1 = int(bank1.starts[s1])
-        ranges.append((ext.start0 - l0, ext.end0 - l0, ext.start1 - l1, ext.end1 - l1))
-        e = evalue_of(ext.score, int(bank0.lengths[s0]), db_len, params)
+    offsets0 = hits.offsets0[order].astype(np.int64)
+    offsets1 = hits.offsets1[order].astype(np.int64)
+    seq0_ids = bank0.seq_id_of(offsets0)
+    seq1_ids = bank1.seq_id_of(offsets1)
+    block = AnchorBlock(
+        ranks=np.arange(order.size, dtype=np.int64),
+        offsets0=offsets0,
+        offsets1=offsets1,
+        pairs=seq0_ids.astype(np.int64) * len(bank1) + seq1_ids,
+        matrix=config.matrix,
+        gaps=config.gaps,
+        x_drop=config.gapped_x_drop,
+    )
+    ext = (extend or extend_local)(bank0.buffer, bank1.buffer, block)
+    ungapped = hits.scores[order]
+    for rank, (start0, end0, start1, end1), score in zip(
+        ext.ranks.tolist(), ext.spans.tolist(), ext.scores[:, 0].tolist()
+    ):
+        s0, s1 = int(seq0_ids[rank]), int(seq1_ids[rank])
+        e = evalue_of(score, int(bank0.lengths[s0]), db_len, params)
         if e > config.max_evalue:
             continue
+        l0 = int(bank0.starts[s0])
+        l1 = int(bank1.starts[s1])
         report.alignments.append(
             Alignment(
                 seq0_id=s0,
                 seq0_name=bank0.names[s0],
-                start0=ext.start0 - l0,
-                end0=ext.end0 - l0,
+                start0=start0 - l0,
+                end0=end0 - l0,
                 seq1_id=s1,
                 seq1_name=bank1.names[s1],
-                start1=ext.start1 - l1,
-                end1=ext.end1 - l1,
-                raw_score=ext.score,
-                bit_score=params.bit_score(ext.score),
+                start1=start1 - l1,
+                end1=end1 - l1,
+                raw_score=score,
+                bit_score=params.bit_score(score),
                 evalue=e,
-                ungapped_score=int(hits.scores[r]),
+                ungapped_score=int(ungapped[rank]),
             )
         )
-    report.n_gapped_extensions = n_ext
+    report.n_gapped_extensions = int(ext.ranks.size)
     if profile is not None:
-        profile.step3.operations += cells
-        profile.step3.items += n_ext
+        profile.step3.operations += ext.cells
+        profile.step3.items += int(ext.ranks.size)
+        profile.run_health.merge(ext.health)
+    # The extension *set* must not depend on how step 3 was partitioned —
+    # order-independent digest (the merge restores the order itself).
+    detsan.record_arrays(
+        "step3.extensions",
+        [ext.ranks, *ext.spans.T, *ext.scores.T],
+        order_sensitive=False,
+    )
     report.sort()
     return report
 
@@ -159,13 +171,22 @@ class SeedComparisonPipeline:
         Optional replacement for the step-2 engine (signature
         ``TwoBankIndex -> UngappedHits``).  Used by the accelerated
         pipeline to deport step 2 to the PSC-operator model.
+    step3:
+        Optional step-3 runner (:data:`Step3Fn`) — the warm pool's, in
+        the serving layer.  Without it, step 3 extends on the one-shot
+        executor's pool when step 2 left one (``workers > 1``), else
+        in-process.
     """
 
     def __init__(
-        self, config: PipelineConfig | None = None, step2: Step2Fn | None = None
+        self,
+        config: PipelineConfig | None = None,
+        step2: Step2Fn | None = None,
+        step3: Step3Fn | None = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self._step2 = step2
+        self._step3 = step3
         #: Profile of the most recent run.
         self.profile = PipelineProfile()
         #: Joint index of the most recent run (reused by cost models).
@@ -221,24 +242,31 @@ class SeedComparisonPipeline:
         )
         return index
 
-    def run_step2(self, index: TwoBankIndex) -> UngappedHits:
+    def _executor(self) -> ShardedStep2Executor:
+        """The one-shot step-2 engine at ``config.workers`` processes."""
+        return ShardedStep2Executor(
+            self.config.ungapped_config(),
+            workers=self.config.workers,
+            supervisor=self.config.supervisor_config(),
+            fault_plan=self.config.fault_plan,
+            min_pairs_per_shard=self.config.min_pairs_per_shard,
+        )
+
+    def run_step2(
+        self, index: TwoBankIndex, executor: ShardedStep2Executor | None = None
+    ) -> UngappedHits:
         """Step 2 only: ungapped extension over the joint index.
 
         The default engine is the sharded executor at ``config.workers``
-        processes (in-process batched scoring at the default of 1); its
-        per-shard timings land in ``profile.step2_shards``.
+        processes (in-process batched scoring at the default of 1) — a
+        fresh one, or *executor*; its per-shard timings land in
+        ``profile.step2_shards``.
         """
         with self.profile.timing(self.profile.step2, "step2.ungapped") as ctr:
             if self._step2 is not None:
                 hits = self._step2(index)
             else:
-                executor = ShardedStep2Executor(
-                    self.config.ungapped_config(),
-                    workers=self.config.workers,
-                    supervisor=self.config.supervisor_config(),
-                    fault_plan=self.config.fault_plan,
-                    min_pairs_per_shard=self.config.min_pairs_per_shard,
-                )
+                executor = executor or self._executor()
                 hits = executor.run(index)
                 self.profile.step2_shards.extend(executor.last_timings)
                 self.profile.run_health.merge(executor.last_health)
@@ -294,13 +322,23 @@ class SeedComparisonPipeline:
         if reset_profile:
             self.profile = PipelineProfile()
         recorder, created = detsan.ensure_recorder()
-        with detsan.activate(recorder), self._root_span():
+        with detsan.activate(recorder), self._root_span(), ExitStack() as stack:
+            # Without a step-2 override the one-shot executor keeps its
+            # staged bank and pool from step 2 through step 3.
+            executor = (
+                stack.enter_context(self._executor().holding())
+                if self._step2 is None
+                else None
+            )
+            extend = self._step3 or (executor.extend if executor else None)
             index = self._step1(bank0, bank1, resident)
             self.last_index = index
-            hits = self.run_step2(index)
+            hits = self.run_step2(index, executor)
             self.last_hits = hits
             with self.profile.timing(self.profile.step3, "step3.gapped"):
-                report = gapped_stage(bank0, bank1, hits, self.config, self.profile)
+                report = gapped_stage(
+                    bank0, bank1, hits, self.config, self.profile, extend
+                )
             detsan.record_arrays(
                 "step3.alignments", _alignment_rows(report), order_sensitive=True
             )

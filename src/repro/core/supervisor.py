@@ -1,10 +1,11 @@
-"""Fault-tolerant supervision of the sharded step-2 pool.
+"""Fault-tolerant supervision of the worker pool (step 2 and step 3).
 
 The paper's host process drives two FPGAs and assumes both always answer; a
 production cluster host supervises its blades instead: detect a dead or
 stalled unit, re-dispatch its workload, degrade to a slower path when the
 unit never recovers, and report what happened.  :class:`ShardSupervisor`
-is that state machine for :class:`~repro.core.executor.ShardedStep2Executor`:
+is that state machine for the pool of :mod:`repro.core.executor`, whose
+units are step-2 shards and step-3 partitions alike:
 
 ::
 
@@ -179,11 +180,14 @@ def _stop_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _validate_result(result: ShardResult) -> bool:
-    """Check a worker result's hit arrays agree with its reported stats.
+    """Check a worker result's row arrays agree with its reported count.
 
-    The result layout is ``(shard, offsets0, offsets1, scores,
-    (entries, pairs, cells, hits), ...)``; a truncated readback shows up as
-    arrays shorter than the stats' hit count.
+    Both task layouts share a head: ``(unit, a, b, c, counters, ...)``
+    with ``a``, ``b``, ``c`` row-aligned arrays and ``counters[3]`` their
+    row count — step 2's ``(shard, offsets0, offsets1, scores, (entries,
+    pairs, cells, hits))``, step 3's ``(partition, ranks, spans, scores,
+    (anchors, contained, cells, extensions))``.  A truncated readback
+    shows up as arrays shorter than the count.
     """
     try:
         _, offsets0, offsets1, scores, counters = result[:5]
@@ -223,6 +227,9 @@ class ShardSupervisor:
         When true the surviving pool is *not* shut down after the run; it
         is published on :attr:`final_pool` (``None`` if the run consumed or
         killed it) for the caller to reuse on the next request.
+    stage:
+        Prefix of the supervision events it records (``step2.retry``,
+        ``step3.fallback`` …): the pipeline step whose units it runs.
     """
 
     def __init__(
@@ -234,8 +241,10 @@ class ShardSupervisor:
         *,
         initial_pool: ProcessPoolExecutor | None = None,
         keep_pool: bool = False,
+        stage: str = "step2",
     ) -> None:
         self.config = config
+        self._stage = stage
         self._make_pool = make_pool
         self._task = task
         self._local_score = local_score
@@ -322,7 +331,7 @@ class ShardSupervisor:
                     attempts[shard],
                 )
                 trace.add_event(
-                    "step2.fallback",
+                    f"{self._stage}.fallback",
                     shard=shard,
                     attempts=attempts[shard] + 1,
                     **self._event_attrs,
@@ -371,7 +380,9 @@ class ShardSupervisor:
         """
         if not already_counted:
             health.cancelled += len(shards)
-        trace.add_event("step2.cancelled", shards=len(shards), **self._event_attrs)
+        trace.add_event(
+            f"{self._stage}.cancelled", shards=len(shards), **self._event_attrs
+        )
         _log.warning(
             "run deadline expired; cancelling %d remaining shard(s): %s",
             len(shards),
@@ -412,14 +423,16 @@ class ShardSupervisor:
         except (BrokenProcessPool, RuntimeError) as exc:
             # Initializer death or a pool broken before/while submitting:
             # everything not submitted counts as one crashed dispatch.
-            _log.warning("step-2 pool unusable at submit (%r); rebuilding", exc)
+            _log.warning(
+                "%s pool unusable at submit (%r); rebuilding", self._stage, exc
+            )
             health.crashes += len(pending) - len(futures)
             # One round-level retry event for the broken pool (the
             # per-shard ``abandon`` path never ran for these dispatches —
             # without this, a submit-time pool death is invisible on the
             # request's span tree).
             trace.add_event(
-                "step2.retry",
+                f"{self._stage}.retry",
                 reason="pool-broken",
                 shards=len(pending) - len(futures),
                 **self._event_attrs,
@@ -436,7 +449,7 @@ class ShardSupervisor:
             # moment it was given up on (its deadline, for timeouts).
             lost[shard] += (trace.clock() if until is None else until) - submit_t
             trace.add_event(
-                "step2.retry",
+                f"{self._stage}.retry",
                 shard=shard,
                 reason=reason,
                 attempt=attempts[shard],

@@ -10,8 +10,8 @@ warm:
 * the resident bank's index (``BankIndex``), built once;
 * the resident bank staged once (:class:`~repro.core.executor.StagedBank`,
   CRC recorded at staging);
-* a worker pool that outlives requests, handed to each run and taken
-  back under :attr:`WarmPool._pool_lock`;
+* a worker pool that outlives requests, handed to each run — step 2's
+  and step 3's — and taken back under :attr:`WarmPool._pool_lock`;
 * the chaos hooks: :meth:`WarmPool.kill_workers` (``POOL_DEATH``),
   :meth:`WarmPool.corrupt_staged_bank` (``CORRUPT_WARM_BANK``) and
   :meth:`WarmPool.heal_if_corrupt`, the CRC self-heal.
@@ -33,7 +33,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.config import PipelineConfig
-from ..core.executor import StagedBank, Step2Engine
+from ..core.executor import (
+    AnchorBlock,
+    Extensions,
+    StagedBank,
+    Step2Engine,
+    extend_local,
+)
 from ..core.faults import FaultPlan, bank_digest
 from ..core.profile import RunHealth, ShardTiming
 from ..core.supervisor import DeadlineExceeded, SupervisorConfig, _stop_pool
@@ -126,7 +132,8 @@ class WarmPool:
     # -- shared state accessors -----------------------------------------
     @property
     def last_health(self) -> RunHealth:
-        """Supervision counters of the most recent :meth:`step2` call."""
+        """Supervision counters of the most recent request: its
+        :meth:`step2` run plus the events of its pooled :meth:`step3`."""
         with self._pool_lock:
             return self._last_health
 
@@ -304,3 +311,43 @@ class WarmPool:
     def _keep(self, health: RunHealth, timings: list[ShardTiming]) -> None:
         with self._pool_lock:
             self._last_health, self._last_timings = health, timings
+
+    def step3(
+        self,
+        buf0: np.ndarray,
+        buf1: np.ndarray,
+        block: AnchorBlock,
+        deadline_at: float | None = None,
+        use_pool: bool = True,
+        request_id: str | None = None,
+    ) -> Extensions:
+        """Run one request's step 3 (after its :meth:`step2`).
+
+        :meth:`~repro.core.executor.Step2Engine.route_step3` picks the
+        warm pool or in-process; the arguments mean what they mean for
+        :meth:`step2`.  A pooled run's supervision events — a deadline
+        cut-off's included — fold into :attr:`last_health`, so the breaker
+        judges the request's pool behaviour over both steps.
+        """
+        route = self.engine.route_step3(block) if use_pool else "local"
+        if route != "pool":
+            return extend_local(buf0, buf1, block)
+        supervisor = replace(
+            self.supervisor, deadline=deadline_at, request_id=request_id
+        )
+        with self._pool_lock:
+            held, self._pool = self._pool, None  # ownership to the run
+        try:
+            ext = self.engine.extend_pooled(
+                buf0, buf1, block, self._bank, supervisor,
+                pool=held, keep_pool=self._hold,
+            )
+        except DeadlineExceeded as exc:
+            self._fold(exc.health)
+            raise
+        self._fold(ext.health)
+        return ext
+
+    def _fold(self, health: RunHealth) -> None:
+        with self._pool_lock:
+            self._last_health = self._last_health + health

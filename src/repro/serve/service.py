@@ -528,12 +528,24 @@ class SearchService:
                 use_pool=use_pool,
                 request_id=ticket.ctx.request_id,
             ),
+            step3=lambda buf0, buf1, block: self.pool.step3(
+                buf0,
+                buf1,
+                block,
+                deadline_at=ticket.deadline_at,
+                use_pool=use_pool,
+                request_id=ticket.ctx.request_id,
+            ),
         )
 
     def _run(
         self, pipeline: SeedComparisonPipeline, ticket: Ticket
     ) -> tuple[ComparisonReport, bool]:
-        """Run the pipeline for one ticket; returns (report, pool-healthy)."""
+        """Run the pipeline for one ticket; returns (report, pool-healthy).
+
+        A pooled step 3 runs under the ticket's deadline; an in-process one
+        is checked here, once it is done.
+        """
         report = pipeline.compare_against_index(
             ticket.queries, self.pool.resident_index
         )
@@ -576,9 +588,9 @@ class SearchService:
             for recorded in tracer.spans:
                 for event in recorded.events:
                     name = str(event["name"])
-                    if name == "step2.retry":
+                    if name in ("step2.retry", "step3.retry"):
                         retry_events += 1
-                    elif name == "step2.fallback":
+                    elif name in ("step2.fallback", "step3.fallback"):
                         fallback_events += 1
                     elif name.startswith("breaker.") or name == "serve.bank_heal":
                         breaker_events.append(name)

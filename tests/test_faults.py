@@ -42,6 +42,20 @@ class TestFaultSpec:
         assert all(spec.matches(1, a) for a in range(5))
         assert not spec.matches(0, 0)
 
+    def test_step_addressing(self):
+        # Default step 2: every existing plan keeps its meaning.
+        assert FaultSpec(FaultKind.CRASH, shard=0).step == 2
+        spec = FaultSpec(FaultKind.TRUNCATE, shard=1, attempt=0, step=3)
+        assert spec.matches(1, 0, step=3)
+        assert not spec.matches(1, 0)
+        assert not FaultSpec(FaultKind.TRUNCATE, shard=1).matches(1, 0, step=3)
+        plan = FaultPlan((spec,))
+        assert plan.worker_fault(1, 0) is None
+        assert plan.worker_fault(1, 0, step=3) is spec
+        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        legacy = {"kind": "crash", "shard": 0, "attempt": 0}
+        assert FaultSpec.from_dict(legacy).step == 2
+
     def test_hwsim_kinds_never_match_workers(self):
         assert not FaultSpec(FaultKind.FIFO_OVERFLOW, shard=0).matches(0, 0)
 

@@ -196,6 +196,26 @@ class TestSuppressionAndSelect:
         )
         assert codes_in(tmp_path, "repro/extend/k.py", src) == []
 
+    def test_noqa_inside_a_string_suppresses_nothing(self, tmp_path):
+        # Only comment tokens carry directives: the same text as string
+        # data (a test fixture, a docstring) silences no rule.
+        src = (
+            '"""# repro-check: noqa"""\n'
+            "import numpy as np\n"
+            'FIXTURE = "# repro-check: noqa\\n"\n'
+            'x = np.zeros(8) if "# noqa: RC002" else None\n'
+            "def _f(y=[]):\n    pass\n"
+        )
+        assert codes_in(tmp_path, "repro/extend/k.py", src) == ["RC002", "RC003"]
+
+    def test_quoted_noqa_in_a_comment_suppresses_nothing(self, tmp_path):
+        src = (
+            "#: ``# repro-check: noqa`` silences a whole file\n"
+            "import numpy as np\n"
+            "x = np.zeros(8)  # see ``# noqa: RC002``\n"
+        )
+        assert codes_in(tmp_path, "repro/extend/k.py", src) == ["RC002"]
+
     def test_file_level_noqa_with_codes_is_selective(self, tmp_path):
         src = (
             "# repro-check: noqa: RC003\n"
