@@ -738,7 +738,7 @@ def _merge_extensions(
     Ranks are unique, so sorting the concatenated rows by rank restores
     exactly the order the single loop runs its extensions in.  Like
     :func:`_merge` it publishes: the step-3 funnel counters, one
-    ``step3.partition`` span per partition.
+    ``step3.partition`` span per partition.  *health* is carried as is.
     """
     tracer = obstrace.active()
     registry = obsmetrics.active()
@@ -760,13 +760,16 @@ def _merge_extensions(
             registry.counter("step3_cells_total").inc(cells)
             registry.counter("step3_partitions_total", via=outcome.via).inc()
     results = [o.result for o in outcomes]
+    if len(results) == 1:
+        # One partition (the in-process route): already in serial order.
+        return Extensions(*results[0][1:4], health=health)
     ranks = np.concatenate([r[1] for r in results])
     serial = np.argsort(ranks, kind="stable")
     return Extensions(
         ranks=ranks[serial],
         spans=np.concatenate([r[2] for r in results])[serial],
         scores=np.concatenate([r[3] for r in results])[serial],
-        health=replace(health, shards=0),
+        health=health,
     )
 
 
@@ -1074,6 +1077,8 @@ class Step2Engine:
             keep_pool=keep_pool is not None,
             stage="step3",
         )
+        # ``shards`` stays the step-2 count when these events fold into a
+        # request's health: partitions are counted by the step-3 metrics.
         try:
             outcomes, health = sup.run(payloads, anchor_counts)
         except DeadlineExceeded as exc:
@@ -1082,7 +1087,9 @@ class Step2Engine:
         finally:
             if keep_pool is not None:
                 keep_pool(sup.final_pool)
-        return _merge_extensions(outcomes, health, supervisor.request_id)
+        return _merge_extensions(
+            outcomes, replace(health, shards=0), supervisor.request_id
+        )
 
 
 class ShardedStep2Executor(Step2Engine):

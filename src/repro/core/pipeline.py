@@ -148,13 +148,15 @@ def gapped_stage(
         profile.step3.operations += ext.cells
         profile.step3.items += int(ext.ranks.size)
         profile.run_health.merge(ext.health)
-    # The extension *set* must not depend on how step 3 was partitioned —
-    # order-independent digest (the merge restores the order itself).
-    detsan.record_arrays(
-        "step3.extensions",
-        [ext.ranks, *ext.spans.T, *ext.scores.T],
-        order_sensitive=False,
-    )
+    if detsan.active() is not None:
+        # The extension *set* must not depend on how step 3 was
+        # partitioned — order-independent digest (the merge restores the
+        # order itself).
+        detsan.record_arrays(
+            "step3.extensions",
+            [ext.ranks, *ext.spans.T, *ext.scores.T],
+            order_sensitive=False,
+        )
     report.sort()
     return report
 
