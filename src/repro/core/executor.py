@@ -883,7 +883,8 @@ class Step2Engine:
     min_pairs_per_shard:
         Pair-count floor below which a multi-worker run scores in-process
         (:meth:`route`): on small workloads the pool's fixed costs exceed
-        the scoring itself.  ``0`` disables the floor.
+        the scoring itself.  ``0`` disables the floor — and the step-3
+        pair floor with it (:meth:`route_step3`).
 
     The engine keeps no per-run state — each run returns its hits, shard
     timings and health — so the warm pool holds one for its lifetime
@@ -926,9 +927,15 @@ class Step2Engine:
         front ends.
 
         ``"pool"`` once there are at least :data:`STEP3_MIN_PAIRS_PER_WORKER`
-        distinct pairs per worker (and at least two, to split).  An engine
-        whose step-2 floor is off (``min_pairs_per_shard=0``: chaos drills,
-        the determinism harness) has no step-3 floor either.
+        distinct pairs per worker (and at least two, to split).  The floor
+        was measured at two workers only; scaling it by the worker count
+        beyond two is unverified.
+
+        The step-3 floor follows the step-2 option: an engine built with
+        ``min_pairs_per_shard=0`` has no step-3 floor either.  That is what
+        lets the chaos drills and the determinism harness, which switch the
+        step-2 floor off to reach the pool on small inputs, also run and
+        fault the pooled step 3 without a second knob.
         """
         floor = STEP3_MIN_PAIRS_PER_WORKER if self.min_pairs_per_shard else 0
         if self.workers == 1 or block.n_pairs < max(2, self.workers * floor):
@@ -991,16 +998,16 @@ class Step2Engine:
         index: TwoBankIndex,
         bank: StagedBank,
         supervisor: SupervisorConfig,
+        keep_pool: Callable[[ProcessPoolExecutor | None], None],
         pool: ProcessPoolExecutor | None = None,
-        keep_pool: Callable[[ProcessPoolExecutor | None], None] | None = None,
     ) -> Step2Run:
         """Supervise one sharded run of *index* over the staged *bank*.
 
-        *bank* holds ``index.index1.bank``'s bytes.  Without *keep_pool*
-        the run builds a pool sized to its shards and stops it afterwards.
-        With it, the run starts on *pool* (when given), rebuilds at the
-        executor's full worker count, and hands whatever pool survives to
-        *keep_pool* — also when the run raises.  A run cut off by
+        *bank* holds ``index.index1.bank``'s bytes.  The run starts on
+        *pool* (when given) and builds a fresh one when it has none or the
+        one it has breaks — never with more processes than it has shards —
+        and hands whatever pool survives to *keep_pool*, also when it
+        raises; stopping that pool is the caller's job.  A run cut off by
         ``supervisor.deadline`` publishes its health, then raises
         :class:`~repro.core.supervisor.DeadlineExceeded`.  Workers record
         spans and metrics for the merge exactly when the run is observed
@@ -1015,7 +1022,7 @@ class Step2Engine:
             s: (request_id, query_bytes, observe, block)
             for s, block in shards.items()
         }
-        size = self.workers if keep_pool is not None else len(shards)
+        size = min(self.workers, len(shards))
 
         def local_score(shard: int) -> ShardResult:
             return _score_local(
@@ -1028,7 +1035,7 @@ class Step2Engine:
             _score_shard,
             local_score,
             initial_pool=pool,
-            keep_pool=keep_pool is not None,
+            keep_pool=True,
         )
         try:
             outcomes, health = sup.run(payloads, pair_counts)
@@ -1036,11 +1043,9 @@ class Step2Engine:
             _publish_health_metrics(exc.health)
             raise
         finally:
-            if keep_pool is not None:
-                keep_pool(sup.final_pool)
+            keep_pool(sup.final_pool)
         hits, timings = _merge(outcomes, health, request_id)
         return hits, timings, health
-
 
     def extend_pooled(
         self,
@@ -1049,8 +1054,8 @@ class Step2Engine:
         block: AnchorBlock,
         bank: StagedBank,
         supervisor: SupervisorConfig,
+        keep_pool: Callable[[ProcessPoolExecutor | None], None],
         pool: ProcessPoolExecutor | None = None,
-        keep_pool: Callable[[ProcessPoolExecutor | None], None] | None = None,
     ) -> Extensions:
         """Supervise step 3 over *block* on the pool, one task per partition.
 
@@ -1067,14 +1072,14 @@ class Step2Engine:
             p: (supervisor.request_id, query_bytes, observe, part)
             for p, part in parts.items()
         }
-        size = self.workers if keep_pool is not None else len(parts)
+        size = min(self.workers, len(parts))
         sup = ShardSupervisor(
             supervisor,
             lambda: self.make_pool(bank, size),
             _extend_rows,
             lambda p: _extend_here(buf0, buf1, p, parts[p]),
             initial_pool=pool,
-            keep_pool=keep_pool is not None,
+            keep_pool=True,
             stage="step3",
         )
         # ``shards`` stays the step-2 count when these events fold into a
@@ -1085,8 +1090,7 @@ class Step2Engine:
             exc.health = replace(exc.health, shards=0)
             raise
         finally:
-            if keep_pool is not None:
-                keep_pool(sup.final_pool)
+            keep_pool(sup.final_pool)
         return _merge_extensions(
             outcomes, replace(health, shards=0), supervisor.request_id
         )
@@ -1111,7 +1115,8 @@ class ShardedStep2Executor(Step2Engine):
 
     Inside :meth:`holding`, a pooled :meth:`run` keeps its staged bank and
     pool for :meth:`extend` (step 3), so a ``compare`` still spawns one
-    pool; both are released when the block exits.
+    pool; both are released when the block exits.  A pooled :meth:`run`
+    outside it opens its own block for the call.
     """
 
     def __init__(
@@ -1142,45 +1147,64 @@ class ShardedStep2Executor(Step2Engine):
             yield self
         finally:
             self._holding = False
-            pool, self._pool = self._pool, None
-            bank, self._bank = self._bank, None
-            try:
-                if pool is not None:
-                    _stop_pool(pool)
-            finally:
-                if bank is not None:
-                    bank.release()
+            self._release()
+
+    def _release(self) -> None:
+        """Stop the held pool and release the staged segment, if any."""
+        pool, self._pool = self._pool, None
+        bank, self._bank = self._bank, None
+        try:
+            if pool is not None:
+                _stop_pool(pool)
+        finally:
+            if bank is not None:
+                bank.release()
 
     def _keep(self, pool: ProcessPoolExecutor | None) -> None:
         self._pool = pool
 
+    def _degrade(self, what: str, exc: OSError) -> None:
+        """Restricted environments (no /dev/shm, no forks): warn, drop the
+        pool and staged bank, and let the caller take the identical-output
+        in-process route rather than fail."""
+        warnings.warn(
+            f"sharded {what} pool unavailable ({exc!r}); "
+            "falling back to in-process execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self._release()
+
     def extend(self, buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock) -> Extensions:
         """Step 3 over *block*: on the pool :meth:`run` left staged, when
         :meth:`route_step3` says so; in-process otherwise (also when step 2
-        ran in-process, so no pool was spawned)."""
+        ran in-process, so no pool was spawned, or the pool is unavailable)."""
         if self._bank is None or self.route_step3(block) != "pool":
             return extend_local(buf0, buf1, block)
-        return self.extend_pooled(
-            buf0, buf1, block, self._bank, self.supervisor,
-            pool=self._pool, keep_pool=self._keep,
-        )
+        try:
+            return self.extend_pooled(
+                buf0, buf1, block, self._bank, self.supervisor, self._keep,
+                pool=self._pool,
+            )
+        except OSError as exc:
+            self._degrade("step-3", exc)
+            return extend_local(buf0, buf1, block)
 
     def run(self, index: TwoBankIndex) -> UngappedHits:
-        """Run step 2 over *index*, sharded across the configured workers."""
+        """Run step 2 over *index*, sharded across the configured workers.
+
+        Outside :meth:`holding` the pooled route holds its pool and staged
+        bank for this call only."""
         route = self.route(index)
         if route != "pool":
             return self._run_local(index, small_workload=route == "small")
+        if not self._holding:
+            with self.holding():
+                return self.run(index)
         try:
             return self._run_pool(index)
-        except OSError as exc:  # pragma: no cover
-            # Restricted environments (no /dev/shm, no forks): degrade to
-            # the identical-output single-process path rather than fail.
-            warnings.warn(
-                f"sharded step-2 pool unavailable ({exc!r}); "
-                "falling back to in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        except OSError as exc:
+            self._degrade("step-2", exc)
             return self._run_local(index)
 
     def _run_local(
@@ -1191,23 +1215,14 @@ class ShardedStep2Executor(Step2Engine):
         )
 
     def _run_pool(self, index: TwoBankIndex) -> UngappedHits:
-        """The one-shot: stage bank 1, supervise one run on a fresh pool
-        (stopped by the supervisor), release the segment — or, inside
-        :meth:`holding`, keep both for step 3."""
-        bank = StagedBank(index.index1.bank.buffer)
-        if self._holding and self._bank is None:
-            self._bank = bank
-            return self._record(
-                lambda: self.score_pooled(
-                    index, bank, self.supervisor, keep_pool=self._keep
-                )
-            )
-        try:
-            return self._record(
-                lambda: self.score_pooled(index, bank, self.supervisor)
-            )
-        finally:
-            bank.release()
+        """The one-shot: stage bank 1 and supervise one run, keeping the
+        pool and the segment for step 3 until :meth:`holding` exits.  A
+        second run in one block first releases the previous run's pair."""
+        self._release()
+        bank = self._bank = StagedBank(index.index1.bank.buffer)
+        return self._record(
+            lambda: self.score_pooled(index, bank, self.supervisor, self._keep)
+        )
 
     def _record(self, step: Callable[[], Step2Run]) -> UngappedHits:
         """Run one step-2 route and keep its timings and health — also the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..obs import trace
@@ -162,12 +162,6 @@ class RunHealth:
         self.fallback_shards += other.fallback_shards
         self.cancelled += other.cancelled
         self.small_workload_fallbacks += other.small_workload_fallbacks
-
-    def __add__(self, other: RunHealth) -> RunHealth:
-        """A new record with both runs' counters summed."""
-        return RunHealth(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able form (run-report ``run_health`` section)."""

@@ -350,4 +350,7 @@ class WarmPool:
 
     def _fold(self, health: RunHealth) -> None:
         with self._pool_lock:
-            self._last_health = self._last_health + health
+            # A fresh record: readers may hold the step-2 one.
+            folded = replace(self._last_health)
+            folded.merge(health)
+            self._last_health = folded

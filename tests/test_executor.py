@@ -169,7 +169,8 @@ class TestShardedExecutor:
         cfg = UngappedConfig(w=4, n=4, threshold=5)
         assert 0 < idx.n_shared_keys < 64
         ex = ShardedStep2Executor(cfg, workers=64)
-        hits = ex._run_pool(idx)
+        with ex.holding():
+            hits = ex._run_pool(idx)
         ref = ShardedStep2Executor(cfg, workers=1).run(idx)
         assert np.array_equal(ref.offsets0, hits.offsets0)
         assert np.array_equal(ref.offsets1, hits.offsets1)
@@ -841,3 +842,31 @@ class TestStep3Pool:
         assert health.shards == 2
         if spec.attempt is None:
             assert 'step3_partitions_total{via="local"}' in metrics
+
+    def test_pool_unavailable_in_step2_extends_in_process(
+        self, planted_workload, reference, monkeypatch
+    ):
+        # No forks: step 2 degrades in-process, and step 3 must not try to
+        # reach a pool through the bank step 2 staged.
+        def no_pool(self, bank, workers):
+            raise OSError("no forks in this environment")
+
+        monkeypatch.setattr(executor.Step2Engine, "make_pool", no_pool)
+        with pytest.warns(RuntimeWarning, match="step-2 pool unavailable"):
+            report, profile, metrics = self.run(planted_workload)
+        self.assert_same(reference, report, profile)
+        assert [t.via for t in profile.step2_shards] == ["local"]
+        assert 'step3_partitions_total{via="pool"}' not in metrics
+
+    def test_pool_unavailable_in_step3_extends_in_process(
+        self, planted_workload, reference, monkeypatch
+    ):
+        def no_pool(self, *args, **kwargs):
+            raise OSError("no forks in this environment")
+
+        monkeypatch.setattr(executor.Step2Engine, "extend_pooled", no_pool)
+        with pytest.warns(RuntimeWarning, match="step-3 pool unavailable"):
+            report, profile, metrics = self.run(planted_workload)
+        self.assert_same(reference, report, profile)
+        assert [t.via for t in profile.step2_shards] == ["pool", "pool"]
+        assert 'step3_partitions_total{via="pool"}' not in metrics
