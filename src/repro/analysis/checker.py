@@ -32,11 +32,9 @@ import tokenize
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
-# Importing ``concurrency`` / ``kernels`` / ``threads`` registers the
-# RC1xx concurrency, RC2xx kernel-dtype and RC3xx thread/lock project
-# rules respectively.
+# Importing ``concurrency`` / ``threads`` registers the RC1xx concurrency
+# and RC3xx thread/lock project rules respectively.
 from . import concurrency  # noqa: F401  (import-for-registration)
-from . import kernels  # noqa: F401  (import-for-registration)
 from . import threads  # noqa: F401  (import-for-registration)
 from .flows import ProjectAnalyses
 from .graph import ProjectGraph

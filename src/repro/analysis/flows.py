@@ -1,7 +1,7 @@
 """Flow-sensitive hazard framework over :class:`~repro.analysis.graph.ProjectGraph`.
 
 One fixpoint summary feeds the RC1xx rules, and
-:class:`ProjectAnalyses` bundles it with the RC2xx and RC3xx substrates.
+:class:`ProjectAnalyses` bundles it with the RC3xx substrate.
 
 **Order/nondeterminism taints** (:class:`FlowAnalysis`).  A value is tainted
 ``unordered`` when its iteration order is hash- or environment-dependent
@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 from .graph import CallSite, FunctionInfo, ProjectGraph, dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard for annotations
-    from .dtypes import DtypeAnalysis
     from .locks import LockAnalysis
 
 __all__ = [
@@ -322,7 +321,6 @@ class ProjectAnalyses:
     def __init__(self, graph: ProjectGraph) -> None:
         self.graph = graph
         self._flow: FlowAnalysis | None = None
-        self._dtypes: DtypeAnalysis | None = None
         self._locks: LockAnalysis | None = None
 
     @property
@@ -331,15 +329,6 @@ class ProjectAnalyses:
         if self._flow is None:
             self._flow = FlowAnalysis(self.graph)
         return self._flow
-
-    @property
-    def dtypes(self) -> DtypeAnalysis:
-        """The (cached) dtype/value-range fixpoint (RC2xx substrate)."""
-        if self._dtypes is None:
-            from .dtypes import DtypeAnalysis
-
-            self._dtypes = DtypeAnalysis(self.graph)
-        return self._dtypes
 
     @property
     def locks(self) -> LockAnalysis:

@@ -561,13 +561,15 @@ def _publish_shard_metrics(
         registry.counter("step2_retry_wall_seconds_total").inc(retry_wall)
 
 
-def _publish_health_metrics(health: RunHealth) -> None:
-    """Expose a run's supervision counters as one labelled counter family.
+def _publish_health_metrics(health: RunHealth, stage: str = "step2") -> None:
+    """Expose a run's supervision counters as one labelled counter family,
+    ``<stage>_supervisor_events_total``.
 
-    Every run publishes exactly once — completed or cut off by its
-    deadline — into the active registry.  Every kind is published (zeros
-    included) so a fault-free run exposes the same series set as a faulty
-    one — dashboards and diffs never have to special-case missing series.
+    Every step-2 run and every pooled step 3 publishes exactly once —
+    completed or cut off by its deadline — into the active registry.
+    Every kind is published (zeros included) so a fault-free run exposes
+    the same series set as a faulty one — dashboards and diffs never have
+    to special-case missing series.
     """
     registry = obsmetrics.active()
     if registry is None:
@@ -583,7 +585,7 @@ def _publish_health_metrics(health: RunHealth) -> None:
         ("cancelled", health.cancelled),
         ("small_workload_fallbacks", health.small_workload_fallbacks),
     ):
-        registry.counter("step2_supervisor_events_total", kind=kind).inc(value)
+        registry.counter(f"{stage}_supervisor_events_total", kind=kind).inc(value)
 
 
 def _plan_shards(
@@ -801,11 +803,12 @@ def live_segment_names() -> tuple[str, ...]:
 def release_all_segments() -> None:
     """Release every tracked segment owned by this process.
 
-    Registered with :mod:`atexit` at import.  Idempotent — the per-run
-    ``try/finally`` in :meth:`ShardedStep2Executor._run_pool` untracks
-    the segment as it releases it, so on a clean run this finds nothing.
-    Never raises: it runs on the way down, where a cleanup error must not
-    mask the original exit reason.
+    Registered with :mod:`atexit` at import.  Idempotent — releasing a
+    :class:`StagedBank` untracks its segment (the ``finally`` of
+    :meth:`ShardedStep2Executor.holding` does so via ``_release``, as
+    does the serving pool on shutdown), so on a clean run this finds
+    nothing.  Never raises: it runs on the way down, where a cleanup
+    error must not mask the original exit reason.
     """
     pid = os.getpid()
     for name, (owner, shm) in list(_LIVE_SEGMENTS.items()):
@@ -1088,12 +1091,13 @@ class Step2Engine:
             outcomes, health = sup.run(payloads, anchor_counts)
         except DeadlineExceeded as exc:
             exc.health = replace(exc.health, shards=0)
+            _publish_health_metrics(exc.health, "step3")
             raise
         finally:
             keep_pool(sup.final_pool)
-        return _merge_extensions(
-            outcomes, replace(health, shards=0), supervisor.request_id
-        )
+        health = replace(health, shards=0)
+        _publish_health_metrics(health, "step3")
+        return _merge_extensions(outcomes, health, supervisor.request_id)
 
 
 class ShardedStep2Executor(Step2Engine):

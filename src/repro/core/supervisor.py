@@ -229,7 +229,8 @@ class ShardSupervisor:
         killed it) for the caller to reuse on the next request.
     stage:
         Prefix of the supervision events it records (``step2.retry``,
-        ``step3.fallback`` …): the pipeline step whose units it runs.
+        ``step3.fallback`` …): the pipeline step whose units it runs.  Its
+        log lines name a unit ``step2 shard N`` or ``step3 partition N``.
     """
 
     def __init__(
@@ -245,6 +246,7 @@ class ShardSupervisor:
     ) -> None:
         self.config = config
         self._stage = stage
+        self._unit = f"{stage} {'shard' if stage == 'step2' else 'partition'}"
         self._make_pool = make_pool
         self._task = task
         self._local_score = local_score
@@ -326,7 +328,8 @@ class ShardSupervisor:
                 # identical-output in-process engine rather than fail the
                 # whole step.
                 _log.warning(
-                    "shard %d failed %d dispatch(es); scoring in-process",
+                    "%s %d failed %d dispatch(es); running in-process",
+                    self._unit,
                     shard,
                     attempts[shard],
                 )
@@ -384,12 +387,13 @@ class ShardSupervisor:
             f"{self._stage}.cancelled", shards=len(shards), **self._event_attrs
         )
         _log.warning(
-            "run deadline expired; cancelling %d remaining shard(s): %s",
+            "run deadline expired; cancelling %d remaining %s(s): %s",
             len(shards),
+            self._unit,
             shards,
         )
         raise DeadlineExceeded(
-            f"run deadline expired with {len(shards)} shard(s) unfinished",
+            f"run deadline expired with {len(shards)} {self._unit}(s) unfinished",
             health,
             tuple(shards),
         )
@@ -485,8 +489,9 @@ class ShardSupervisor:
                     _stop_pool(pool)
                     return sorted(failed + cancelled), None, True
                 _log.warning(
-                    "shard %d exceeded its %.2fs deadline (attempt %d)",
-                    shard, deadlines[shard] - submit_t, attempts[shard],
+                    "%s %d exceeded its %.2fs deadline (attempt %d)",
+                    self._unit, shard, deadlines[shard] - submit_t,
+                    attempts[shard],
                 )
                 health.timeouts += 1
                 abandon(shard, "timeout", until=deadlines[shard])
@@ -494,29 +499,31 @@ class ShardSupervisor:
                 pool_dead = True  # a hung worker poisons the pool
                 continue
             except BrokenProcessPool as exc:
-                _log.warning("shard %d lost to broken pool: %r", shard, exc)
+                _log.warning(
+                    "%s %d lost to broken pool: %r", self._unit, shard, exc
+                )
                 health.crashes += 1
                 abandon(shard, "crash")
                 failed.append(shard)
                 pool_dead = True
                 continue
             except BankCorruption as exc:
-                _log.warning("shard %d rejected: %s", shard, exc)
+                _log.warning("%s %d rejected: %s", self._unit, shard, exc)
                 health.corrupt += 1
                 abandon(shard, "corrupt")
                 failed.append(shard)
                 continue
             except Exception as exc:  # noqa: BLE001 - any worker error retries
-                _log.warning("shard %d raised %r (attempt %d)",
-                             shard, exc, attempts[shard])
+                _log.warning("%s %d raised %r (attempt %d)",
+                             self._unit, shard, exc, attempts[shard])
                 health.crashes += 1
                 abandon(shard, "error")
                 failed.append(shard)
                 continue
             if not _validate_result(result):
                 _log.warning(
-                    "shard %d returned truncated/inconsistent hit arrays "
-                    "(attempt %d)", shard, attempts[shard],
+                    "%s %d returned truncated/inconsistent results "
+                    "(attempt %d)", self._unit, shard, attempts[shard],
                 )
                 health.truncated += 1
                 abandon(shard, "truncated")

@@ -7,16 +7,21 @@ column step into fewer, allocation-free passes:
 * **Pre-scaled bank.**  ``prepare`` multiplies bank 0 once into an int16
   row-offset table (``code * stride``), so the per-column substitution
   lookup becomes *one* flat gather: ``sub_flat[scaled0[b0 + t] + buf1[b1 + t]]``.
-  The matrix is always 25×25, so ``255 * 25`` bounds every scaled byte
-  (pad sentinels included) well inside int16.
+  ``prepare`` rejects any bank code at or past the 25-wide stride (the
+  alphabet ends at ``GAP_CODE`` = 24, pad sentinels included), so every
+  flat index stays inside the 25×25 matrix and int16.
 * **Shifted views.**  Column ``t`` gathers through ``scaled0[t:]`` /
   ``buf1[t:]`` views instead of adding ``t`` to the anchor arrays — no
   index arithmetic pass at all.  The bounds check guarantees
   ``base.max() + window <= len(buf)``, so every shifted gather with
   ``t < window`` stays in range.
 * **Preallocated scratch.**  All intermediates live in scratch buffers
-  grown monotonically and reused across batches; the steady-state batch
-  loop performs no allocation.
+  grown monotonically and reused across batches.  The three gathers per
+  column pass ``mode="clip"``: under the default ``mode="raise"`` NumPy
+  buffers ``np.take(..., out=...)`` through a fresh temporary the size of
+  the output.  Both checks above already keep every index in range, so
+  clipping never changes a value, and a steady-state ``score`` call
+  allocates nothing that grows with the batch.
 
 Accumulators are int32, which holds any window's score.
 
@@ -101,7 +106,18 @@ class FusedKernel:
         self._out = np.empty(0, dtype=np.int32)
 
     def prepare(self, buf0: np.ndarray, buf1: np.ndarray) -> None:
-        """Bind the buffers and pre-scale bank 0 into row offsets."""
+        """Bind the buffers and pre-scale bank 0 into row offsets.
+
+        Raises ``ValueError`` if either buffer holds a code ``>= stride``:
+        ``score``'s clipped substitution gather is exact only below it.
+        """
+        for buf in (buf0, buf1):
+            top = int(buf.max()) if buf.size else 0
+            if top >= self._stride:
+                raise ValueError(
+                    f"bank code {top} outside the "
+                    f"{self._stride}-letter substitution matrix"
+                )
         self._buf1 = buf1
         # dtype= must go to the ufunc itself: under NEP 50,
         # ``np.multiply(uint8, 25)`` computes in uint8 and wraps at 255.
@@ -151,12 +167,12 @@ class FusedKernel:
             best = self._best[:n]
             best[...] = 0
         for t in range(window):
-            np.take(scaled0[t:], base0, out=x)
-            np.take(buf1[t:], base1, out=y)
+            np.take(scaled0[t:], base0, out=x, mode="clip")
+            np.take(buf1[t:], base1, out=y, mode="clip")
             # int16 + uint8 promotes to int16 (values stay < stride²), the
             # unsafe cast just widens to the take index dtype in-pass.
             np.add(x, y, out=idx, casting="unsafe")
-            np.take(sub_flat, idx, out=cost)
+            np.take(sub_flat, idx, out=cost, mode="clip")
             if kadane:
                 np.add(score, cost, out=score)
                 np.maximum(score, 0, out=score)

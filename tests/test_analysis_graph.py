@@ -1,5 +1,9 @@
 """Cross-module analysis substrate tests: graph, taint flows, releases."""
 
+import pathlib
+
+import pytest
+
 from repro.analysis.checker import collect_files, parse_file
 from repro.analysis.flows import ProjectAnalyses
 from repro.analysis.graph import ProjectGraph, dotted_name, module_name_of
@@ -13,6 +17,9 @@ def build_graph(tmp_path, files):
         path.write_text(source)
     contexts = [parse_file(p) for p in collect_files([tmp_path])]
     return ProjectGraph.from_contexts(contexts)
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestNaming:
@@ -205,3 +212,29 @@ class TestTaintFlows:
         hazards = pa.flow.function_flow(info).hazards
         assert len(hazards) == 1
         assert any(t.kind == "nondet" for t in hazards[0].taints)
+
+
+class TestKernelAnchors:
+    """The engine holds its kernel as ``self._kernel``, which the resolver
+    cannot type; the graph's synthetic kernel-dispatch edges carry RC101's
+    worker reachability into ``score``/``prepare``.  Module-level
+    reachability does not pin them: the engine also calls the kernel
+    module's constructor and oracle check directly."""
+
+    FUSED = "repro.extend.backends.fused.FusedKernel"
+    RUN_STREAM = "repro.extend.batched.BatchedUngappedEngine.run_stream"
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        contexts = [parse_file(p) for p in collect_files([REPO / "src"])]
+        return ProjectGraph.from_contexts(c for c in contexts if c.in_package)
+
+    def test_fused_kernel_is_discovered(self, graph):
+        methods = graph.kernel_classes[self.FUSED]
+        assert methods["score"] == f"{self.FUSED}.score"
+        assert methods["prepare"] == f"{self.FUSED}.prepare"
+        assert {methods["score"], methods["prepare"]} <= set(graph.functions)
+
+    def test_engine_batch_loop_reaches_the_kernel(self, graph):
+        callees = set(graph.callees(self.RUN_STREAM))
+        assert {f"{self.FUSED}.score", f"{self.FUSED}.prepare"} <= callees

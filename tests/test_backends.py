@@ -1,14 +1,19 @@
-"""Step-2 kernel tests: the oracle gate and engine bit-identity.
+"""Step-2 kernel tests: the oracle gate, engine bit-identity, allocation.
 
 The engine's one kernel (``fused``) must produce the same hits, the same
-scores and the same emission order as the per-key reference path, and a
-kernel whose scores disagree with the scalar oracle must be refused.
+scores and the same emission order as the per-key reference path, a
+kernel whose scores disagree with the scalar oracle must be refused, and
+a warm ``score`` call must allocate nothing that grows with the batch.
 """
+
+import importlib.util
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.extend.backends import FusedKernel, check_against_oracle
+from repro.extend.backends import FusedKernel, check_against_oracle, fused
 from repro.extend.batched import BatchedUngappedEngine
 from repro.extend.ungapped import (
     ScoreSemantics,
@@ -123,3 +128,79 @@ class TestAvailability:
         for w, n in [(1, 0), (4, 12), (4, 2000)]:
             cfg = UngappedConfig(w=w, n=n, semantics=semantics)
             check_against_oracle(FusedKernel(cfg), cfg)
+
+
+class TestAllocation:
+    """A warm ``score`` call allocates nothing that grows with the batch.
+
+    tracemalloc reads the peak of one more call after a warm-up at
+    :attr:`N` pairs.  The clean kernel peaks at a constant ~35 KB (ufunc
+    casting buffers) at any batch size; the bound of :attr:`N` bytes sits
+    far above that and below the cheapest per-batch temporary, an int16
+    gather copy at 2 bytes per pair.
+    """
+
+    N = 1 << 17
+
+    #: Per-batch allocations, each one replacement in a copy of
+    #: ``fused.py``: a fancy-index gather copy, a fresh output buffer per
+    #: column, and an unpinned int16 + int32 add (on the KADANE line).
+    MUTATIONS = {
+        "fancy-index-copy": (
+            '            np.take(scaled0[t:], base0, out=x, mode="clip")\n',
+            "            x[...] = scaled0[t:][base0]\n",
+        ),
+        "fresh-buffer": (
+            '            np.take(sub_flat, idx, out=cost, mode="clip")\n',
+            "            tmp = np.empty(n, dtype=np.int16)\n"
+            '            np.take(sub_flat, idx, out=tmp, mode="clip")\n'
+            "            cost = tmp\n",
+        ),
+        "promoting-add": (
+            "                np.add(score, cost, out=score)\n",
+            "                score[...] = score + cost\n",
+        ),
+    }
+
+    @classmethod
+    def peak(cls, kernel_type, semantics):
+        """Traced peak bytes of one warm ``score`` call at :attr:`N` pairs."""
+        cfg = UngappedConfig(semantics=semantics)
+        rng = np.random.default_rng(17)
+        buf = rng.integers(0, 25, 1 << 16, dtype=np.uint8)
+        top = buf.shape[0] - cfg.window + cfg.n
+        a0 = rng.integers(cfg.n, top, cls.N, dtype=np.int64)
+        a1 = rng.integers(cfg.n, top, cls.N, dtype=np.int64)
+        kernel = kernel_type(cfg)
+        kernel.prepare(buf, buf)
+        kernel.score(a0, a1)
+        tracemalloc.start()
+        try:
+            kernel.score(a0, a1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def mutant(tmp_path, old, new):
+        """``FusedKernel`` from a copy of ``fused.py`` with *old* → *new*."""
+        source = pathlib.Path(fused.__file__).read_text()
+        assert old in source, f"fused.py no longer contains {old!r}"
+        path = tmp_path / "fused_mutant.py"
+        path.write_text(source.replace(old, new, 1))
+        spec = importlib.util.spec_from_file_location(
+            "repro.extend.backends.fused_mutant", path
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.FusedKernel
+
+    @pytest.mark.parametrize("semantics", list(ScoreSemantics))
+    def test_score_peak_does_not_scale_with_batch(self, semantics):
+        assert self.peak(FusedKernel, semantics) < self.N
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_each_per_batch_allocation_trips_the_bound(self, tmp_path, mutation):
+        kernel_type = self.mutant(tmp_path, *self.MUTATIONS[mutation])
+        peaks = [self.peak(kernel_type, sem) for sem in ScoreSemantics]
+        assert max(peaks) >= self.N, peaks

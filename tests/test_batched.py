@@ -184,16 +184,44 @@ class TestBatchedEngine:
             BatchedUngappedEngine(cfg).run(idx)
 
     def test_paired_kernel_rejects_out_of_buffer_anchors(self, rng):
-        buf = rng.integers(0, 20, 64).astype(np.uint8)
-        good = np.array([20], dtype=np.int64)
-        bad_low = np.array([2], dtype=np.int64)  # 2 - flank < 0
-        bad_high = np.array([62], dtype=np.int64)  # + window > 64
-        kernel = FusedKernel(UngappedConfig(w=4, n=8))  # window 20
-        kernel.prepare(buf, buf)
-        kernel.score(good, good)
-        for a0, a1 in [(bad_low, good), (good, bad_high)]:
+        # The gathers clip instead of raising, so the edges are exact only
+        # because both checks hold: windows touching the first and the
+        # last byte of either buffer score like the scalar oracle, one
+        # byte past either end raises, and so does a bank code at or past
+        # the 25-letter matrix stride.
+        cfg = UngappedConfig(w=4, n=8)  # window 20
+        buf0 = rng.integers(0, 25, 64).astype(np.uint8)
+        buf1 = rng.integers(0, 25, 71).astype(np.uint8)
+        buf0[[0, -1]] = buf1[[0, -1]] = 24  # GAP_CODE, the last legal code
+        first = cfg.n  # window starts at byte 0
+        last0 = buf0.shape[0] - cfg.window + cfg.n  # window ends at the last byte
+        last1 = buf1.shape[0] - cfg.window + cfg.n
+        kernel = FusedKernel(cfg)
+        kernel.prepare(buf0, buf1)
+        a0 = np.array([first, last0, first, last0], dtype=np.int64)
+        a1 = np.array([first, last1, last1, first], dtype=np.int64)
+        got = kernel.score(a0, a1).copy()
+        for i in range(a0.shape[0]):
+            s0, s1 = int(a0[i]) - cfg.n, int(a1[i]) - cfg.n
+            want = ungapped_score_reference(
+                buf0[s0 : s0 + cfg.window], buf1[s1 : s1 + cfg.window]
+            )
+            assert got[i] == want
+        good = np.array([first], dtype=np.int64)
+        for a0, a1 in [
+            (np.array([first - 1]), good),
+            (np.array([last0 + 1]), good),
+            (good, np.array([first - 1])),
+            (good, np.array([last1 + 1])),
+        ]:
             with pytest.raises(IndexError, match="increase pad"):
                 kernel.score(a0, a1)
+        for code in (25, 255):
+            bad0, bad1 = buf0.copy(), buf1.copy()
+            bad0[-1] = bad1[0] = code
+            for pair in [(bad0, buf1), (buf0, bad1)]:
+                with pytest.raises(ValueError, match="substitution matrix"):
+                    FusedKernel(cfg).prepare(*pair)
 
 
 @given(

@@ -834,8 +834,16 @@ class TestStep3Pool:
         )
         self.assert_same(reference, report, profile)
         health = profile.run_health
+        # Step-3 supervision reaches the metrics, zeros included.
+        step3_events = {
+            line.split('"')[1]: int(line.rsplit(" ", 1)[1])
+            for line in metrics.splitlines()
+            if line.startswith("step3_supervisor_events_total{")
+        }
+        assert step3_events["cancelled"] == 0
         for counter, value in expect.items():
             assert getattr(health, counter) >= value, (counter, health)
+            assert step3_events[counter] >= value, (counter, step3_events)
         # The fault addressed step 3: every step-2 shard took one attempt,
         # and ``shards`` still counts step-2 shards only.
         assert [t.attempts for t in profile.step2_shards] == [1, 1]

@@ -92,6 +92,16 @@ class TestRC002ExplicitDtype:
         )
         assert codes_in(tmp_path, "repro/extend/k.py", src) == []
 
+    def test_covers_backend_constructors(self, tmp_path):
+        # extend/backends/ is hot-path scope, and np.ones is in the
+        # dtype-required constructor set.
+        src = (
+            "import numpy as np\n\n\n"
+            "def make(n: int) -> np.ndarray:\n"
+            "    return np.ones(n)\n"
+        )
+        assert codes_in(tmp_path, "repro/extend/backends/x.py", src) == ["RC002"]
+
 
 class TestRC003MutableDefault:
     def test_list_literal_fires(self, tmp_path):
@@ -154,6 +164,10 @@ class TestRC005PublicAnnotations:
     def test_outside_scope_exempt(self, tmp_path):
         src = "def score(a, b):\n    return a\n"
         assert codes_in(tmp_path, "repro/seqs/x.py", src) == []
+
+    def test_covers_backend_signatures(self, tmp_path):
+        src = "def make(config):\n    return None\n"
+        assert codes_in(tmp_path, "repro/extend/backends/x.py", src) == ["RC005"]
 
 
 class TestSuppressionAndSelect:
@@ -245,9 +259,11 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_unknown_select_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--select", "RC999", str(tmp_path)])
-        assert exc.value.code == 2
+        # RC201 names a retired rule: it must not select silently.
+        for code in ("RC999", "RC201"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--select", code, str(tmp_path)])
+            assert exc.value.code == 2
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
