@@ -90,9 +90,11 @@ def _bench_config(workers: int) -> PipelineConfig:
 
     ``min_pairs_per_shard=0`` forces the pooled step-2 engine at bench
     scale (same precedent as ``bench_step2_scaling``'s sharded modes).
-    Both front ends apply a pair floor — the one-shot
-    ``ShardedStep2Executor.run`` this config's, the warm pool its own
-    (:func:`_service_config`).  Without it both arms drop to in-process
+    Both arms drive the one pool front end,
+    :class:`~repro.core.executor.ShardedStep2Executor`, and each applies
+    a pair floor — the cold arm's one-shot this config's, the warm arm's
+    :class:`~repro.serve.pool.WarmPool` its own (:func:`_service_config`).
+    Without it both arms drop to in-process
     scoring, the cold one never pays the pool spawn + bank staging that
     warm serving amortises, and the comparison would be between two
     different routes instead of between per-request and per-boot setup

@@ -12,8 +12,10 @@ sequential runtime, paper Table 1) is tracked from PR to PR:
 * ``batched`` — the flat cross-entry batch engine and its ``fused``
   kernel (:class:`~repro.extend.batched.BatchedUngappedEngine` via the
   executor at ``workers=1``);
-* ``batched_xN`` — the sharded multiprocess executor at each requested
-  worker count (run with ``min_pairs_per_shard=0`` so the pool really
+* ``batched_xN`` — the pool front end at each requested worker count,
+  one-shot (:meth:`~repro.core.executor.ShardedStep2Executor.run`: every
+  repetition stages bank 1, spawns the pool, scores and releases both;
+  run with ``min_pairs_per_shard=0`` so the pool really
   spawns — the executor's default heuristic would route this sub-floor
   workload in-process, which is the production fix for the 2-worker
   regression this benchmark first exposed).

@@ -12,7 +12,7 @@ caller's rule must look up.  :class:`ProjectGraph` is the shared substrate:
 * each module's import statements become a local-name → qualified-name
   table, with relative imports resolved against the module's package;
 * every function and method gets a :class:`FunctionInfo` keyed by its
-  qualified name (``repro.core.executor.ShardedStep2Executor._run_pool``),
+  qualified name (``repro.core.executor.ShardedStep2Executor.step2``),
   holding its AST node and its resolved call sites;
 * :meth:`ProjectGraph.callees` / :meth:`ProjectGraph.reachable_from` expose
   the graph itself for reachability-style rules, and

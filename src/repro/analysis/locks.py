@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 import re
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -221,6 +221,8 @@ class ThreadModel:
         self.attr_types: dict[tuple[str, str], str] = {}
         #: ``(module.Class, attr)`` → getter qualname for ``@property``.
         self.properties: dict[tuple[str, str], str] = {}
+        #: ``module.Class`` → its project base classes, in declaration order.
+        self.bases: dict[str, tuple[str, ...]] = {}
         #: ``(module.Class, attr)`` → ``"lock"`` | ``"sync"``.
         self.sync_fields: dict[tuple[str, str], str] = {}
         #: ``(module, name)`` → ``"lock"`` | ``"sync"`` for module globals.
@@ -263,6 +265,8 @@ class ThreadModel:
                 if not isinstance(stmt, ast.ClassDef):
                     continue
                 prefix = f"{mod.name}.{stmt.name}"
+                bases = (graph._class_prefix_of(mod, dotted_name(b)) for b in stmt.bases)
+                self.bases[prefix] = tuple(b for b in bases if b is not None)
                 for sub in stmt.body:
                     # Class-body annotations (``server: SearchHTTPServer``).
                     if isinstance(sub, ast.AnnAssign) and isinstance(
@@ -413,11 +417,39 @@ class ThreadModel:
         if isinstance(expr, ast.Attribute):
             base = self.type_of(info, expr.value, _seen)
             if base is not None:
-                return self.attr_types.get((base, expr.attr))
+                return self.inherited(self.attr_types, base, expr.attr)
             return None
         if isinstance(expr, ast.Call):
             mod = self.graph.modules[info.module]
             return self.graph._class_prefix_of(mod, dotted_name(expr.func))
+        return None
+
+    # -- inheritance ---------------------------------------------------
+    def mro(self, prefix: str) -> Iterator[str]:
+        """*prefix*, then its project bases, depth first."""
+        yield prefix
+        for base in self.bases.get(prefix, ()):
+            yield from self.mro(base)
+
+    def inherited(
+        self, table: dict[tuple[str, str], str], prefix: str, name: str
+    ) -> str | None:
+        """``table[(cls, name)]`` for the first class of *prefix*'s
+        :meth:`mro` that has it (typed attributes, properties)."""
+        return next(
+            (table[(cls, name)] for cls in self.mro(prefix) if (cls, name) in table),
+            None,
+        )
+
+    def method(self, prefix: str, name: str) -> str | None:
+        """Qualname of the method *name* instances of *prefix* call —
+        their class's own, else the first base's that defines it."""
+        for cls in self.mro(prefix):
+            scope, _, leaf = cls.rpartition(".")
+            owner = self.graph.modules.get(scope)
+            qual = owner.classes.get(leaf, {}).get(name) if owner else None
+            if qual is not None:
+                return qual
         return None
 
     # -- sharedness ----------------------------------------------------
@@ -434,7 +466,10 @@ class ThreadModel:
         closure then follows *typed attribute* edges: if ``SearchService``
         is shared and ``self.pool`` holds a ``WarmPool``, the pool's
         instance is reachable from every thread that can reach the
-        service.  Classes only ever held in locals (the per-request
+        service.  A shared class shares its project bases, whose methods
+        its instances run: ``WarmPool`` publishes the
+        ``ShardedStep2Executor`` fields its base-class methods guard.
+        Classes only ever held in locals (the per-request
         pipeline, per-run health objects, supervisors) never enter the
         domain, which is what keeps RC300 from demanding locks on
         thread-confined state.
@@ -491,6 +526,7 @@ class ThreadModel:
                 continue
             self.shared_classes.add(prefix)
             queue.extend(by_class.get(prefix, ()))
+            queue.extend(self.bases.get(prefix, ()))
 
     def receiver_shared(self, info: FunctionInfo, expr: ast.expr) -> bool | None:
         """Whether a receiver chain is rooted in a thread-shared class.
@@ -517,12 +553,9 @@ class ThreadModel:
         if isinstance(expr, ast.Attribute):
             base = self.type_of(info, expr.value)
             if base is not None:
-                scope, _, cls = base.rpartition(".")
-                owner = self.graph.modules.get(scope)
-                if owner is not None:
-                    qual = owner.classes.get(cls, {}).get(expr.attr)
-                    if qual is not None:
-                        return qual
+                qual = self.method(base, expr.attr)
+                if qual is not None:
+                    return qual
         head, _, rest = raw.partition(".")
         expanded = _expand(mod, raw)
         if expanded in self.graph.functions:
@@ -866,12 +899,7 @@ class LockModel:
                     if callee is None:
                         base = self.threads.type_of(info, node.func.value)
                         if base is not None:
-                            scope, _, cls = base.rpartition(".")
-                            owner = self.graph.modules.get(scope)
-                            if owner is not None:
-                                callee = owner.classes.get(cls, {}).get(
-                                    node.func.attr
-                                )
+                            callee = self.threads.method(base, node.func.attr)
                     shared = self.threads.receiver_shared(info, node.func.value)
                 summary.calls.append(
                     CallEvent(
@@ -898,7 +926,9 @@ class LockModel:
                 # ``service.ready`` executes the getter on *this* thread.
                 base = self.threads.type_of(info, node.value)
                 if base is not None:
-                    getter = self.threads.properties.get((base, node.attr))
+                    getter = self.threads.inherited(
+                        self.threads.properties, base, node.attr
+                    )
                     if getter is not None:
                         summary.calls.append(
                             CallEvent(

@@ -42,15 +42,16 @@ digest-checked bank-1 view, under the same supervisor, and its merge
 (:func:`_merge_extensions`) restores the serial extension order.  The
 in-process route (:func:`extend_local`) is that loop over one partition.
 
-:class:`Step2Engine` ties these together (:meth:`Step2Engine.score_pooled`,
-:meth:`Step2Engine.score_local`, :meth:`Step2Engine.extend_pooled`), and
-two front ends drive it.  :meth:`ShardedStep2Executor.run` is the
-one-shot: stage bank 1, supervise one run on a fresh pool, stop the pool,
-release the segment — or, inside :meth:`ShardedStep2Executor.holding`,
-keep both for step 3.  :class:`repro.serve.pool.WarmPool` stages its
-resident bank once and hands one pool from request to request.  Outputs,
-health counters and shard timings of the two therefore agree by
-construction.
+One class drives all of it: :class:`ShardedStep2Executor` owns the staged
+bank 1, the pool and one lock over both, and runs its
+:meth:`~ShardedStep2Executor.step2` and :meth:`~ShardedStep2Executor.step3`
+for both front ends.  ``compare --workers N`` stages bank 1 on a pooled
+step 2 only, and releases pool and segment when its
+:meth:`~ShardedStep2Executor.holding` block exits;
+:class:`repro.serve.pool.WarmPool` builds the same class over a resident
+bank staged at boot and hands one pool from request to request.  Outputs,
+routes, health counters, shard timings and the ``OSError`` fallback of the
+two are therefore one code path.
 
 Deterministic fault injection (:mod:`repro.core.faults`) hooks into both
 tasks: a :class:`~repro.core.faults.FaultPlan` addressed by ``(step,
@@ -66,6 +67,7 @@ import atexit
 import logging
 import os
 import signal
+import threading
 import time
 import warnings
 from collections.abc import Callable, Iterator
@@ -106,7 +108,6 @@ __all__ = [
     "Extensions",
     "ShardedStep2Executor",
     "StagedBank",
-    "Step2Engine",
     "extend_local",
     "live_segment_names",
     "release_all_segments",
@@ -158,12 +159,12 @@ ExtendResult = tuple[
 #: One step-2 run: merged hits, one timing per shard, supervision health.
 Step2Run = tuple[UngappedHits, list[ShardTiming], RunHealth]
 
-#: Where one step-2 run scores (:meth:`Step2Engine.route`).
+#: Where one step-2 run scores (:meth:`ShardedStep2Executor.route`).
 Route = Literal["local", "small", "pool"]
 
-#: Step-3 pair floor per worker (:meth:`Step2Engine.route_step3`): below
-#: ``workers ×`` this many distinct (query, subject) pairs, step 3 extends
-#: in-process.  On the warm pool the two routes cross between 5 and 10
+#: Step-3 pair floor per worker (:meth:`ShardedStep2Executor.route_step3`):
+#: below ``workers ×`` this many distinct (query, subject) pairs, step 3
+#: extends in-process.  On the warm pool the two routes cross between 5 and 10
 #: pairs at 2 workers (DESIGN §11, "The step-3 pair floor").
 STEP3_MIN_PAIRS_PER_WORKER = 4
 
@@ -843,11 +844,12 @@ def _release_segment(shm: SharedMemory) -> None:
 class StagedBank:
     """Bank 1 staged once in shared memory: the segment every worker maps.
 
-    The engine's staging helper: copies *buffer* into a fresh segment
-    (tracked for exit-time cleanup) and records the CRC every pool task
-    checks its view against.  :attr:`view` is the owner's writable window
-    onto the segment — a server's CRC self-heal re-stages through it.
-    The owner calls :meth:`release` exactly once.
+    Copies *buffer* into a fresh segment (tracked for exit-time cleanup)
+    and records the CRC every pool task checks its view against.
+    :attr:`view` is the owner's writable window onto the segment, and
+    :attr:`source` the host buffer it was staged from — the pristine copy
+    a CRC self-heal restores.  The owner calls :meth:`release` exactly
+    once.
     """
 
     def __init__(self, buffer: np.ndarray) -> None:
@@ -855,6 +857,7 @@ class StagedBank:
 
         #: CRC-32 of the staged bytes.
         self.digest = bank_digest(buffer)
+        self.source = buffer
         self.shm: SharedMemory = shared_memory.SharedMemory(
             create=True, size=max(1, buffer.nbytes)
         )
@@ -867,8 +870,24 @@ class StagedBank:
         _release_segment(self.shm)
 
 
-class Step2Engine:
-    """The pool engine: pool recipe, routes, supervised step-2 and step-3 runs.
+def _shut(pool: ProcessPoolExecutor | None, bank: StagedBank | None) -> None:
+    """Stop *pool* and release *bank*, either of which may be absent.
+
+    Callers swap both out under their lock and call this outside it:
+    ``_stop_pool`` joins worker processes, and holding a lock across a
+    join is the bounded-blocking shape RC107 rejects.
+    """
+    try:
+        if pool is not None:
+            _stop_pool(pool)
+    finally:
+        if bank is not None:
+            bank.release()
+
+
+class ShardedStep2Executor:
+    """The pool front end: a staged bank 1, its worker pool, and the
+    supervised step-2 and step-3 runs on them.
 
     Parameters
     ----------
@@ -878,7 +897,8 @@ class Step2Engine:
         Process count of the pools it builds and the shard count it plans.
     supervisor:
         Retry/timeout policy (:class:`~repro.core.supervisor.SupervisorConfig`);
-        defaults to pair-count-derived deadlines with 2 retries.
+        defaults to pair-count-derived deadlines with 2 retries.  Each run
+        sets its own request deadline and id on it.
     fault_plan:
         Optional deterministic fault injection
         (:class:`~repro.core.faults.FaultPlan`) applied inside the pool
@@ -887,12 +907,20 @@ class Step2Engine:
         Pair-count floor below which a multi-worker run scores in-process
         (:meth:`route`): on small workloads the pool's fixed costs exceed
         the scoring itself.  ``0`` disables the floor — and the step-3
-        pair floor with it (:meth:`route_step3`).
+        pair floor with it (:meth:`route_step3`).  The default ``1 << 18``
+        also covers pool spawn and staging, which a one-shot pays per run.
+    resident:
+        Bank-1 bytes to stage now and keep until :meth:`close` — a
+        server's resident bank (:class:`repro.serve.pool.WarmPool`).
+        Without one, a pooled :meth:`step2` stages its own bank 1, and the
+        :meth:`holding` block it runs in releases it with the pool.
 
-    The engine keeps no per-run state — each run returns its hits, shard
-    timings and health — so the warm pool holds one for its lifetime
-    while it owns the staging and the pool itself.  Step 3 rides the same
-    pool and staging (:meth:`route_step3`, :meth:`extend_pooled`).
+    ``compare --workers N`` runs :meth:`step2` then :meth:`step3` in one
+    :meth:`holding` block, so a run spawns one pool; a server calls them
+    per request and hands the one pool from request to request.  The
+    merged hits are bit-identical — offsets, scores and order — to the
+    single-process batched run for any worker count, retry or injected
+    fault.
     """
 
     def __init__(
@@ -902,15 +930,66 @@ class Step2Engine:
         supervisor: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
         min_pairs_per_shard: int = 1 << 18,
+        resident: np.ndarray | None = None,
     ) -> None:
         self.config = config or UngappedConfig()
         self.workers = max(1, int(workers))
         self.supervisor = supervisor or SupervisorConfig()
         self.fault_plan = fault_plan
         self.min_pairs_per_shard = max(0, int(min_pairs_per_shard))
+        self._resident = resident is not None
+        #: Guards every mutable field a server's threads share: ``_pool``,
+        #: ``_bank``, ``_closed``, ``_last_health``, ``_last_timings`` and
+        #: ``_bank_heals``.
+        self._pool_lock = threading.Lock()
+        self._bank = None if resident is None else StagedBank(resident)
+        self._pool: ProcessPoolExecutor | None = None
+        self._closed = False
+        self._last_health = RunHealth()
+        self._last_timings: list[ShardTiming] = []
+        self._bank_heals = 0
 
+    # -- shared state accessors -----------------------------------------
+    @property
+    def last_health(self) -> RunHealth:
+        """Supervision counters of the latest :meth:`step2` plus the
+        events of its pooled :meth:`step3` — also those of a run its
+        deadline cut off."""
+        with self._pool_lock:
+            return self._last_health
+
+    @last_health.setter
+    def last_health(self, value: RunHealth) -> None:
+        with self._pool_lock:
+            self._last_health = value
+
+    @property
+    def last_timings(self) -> list[ShardTiming]:
+        """Per-shard timings of the latest :meth:`step2`."""
+        with self._pool_lock:
+            return self._last_timings
+
+    @property
+    def bank_heals(self) -> int:
+        """CRC self-heals of the staged bank (:meth:`heal_if_corrupt`)."""
+        with self._pool_lock:
+            return self._bank_heals
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes of the staged bank-1 segment (0 when none is staged)."""
+        with self._pool_lock:
+            return 0 if self._bank is None else int(self._bank.shm.size)
+
+    @property
+    def pool_alive(self) -> bool:
+        """True while a pool is held for the next run."""
+        with self._pool_lock:
+            return self._pool is not None
+
+    # -- routes -----------------------------------------------------------
     def route(self, index: TwoBankIndex) -> Route:
-        """Where a run over *index* scores — the one rule of both front ends.
+        """Where a step 2 over *index* scores.
 
         ``"local"``: one worker, or too few shared keys to cut two shards
         per worker.  ``"small"``: fewer than :attr:`min_pairs_per_shard`
@@ -926,15 +1005,14 @@ class Step2Engine:
         return "pool"
 
     def route_step3(self, block: AnchorBlock) -> Literal["local", "pool"]:
-        """Where step 3 over *block* extends — the step-3 rule of both
-        front ends.
+        """Where a step 3 over *block* extends, when a bank is staged.
 
         ``"pool"`` once there are at least :data:`STEP3_MIN_PAIRS_PER_WORKER`
         distinct pairs per worker (and at least two, to split).  The floor
         was measured at two workers only; scaling it by the worker count
         beyond two is unverified.
 
-        The step-3 floor follows the step-2 option: an engine built with
+        The step-3 floor follows the step-2 option: a front end built with
         ``min_pairs_per_shard=0`` has no step-3 floor either.  That is what
         lets the chaos drills and the determinism harness, which switch the
         step-2 floor off to reach the pool on small inputs, also run and
@@ -945,33 +1023,106 @@ class Step2Engine:
             return "local"
         return "pool"
 
-    def make_pool(self, bank: StagedBank, workers: int) -> ProcessPoolExecutor:
-        """A fresh pool of *workers* processes, each mapping *bank*."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx, unregister = _pool_context()
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(
-                bank.shm.name, bank.view.shape[0], self.config, unregister,
-                self.fault_plan, bank.digest,
-            ),
-        )
-
-    def score_local(
+    # -- step 2 and step 3 ------------------------------------------------
+    def step2(
         self,
         index: TwoBankIndex,
-        supervisor: SupervisorConfig,
-        small_workload: bool = False,
+        deadline_at: float | None = None,
+        use_pool: bool = True,
+        request_id: str | None = None,
+    ) -> UngappedHits:
+        """Score *index* (step 2) where :meth:`route` says, and record it.
+
+        ``deadline_at`` is the request's absolute deadline: a run it cuts
+        off raises :class:`~repro.core.supervisor.DeadlineExceeded`.
+        ``use_pool=False`` is a breaker's degraded route (in-process, no
+        pool interaction at all).  ``request_id`` rides the supervisor's
+        events and every task, so worker spans re-parent under this
+        request's shard spans.  Where no pool can be had (``OSError``: no
+        ``/dev/shm``, no forks) the run warns and scores in-process,
+        counted as one fallback shard.
+        """
+        supervisor = replace(
+            self.supervisor, deadline=deadline_at, request_id=request_id
+        )
+        route = self.route(index) if use_pool else "local"
+        try:
+            hits, timings, health = self._score(index, supervisor, route)
+        except DeadlineExceeded as exc:
+            self._keep(exc.health, [])
+            raise
+        self._keep(health, timings)
+        return hits
+
+    def step3(
+        self,
+        buf0: np.ndarray,
+        buf1: np.ndarray,
+        block: AnchorBlock,
+        deadline_at: float | None = None,
+        use_pool: bool = True,
+        request_id: str | None = None,
+    ) -> Extensions:
+        """Extend *block* (step 3) after :meth:`step2`.
+
+        On the pool when a bank is staged — a server's resident bank, or
+        the one a one-shot's pooled step 2 left — and :meth:`route_step3`
+        says so; in-process otherwise.  The arguments mean what they mean
+        for :meth:`step2`.  A pooled run's supervision events, a deadline
+        cut-off's included, fold into :attr:`last_health`, so a breaker
+        judges the request's pool behaviour over both steps.
+        """
+        with self._pool_lock:
+            bank = self._bank
+        if bank is None or not use_pool or self.route_step3(block) != "pool":
+            return extend_local(buf0, buf1, block)
+        supervisor = replace(
+            self.supervisor, deadline=deadline_at, request_id=request_id
+        )
+        try:
+            ext = self._extend(buf0, buf1, block, bank, supervisor)
+        except DeadlineExceeded as exc:
+            self._keep(exc.health)
+            raise
+        self._keep(ext.health)
+        return ext
+
+    def run(self, index: TwoBankIndex) -> UngappedHits:
+        """A one-shot step 2: :meth:`step2` in a :meth:`holding` block of
+        its own, so a pooled run's pool and staged bank go with it."""
+        with self.holding():
+            return self.step2(index)
+
+    @contextmanager
+    def holding(self) -> Iterator[ShardedStep2Executor]:
+        """Keep the pool and staged bank of the runs inside the block for
+        the next (step 3 after step 2), then stop the pool and release the
+        bank — a resident bank stays until :meth:`close`."""
+        try:
+            yield self
+        finally:
+            self._release()
+
+    def _score(
+        self, index: TwoBankIndex, supervisor: SupervisorConfig, route: Route
+    ) -> Step2Run:
+        if route == "pool":
+            try:
+                return self._score_pooled(index, supervisor)
+            except OSError as exc:
+                self._degrade("step-2", exc)
+        return self._score_local(index, supervisor, route)
+
+    def _score_local(
+        self, index: TwoBankIndex, supervisor: SupervisorConfig, route: Route
     ) -> Step2Run:
         """The in-process route: one shard spanning every entry, scored here.
 
         Refuses to start past ``supervisor.deadline`` (raising
         :class:`~repro.core.supervisor.DeadlineExceeded` with the one
-        shard counted as cancelled).  *small_workload* records that the
-        route was chosen by the ``min_pairs_per_shard`` floor.
+        shard counted as cancelled).  *route* says why it runs here:
+        ``"small"`` is the pair floor's choice, ``"pool"`` a pool that
+        could not be had (a fallback shard).
         """
         if supervisor.deadline is not None and obstrace.clock() >= supervisor.deadline:
             health = RunHealth(shards=1, cancelled=1)
@@ -988,7 +1139,11 @@ class Step2Engine:
             0,
             EntryBlock(*index.shard_arrays(0, index.n_shared_keys)),
         )
-        health = RunHealth(shards=1, small_workload_fallbacks=int(small_workload))
+        health = RunHealth(
+            shards=1,
+            fallback_shards=int(route == "pool"),
+            small_workload_fallbacks=int(route == "small"),
+        )
         hits, timings = _merge(
             [ShardOutcome(shard=0, result=result, attempts=1, via="local")],
             health,
@@ -996,48 +1151,40 @@ class Step2Engine:
         )
         return hits, timings, health
 
-    def score_pooled(
-        self,
-        index: TwoBankIndex,
-        bank: StagedBank,
-        supervisor: SupervisorConfig,
-        keep_pool: Callable[[ProcessPoolExecutor | None], None],
-        pool: ProcessPoolExecutor | None = None,
+    def _score_pooled(
+        self, index: TwoBankIndex, supervisor: SupervisorConfig
     ) -> Step2Run:
-        """Supervise one sharded run of *index* over the staged *bank*.
+        """Supervise one sharded run of *index* over the staged bank 1.
 
-        *bank* holds ``index.index1.bank``'s bytes.  The run starts on
-        *pool* (when given) and builds a fresh one when it has none or the
-        one it has breaks — never with more processes than it has shards —
-        and hands whatever pool survives to *keep_pool*, also when it
-        raises; stopping that pool is the caller's job.  A run cut off by
-        ``supervisor.deadline`` publishes its health, then raises
-        :class:`~repro.core.supervisor.DeadlineExceeded`.  Workers record
-        spans and metrics for the merge exactly when the run is observed
-        (a tracer or a metrics registry is active).
+        The run takes the held pool, builds a fresh one when it has none
+        or that one breaks — never with more processes than shards — and
+        hands whatever pool survives to :meth:`_hold`, also when it
+        raises.  A run cut off by its deadline publishes its health, then
+        raises.  Workers record spans and metrics exactly when the run is
+        observed (a tracer or a metrics registry is active).
         """
-        request_id = supervisor.request_id
+        bank = self._stage(index.index1.bank.buffer)
         shards, pair_counts = _plan_shards(index, self.workers)
         bank0 = index.index0.bank.buffer
         query_bytes = bank0.tobytes()
         observe = obstrace.active() is not None or obsmetrics.active() is not None
         payloads = {
-            s: (request_id, query_bytes, observe, block)
+            s: (supervisor.request_id, query_bytes, observe, block)
             for s, block in shards.items()
         }
-        size = min(self.workers, len(shards))
 
         def local_score(shard: int) -> ShardResult:
             return _score_local(
                 self.config, bank0, index.index1.bank.buffer, shard, shards[shard]
             )
 
+        size = min(self.workers, len(shards))
         sup = ShardSupervisor(
             supervisor,
             lambda: self.make_pool(bank, size),
             _score_shard,
             local_score,
-            initial_pool=pool,
+            initial_pool=self._take_pool(),
             keep_pool=True,
         )
         try:
@@ -1046,27 +1193,41 @@ class Step2Engine:
             _publish_health_metrics(exc.health)
             raise
         finally:
-            keep_pool(sup.final_pool)
-        hits, timings = _merge(outcomes, health, request_id)
+            self._hold(sup.final_pool)
+        hits, timings = _merge(outcomes, health, supervisor.request_id)
         return hits, timings, health
 
-    def extend_pooled(
+    def _extend(
         self,
         buf0: np.ndarray,
         buf1: np.ndarray,
         block: AnchorBlock,
         bank: StagedBank,
         supervisor: SupervisorConfig,
-        keep_pool: Callable[[ProcessPoolExecutor | None], None],
-        pool: ProcessPoolExecutor | None = None,
+    ) -> Extensions:
+        try:
+            return self._extend_pooled(buf0, buf1, block, bank, supervisor)
+        except OSError as exc:
+            self._degrade("step-3", exc)
+        health = RunHealth(fallback_shards=1)
+        _publish_health_metrics(health, "step3")
+        return replace(extend_local(buf0, buf1, block), health=health)
+
+    def _extend_pooled(
+        self,
+        buf0: np.ndarray,
+        buf1: np.ndarray,
+        block: AnchorBlock,
+        bank: StagedBank,
+        supervisor: SupervisorConfig,
     ) -> Extensions:
         """Supervise step 3 over *block* on the pool, one task per partition.
 
-        *bank* holds *buf1*'s bytes; *pool* and *keep_pool* work as in
-        :meth:`score_pooled`, and so does ``supervisor.deadline``: a run it
-        cuts off raises :class:`~repro.core.supervisor.DeadlineExceeded`
-        with the remaining partitions cancelled.  A partition whose retries
-        run out extends in-process, so the result never changes.
+        *bank* holds *buf1*'s bytes.  ``supervisor.deadline`` works as in
+        :meth:`_score_pooled`: a run it cuts off raises
+        :class:`~repro.core.supervisor.DeadlineExceeded` with the remaining
+        partitions cancelled.  A partition whose retries run out extends
+        in-process, so the result never changes.
         """
         parts, anchor_counts = _plan_partitions(block, self.workers)
         query_bytes = buf0.tobytes()
@@ -1081,12 +1242,12 @@ class Step2Engine:
             lambda: self.make_pool(bank, size),
             _extend_rows,
             lambda p: _extend_here(buf0, buf1, p, parts[p]),
-            initial_pool=pool,
+            initial_pool=self._take_pool(),
             keep_pool=True,
             stage="step3",
         )
         # ``shards`` stays the step-2 count when these events fold into a
-        # request's health: partitions are counted by the step-3 metrics.
+        # run's health: partitions are counted by the step-3 metrics.
         try:
             outcomes, health = sup.run(payloads, anchor_counts)
         except DeadlineExceeded as exc:
@@ -1094,146 +1255,186 @@ class Step2Engine:
             _publish_health_metrics(exc.health, "step3")
             raise
         finally:
-            keep_pool(sup.final_pool)
+            self._hold(sup.final_pool)
         health = replace(health, shards=0)
         _publish_health_metrics(health, "step3")
         return _merge_extensions(outcomes, health, supervisor.request_id)
 
+    # -- pool and staging ---------------------------------------------------
+    def make_pool(self, bank: StagedBank, workers: int) -> ProcessPoolExecutor:
+        """A fresh pool of *workers* processes, each mapping *bank*."""
+        from concurrent.futures import ProcessPoolExecutor
 
-class ShardedStep2Executor(Step2Engine):
-    """One-shot front end of the step-2 engine (:meth:`run`).
-
-    Takes the :class:`Step2Engine` parameters; its ``min_pairs_per_shard``
-    floor (default ``1 << 18``) also covers pool spawn and shared-memory
-    staging, which a one-shot pays per run.
-
-    ``workers=1`` runs the batched engine in-process (no pool, no shared
-    memory); ``N > 1`` shards the key space over a supervised
-    ``ProcessPoolExecutor``.  The merged
-    :class:`~repro.extend.ungapped.UngappedHits` is bit-identical —
-    offsets, scores and order — to the single-process batched run for any
-    worker count, any supervised retry and any injected fault.
-    :attr:`last_timings` holds one :class:`~repro.core.profile.ShardTiming`
-    per shard of the latest :meth:`run`; :attr:`last_health` its
-    :class:`~repro.core.profile.RunHealth` counters.
-
-    Inside :meth:`holding`, a pooled :meth:`run` keeps its staged bank and
-    pool for :meth:`extend` (step 3), so a ``compare`` still spawns one
-    pool; both are released when the block exits.  A pooled :meth:`run`
-    outside it opens its own block for the call.
-    """
-
-    def __init__(
-        self,
-        config: UngappedConfig | None = None,
-        workers: int = 1,
-        supervisor: SupervisorConfig | None = None,
-        fault_plan: FaultPlan | None = None,
-        min_pairs_per_shard: int = 1 << 18,
-    ) -> None:
-        super().__init__(
-            config, workers, supervisor, fault_plan, min_pairs_per_shard
+        ctx, unregister = _pool_context()
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(
+                bank.shm.name, bank.view.shape[0], self.config, unregister,
+                self.fault_plan, bank.digest,
+            ),
         )
-        #: Per-shard timings of the most recent :meth:`run`.
-        self.last_timings: list[ShardTiming] = []
-        #: Supervision counters of the most recent :meth:`run`.
-        self.last_health: RunHealth = RunHealth()
-        self._holding = False
-        self._bank: StagedBank | None = None
-        self._pool: ProcessPoolExecutor | None = None
 
-    @contextmanager
-    def holding(self) -> Iterator[ShardedStep2Executor]:
-        """Keep a pooled run's staged bank and pool until the block exits,
-        then stop the pool and release the segment."""
-        self._holding = True
-        try:
-            yield self
-        finally:
-            self._holding = False
+    def _stage(self, buffer: np.ndarray) -> StagedBank:
+        """Bank 1 of a pooled step 2: the resident bank, or a one-shot's
+        fresh staging, which replaces the previous run's pool and bank."""
+        if not self._resident:
             self._release()
+            fresh = StagedBank(buffer)
+            with self._pool_lock:
+                self._bank = fresh
+            return fresh
+        with self._pool_lock:
+            bank = self._bank
+        if bank is None:  # released by close()
+            raise OSError("the resident bank was released")
+        return bank
+
+    def _take_pool(self) -> ProcessPoolExecutor | None:
+        """Hand the held pool (if any) to a run."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        return pool
+
+    def _hold(self, pool: ProcessPoolExecutor | None) -> None:
+        """Publish *pool* for the next run.
+
+        A racing publisher — or a :meth:`close` that won while the pool
+        was built or in use — loses: its pool is stopped outside the lock.
+        """
+        leftover = None
+        with self._pool_lock:
+            if self._closed or self._pool is not None:
+                leftover = pool
+            else:
+                self._pool = pool
+        _shut(leftover, None)
+
+    def _keep(
+        self, health: RunHealth, timings: list[ShardTiming] | None = None
+    ) -> None:
+        """Record a step-2 run with its *timings*, or — without them —
+        fold a step-3 run's *health* into the latest record."""
+        with self._pool_lock:
+            if timings is None:
+                # A fresh record: readers may hold the step-2 one.
+                folded = replace(self._last_health)
+                folded.merge(health)
+                health, timings = folded, self._last_timings
+            self._last_health, self._last_timings = health, timings
 
     def _release(self) -> None:
-        """Stop the held pool and release the staged segment, if any."""
-        pool, self._pool = self._pool, None
-        bank, self._bank = self._bank, None
-        try:
-            if pool is not None:
-                _stop_pool(pool)
-        finally:
-            if bank is not None:
-                bank.release()
-
-    def _keep(self, pool: ProcessPoolExecutor | None) -> None:
-        self._pool = pool
+        """Stop the held pool, and release a one-shot's staged bank."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            bank = None
+            if not self._resident:
+                bank, self._bank = self._bank, None
+        _shut(pool, bank)
 
     def _degrade(self, what: str, exc: OSError) -> None:
         """Restricted environments (no /dev/shm, no forks): warn, drop the
-        pool and staged bank, and let the caller take the identical-output
+        pool (and a one-shot's staged bank, so its step 3 stays
+        in-process too), and let the caller take the identical-output
         in-process route rather than fail."""
         warnings.warn(
             f"sharded {what} pool unavailable ({exc!r}); "
             "falling back to in-process execution",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         self._release()
 
-    def extend(self, buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock) -> Extensions:
-        """Step 3 over *block*: on the pool :meth:`run` left staged, when
-        :meth:`route_step3` says so; in-process otherwise (also when step 2
-        ran in-process, so no pool was spawned, or the pool is unavailable)."""
-        if self._bank is None or self.route_step3(block) != "pool":
-            return extend_local(buf0, buf1, block)
+    # -- lifecycle --------------------------------------------------------
+    def warm_up(self, timeout: float = 60.0) -> None:
+        """Spawn the pool over the staged bank eagerly, so the first run
+        does not pay for it (a server's boot; a one-shot never calls it).
+
+        ``ProcessPoolExecutor`` forks workers lazily on first submit, so a
+        bare executor is not actually warm — a no-op probe forces the
+        spawn (and the initializer's segment mapping) to happen now.
+
+        That probe ``submit`` is the fork point, so it runs outside
+        :attr:`_pool_lock` and the pool is only *published* under it: a
+        child forked while the lock is held inherits it locked.
+        ``test_serve_service.py::TestForkOutsideLock`` records the lock's
+        state at every worker start.
+        """
+        with self._pool_lock:
+            bank = self._bank
+            if self._closed or self.workers <= 1 or self._pool is not None:
+                return
+        if bank is None:
+            return
+        pool = None
         try:
-            return self.extend_pooled(
-                buf0, buf1, block, self._bank, self.supervisor, self._keep,
-                pool=self._pool,
-            )
+            pool = self.make_pool(bank, self.workers)
+            pool.submit(os.getpid).result(timeout=timeout)
         except OSError as exc:
-            self._degrade("step-3", exc)
-            return extend_local(buf0, buf1, block)
+            _shut(pool, None)
+            self._degrade("warm-up", exc)
+            return
+        self._hold(pool)
 
-    def run(self, index: TwoBankIndex) -> UngappedHits:
-        """Run step 2 over *index*, sharded across the configured workers.
+    def close(self) -> None:
+        """Stop the pool and release the staged segment (idempotent)."""
+        with self._pool_lock:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+            bank, self._bank = self._bank, None
+        _shut(pool, bank)
 
-        Outside :meth:`holding` the pooled route holds its pool and staged
-        bank for this call only."""
-        route = self.route(index)
-        if route != "pool":
-            return self._run_local(index, small_workload=route == "small")
-        if not self._holding:
-            with self.holding():
-                return self.run(index)
-        try:
-            return self._run_pool(index)
-        except OSError as exc:
-            self._degrade("step-2", exc)
-            return self._run_local(index)
+    # -- chaos hooks ------------------------------------------------------
+    def kill_workers(self) -> None:
+        """Terminate every pool worker (the ``POOL_DEATH`` injection).
 
-    def _run_local(
-        self, index: TwoBankIndex, small_workload: bool = False
-    ) -> UngappedHits:
-        return self._record(
-            lambda: self.score_local(index, self.supervisor, small_workload)
-        )
+        The pool object survives in a broken state, exactly as if the
+        processes had died for real — the next run's supervisor sees
+        ``BrokenProcessPool`` and rebuilds.
+        """
+        with self._pool_lock:
+            pool = self._pool
+        if pool is None:
+            return
+        # SIGKILL, not SIGTERM: the modelled death is a hard one (segfault,
+        # OOM kill), and it must not depend on what handlers the worker
+        # happens to have installed.
+        for proc in list(getattr(pool, "_processes", {}).values()):
+            proc.kill()
+        for proc in list(getattr(pool, "_processes", {}).values()):
+            proc.join(timeout=1.0)
 
-    def _run_pool(self, index: TwoBankIndex) -> UngappedHits:
-        """The one-shot: stage bank 1 and supervise one run, keeping the
-        pool and the segment for step 3 until :meth:`holding` exits.  A
-        second run in one block first releases the previous run's pair."""
-        self._release()
-        bank = self._bank = StagedBank(index.index1.bank.buffer)
-        return self._record(
-            lambda: self.score_pooled(index, bank, self.supervisor, self._keep)
-        )
+    def corrupt_staged_bank(self, request: int) -> None:
+        """Overwrite the staged segment head with seeded garbage.
 
-    def _record(self, step: Callable[[], Step2Run]) -> UngappedHits:
-        """Run one step-2 route and keep its timings and health — also the
-        health of a run its deadline cut off."""
-        try:
-            hits, self.last_timings, self.last_health = step()
-        except DeadlineExceeded as exc:
-            self.last_timings, self.last_health = [], exc.health
-            raise
-        return hits
+        The ``CORRUPT_WARM_BANK`` injection: unlike the worker-view
+        corruption (private copy), this damages the *source* segment, so
+        only the CRC check + re-stage of :meth:`heal_if_corrupt` can
+        recover.
+        """
+        plan = self.fault_plan or FaultPlan()
+        with self._pool_lock:
+            if self._bank is not None:
+                view = self._bank.view
+                n = min(64, view.shape[0])
+                view[:n] ^= plan.corruption(request, n) | np.uint8(1)
+
+    def heal_if_corrupt(self) -> bool:
+        """CRC-check the staged segment; re-stage from the host copy if bad.
+
+        Returns true when a heal happened.  The host buffer the bank was
+        staged from is the pristine source (it is never handed to
+        workers), so re-staging restores the exact bytes of the staging
+        CRC — workers' digest checks pass again without remapping.
+        """
+        with self._pool_lock:
+            bank = self._bank
+            if bank is None or bank_digest(bank.view) == bank.digest:
+                return False
+            bank.view[:] = bank.source
+            self._bank_heals += 1
+        obstrace.add_event("serve.bank_heal")
+        return True

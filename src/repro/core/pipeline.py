@@ -261,15 +261,19 @@ class SeedComparisonPipeline:
 
         The default engine is the sharded executor at ``config.workers``
         processes (in-process batched scoring at the default of 1) — a
-        fresh one, or *executor*; its per-shard timings land in
+        fresh one-shot, or *executor*, whose :meth:`holding` block the
+        caller keeps open for step 3; its per-shard timings land in
         ``profile.step2_shards``.
         """
         with self.profile.timing(self.profile.step2, "step2.ungapped") as ctr:
             if self._step2 is not None:
                 hits = self._step2(index)
             else:
-                executor = executor or self._executor()
-                hits = executor.run(index)
+                if executor is None:
+                    executor = self._executor()
+                    hits = executor.run(index)
+                else:
+                    hits = executor.step2(index)
                 self.profile.step2_shards.extend(executor.last_timings)
                 self.profile.run_health.merge(executor.last_health)
             ctr.operations += hits.stats.cells
@@ -332,7 +336,7 @@ class SeedComparisonPipeline:
                 if self._step2 is None
                 else None
             )
-            extend = self._step3 or (executor.extend if executor else None)
+            extend = self._step3 or (executor.step3 if executor else None)
             index = self._step1(bank0, bank1, resident)
             self.last_index = index
             hits = self.run_step2(index, executor)

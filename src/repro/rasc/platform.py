@@ -214,8 +214,12 @@ class Rasc100:
     ) -> tuple[list[AcceleratorRun], float]:
         """Schedule N step-2 shards round-robin over the blade's two FPGAs.
 
-        The hardware image of :class:`~repro.core.executor.ShardedStep2Executor`
-        with ``workers = N``: shard *i* queues on FPGA ``i % 2``, each FPGA
+        The hardware image of a pooled
+        :meth:`~repro.core.executor.ShardedStep2Executor.step2` with
+        ``workers = N`` — the one pool front end that ``compare`` and
+        ``serve`` both drive, as the paper's host drives every step-2 job
+        through one interface over banks loaded into board memory once
+        (its staged bank 1).  Shard *i* queues on FPGA ``i % 2``, each FPGA
         drains its queue sequentially (input DMA overlapping compute per
         shard), and while both FPGAs are active the two DMA streams
         fair-share the NUMAlink as in :meth:`run_step2_dual`.  Returns the

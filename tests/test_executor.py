@@ -156,9 +156,9 @@ class TestShardedExecutor:
         assert hits.stats.pairs == 0
 
     def test_pool_clamps_shards_to_entry_count(self):
-        # Call _run_pool directly (run() would route this tiny index to the
-        # local path): with more workers than shared keys, shard count is
-        # clamped and no worker is spawned for an empty range.
+        # Call _score_pooled directly (run() would route this tiny index to
+        # the local path): with more workers than shared keys, shard count
+        # is clamped and no worker is spawned for an empty range.
         b0 = SequenceBank(
             [Sequence.from_text("q", "MKVLAWTRQMKVLAW")], pad=32
         )
@@ -170,13 +170,13 @@ class TestShardedExecutor:
         assert 0 < idx.n_shared_keys < 64
         ex = ShardedStep2Executor(cfg, workers=64)
         with ex.holding():
-            hits = ex._run_pool(idx)
+            hits, timings, _ = ex._score_pooled(idx, ex.supervisor)
         ref = ShardedStep2Executor(cfg, workers=1).run(idx)
         assert np.array_equal(ref.offsets0, hits.offsets0)
         assert np.array_equal(ref.offsets1, hits.offsets1)
         assert np.array_equal(ref.scores, hits.scores)
-        assert len(ex.last_timings) <= idx.n_shared_keys
-        assert all(t.entries > 0 for t in ex.last_timings)
+        assert len(timings) <= idx.n_shared_keys
+        assert all(t.entries > 0 for t in timings)
 
 
 class TestSmallWorkloadHeuristic:
@@ -351,14 +351,15 @@ class TestFaultInjection:
         _, _, idx = workload
         ex = ShardedStep2Executor(CFG, workers=3, **POOL)
 
-        def no_pool(index):
+        def no_pool(index, supervisor):
             raise OSError("no /dev/shm in this environment")
 
-        monkeypatch.setattr(ex, "_run_pool", no_pool)
+        monkeypatch.setattr(ex, "_score_pooled", no_pool)
         with pytest.warns(RuntimeWarning, match="falling back to in-process"):
             hits = ex.run(idx)
         self.assert_bit_identical(baseline, hits)
         assert ex.last_health.shards == 1
+        assert ex.last_health.fallback_shards == 1
         assert [t.via for t in ex.last_timings] == ["local"]
 
     def test_single_shared_key_short_circuits_to_local(self):
@@ -758,15 +759,15 @@ class TestStep3Partition:
         assert sorted(parts) == [0, 1]
 
     def test_route_step3_pair_floor(self):
-        from repro.core.executor import STEP3_MIN_PAIRS_PER_WORKER, Step2Engine
+        from repro.core.executor import STEP3_MIN_PAIRS_PER_WORKER
 
         floor = 2 * STEP3_MIN_PAIRS_PER_WORKER
-        engine = Step2Engine(workers=2)
+        engine = ShardedStep2Executor(workers=2)
         assert engine.route_step3(_anchor_block(range(floor - 1))) == "local"
         assert engine.route_step3(_anchor_block(range(floor))) == "pool"
-        assert Step2Engine(workers=1).route_step3(_anchor_block(range(99))) == "local"
+        assert ShardedStep2Executor(workers=1).route_step3(_anchor_block(range(99))) == "local"
         # A lifted step-2 floor lifts the step-3 one; one pair never splits.
-        lifted = Step2Engine(workers=2, min_pairs_per_shard=0)
+        lifted = ShardedStep2Executor(workers=2, min_pairs_per_shard=0)
         assert lifted.route_step3(_anchor_block([3, 4])) == "pool"
         assert lifted.route_step3(_anchor_block([3, 3, 3])) == "local"
 
@@ -851,6 +852,60 @@ class TestStep3Pool:
         if spec.attempt is None:
             assert 'step3_partitions_total{via="local"}' in metrics
 
+    @pytest.mark.parametrize("front_end", ["compare", "serve"])
+    def test_step3_events_counted_once(
+        self, planted_workload, reference, front_end, monkeypatch
+    ):
+        # A step-3 crash lands in the run's profile and in the front end's
+        # record exactly as often as the supervisor published it: folding
+        # step 3 into ``last_health`` neither doubles nor drops it.
+        from repro.obs import metrics as obsmetrics
+        from repro.seqs.translate import translated_bank
+        from repro.serve.pool import WarmPool
+
+        queries, genome, _ = planted_workload
+        spec = FaultSpec(FaultKind.CRASH, shard=0, attempt=0, step=3)
+        config = PipelineConfig(
+            workers=2, fault_plan=FaultPlan((spec,), seed=4),
+            min_pairs_per_shard=0, max_retries=1, shard_timeout=30.0,
+        )
+        registry = obsmetrics.MetricsRegistry()
+        if front_end == "compare":
+            built = []
+            build = SeedComparisonPipeline._executor
+
+            def spy(pipe):
+                built.append(build(pipe))
+                return built[-1]
+
+            monkeypatch.setattr(SeedComparisonPipeline, "_executor", spy)
+            pipe = SeedComparisonPipeline(config)
+            with obsmetrics.activate(registry):
+                report = pipe.compare_with_genome(queries, genome)
+            [front] = built
+        else:
+            frames = translated_bank(genome, pad=max(64, config.flank + 8))
+            front = WarmPool(
+                config, frames, workers=2, fault_plan=config.fault_plan,
+                min_pairs_per_shard=0,
+            )
+            pipe = SeedComparisonPipeline(config, step2=front.step2, step3=front.step3)
+            try:
+                with obsmetrics.activate(registry):
+                    report = pipe.compare_against_index(queries, front.resident_index)
+            finally:
+                front.close()
+        self.assert_same(reference, report, pipe.profile)
+        [published] = [
+            int(line.rsplit(" ", 1)[1])
+            for line in obsmetrics.prometheus_text(registry).splitlines()
+            if line.startswith('step3_supervisor_events_total{kind="crashes"}')
+        ]
+        assert published >= 1
+        assert pipe.profile.run_health.crashes == published
+        assert front.last_health.crashes == published
+        assert [t.attempts for t in front.last_timings] == [1, 1]
+
     def test_pool_unavailable_in_step2_extends_in_process(
         self, planted_workload, reference, monkeypatch
     ):
@@ -859,7 +914,7 @@ class TestStep3Pool:
         def no_pool(self, bank, workers):
             raise OSError("no forks in this environment")
 
-        monkeypatch.setattr(executor.Step2Engine, "make_pool", no_pool)
+        monkeypatch.setattr(executor.ShardedStep2Executor, "make_pool", no_pool)
         with pytest.warns(RuntimeWarning, match="step-2 pool unavailable"):
             report, profile, metrics = self.run(planted_workload)
         self.assert_same(reference, report, profile)
@@ -872,7 +927,7 @@ class TestStep3Pool:
         def no_pool(self, *args, **kwargs):
             raise OSError("no forks in this environment")
 
-        monkeypatch.setattr(executor.Step2Engine, "extend_pooled", no_pool)
+        monkeypatch.setattr(executor.ShardedStep2Executor, "_extend_pooled", no_pool)
         with pytest.warns(RuntimeWarning, match="step-3 pool unavailable"):
             report, profile, metrics = self.run(planted_workload)
         self.assert_same(reference, report, profile)

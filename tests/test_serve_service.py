@@ -513,11 +513,11 @@ class TestDrain:
 
 
 class TestForkOutsideLock:
-    """No pool worker is forked while ``WarmPool._pool_lock`` is held: the
-    child would inherit the lock locked and deadlock on its first
-    acquire.  Under the ``fork`` context ``ProcessPoolExecutor`` forks at
-    its first ``submit``, not at construction, so the spy sits on the
-    process start itself."""
+    """No pool worker is forked while ``ShardedStep2Executor._pool_lock``
+    (the warm pool's, by inheritance) is held: the child would inherit the
+    lock locked and deadlock on its first acquire.  Under the ``fork``
+    context ``ProcessPoolExecutor`` forks at its first ``submit``, not at
+    construction, so the spy sits on the process start itself."""
 
     def test_workers_start_with_the_pool_lock_free(
         self, serve_workload, monkeypatch
@@ -548,6 +548,58 @@ class TestForkOutsideLock:
             pool.close()
         assert len(held) >= 4
         assert not any(held)
+
+
+class TestPoolUnavailable:
+    """Where no pool can be had (``make_pool`` raises ``OSError``: no
+    forks, no semaphores) the server still boots, and a request takes the
+    in-process route with a warning — the one-shot's fallback — counted
+    against the breaker, while the resident bank stays staged for the
+    next request."""
+
+    def test_request_falls_back_in_process(self, serve_workload, monkeypatch):
+        queries, resident = serve_workload
+        svc, _ = make_service(serve_workload)
+        try:
+            pooled = svc.submit(queries)
+        finally:
+            svc.drain(timeout=30)
+        assert pooled["code"] == 200 and pooled["run_health"]["fallback_shards"] == 0
+
+        def no_pool(self, bank, workers):
+            raise OSError("no forks in this environment")
+
+        monkeypatch.setattr(ShardedStep2Executor, "make_pool", no_pool)
+        svc = SearchService(
+            PipelineConfig(workers=2),
+            resident,
+            ServiceConfig(
+                workers=2,
+                min_pairs_per_shard=0,
+                breaker=BreakerConfig(failure_threshold=2),
+            ),
+        )
+        with pytest.warns(RuntimeWarning, match="warm-up pool unavailable"):
+            svc.start(warm=True)
+        try:
+            staged = live_segment_names()
+            assert len(staged) == 1
+            for state in (BreakerState.CLOSED, BreakerState.OPEN):
+                with pytest.warns(RuntimeWarning, match="pool unavailable"):
+                    out = svc.submit(queries)
+                assert out["code"] == 200
+                # Everything but the run's health is the pooled response.
+                for key in ("alignments", "n_alignments", "n_seed_pairs",
+                            "n_ungapped_hits", "n_gapped_extensions"):
+                    assert out[key] == pooled[key], key
+                assert out["run_health"]["fallback_shards"] >= 1
+                assert not svc.pool.last_health.healthy
+                assert svc.breaker.state is state
+                assert live_segment_names() == staged
+                assert svc.pool.resident_bytes > 0
+        finally:
+            svc.drain(timeout=30)
+        assert live_segment_names() == ()
 
 
 class TestMetricsSurface:

@@ -66,7 +66,7 @@ class TestRealTree:
         ).model
         assert {
             "repro.serve.service.SearchService._dispatch_lock",
-            "repro.serve.pool.WarmPool._pool_lock",
+            "repro.core.executor.ShardedStep2Executor._pool_lock",
             "repro.serve.breaker.CircuitBreaker._lock",
         } <= set(model.locks)
         assert set(model.order_edges) == {
@@ -82,24 +82,27 @@ class TestRealServeMutations:
     the synthetic fixtures: each mutation turns one ``with self._lock:``
     into ``if True:`` in a copy of ``src/repro``.  Findings are pinned by
     field, not line — RC300 reports at a write site, so a read-only
-    mutation (``pool_alive``) is reported at the write in ``_hold``."""
+    mutation (``pool_alive``) is reported at the write in ``_hold``.  The
+    pool's fields live in ``ShardedStep2Executor``, which the service
+    holds as its ``WarmPool`` subclass: the thread model must follow the
+    base class for these to be flagged."""
 
     PREFIX = {
-        "pool.py": "repro.serve.pool.WarmPool.",
-        "breaker.py": "repro.serve.breaker.CircuitBreaker.",
+        "core/executor.py": "repro.core.executor.ShardedStep2Executor.",
+        "serve/breaker.py": "repro.serve.breaker.CircuitBreaker.",
     }
 
-    #: (file under serve/, method whose one ``with`` is dropped, fields).
+    #: (file under repro/, method whose one ``with`` is dropped, fields).
     MUTATIONS = [
-        ("breaker.py", "record_success", {"_state", "_consecutive_failures"}),
-        ("breaker.py", "trips", {"_trips"}),
-        ("pool.py", "_keep", {"_last_health", "_last_timings"}),
-        ("pool.py", "close", {"_pool", "_closed"}),
-        ("pool.py", "corrupt_staged_bank", {"_staged"}),
-        ("pool.py", "pool_alive", {"_pool"}),
-        ("pool.py", "heal_if_corrupt", {"_staged", "_bank_heals"}),
-        ("pool.py", "step2", {"_pool"}),
-        ("pool.py", "bank_heals", {"_bank_heals"}),
+        ("serve/breaker.py", "record_success", {"_state", "_consecutive_failures"}),
+        ("serve/breaker.py", "trips", {"_trips"}),
+        ("core/executor.py", "_keep", {"_last_health", "_last_timings"}),
+        ("core/executor.py", "close", {"_pool", "_closed", "_bank"}),
+        ("core/executor.py", "corrupt_staged_bank", {"_bank"}),
+        ("core/executor.py", "pool_alive", {"_pool"}),
+        ("core/executor.py", "heal_if_corrupt", {"_bank", "_bank_heals"}),
+        ("core/executor.py", "_take_pool", {"_pool"}),
+        ("core/executor.py", "bank_heals", {"_bank_heals"}),
     ]
 
     @pytest.fixture
@@ -119,7 +122,7 @@ class TestRealServeMutations:
         "module,method,fields", MUTATIONS, ids=[m for _, m, _ in MUTATIONS]
     )
     def test_dropped_lock_names_the_field(self, copy, module, method, fields):
-        path = copy / "serve" / module
+        path = copy / module
         source = path.read_text()
         [func] = [
             node
