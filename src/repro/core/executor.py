@@ -40,7 +40,9 @@ deals whole (query, subject) pairs to partitions, its task
 (:func:`_extend_anchors`) over one partition against the same
 digest-checked bank-1 view, under the same supervisor, and its merge
 (:func:`_merge_extensions`) restores the serial extension order.  The
-in-process route (:func:`extend_local`) is that loop over one partition.
+in-process route (:func:`extend_local`) is that loop over one partition,
+under the request deadline.  The loop extends in waves, each a lockstep
+batch of X-drop halves (:func:`_extend_wave`).
 
 One class drives all of it: :class:`ShardedStep2Executor` owns the staged
 bank 1, the pool and one lock over both, and runs its
@@ -78,7 +80,7 @@ from typing import TYPE_CHECKING, Any, Literal
 import numpy as np
 
 from ..extend.batched import BatchedUngappedEngine, EntryBlock
-from ..extend.gapped import GapPenalties, xdrop_gapped_extend
+from ..extend.gapped import GapPenalties, lockstep_halves, xdrop_gapped_extend
 from ..extend.ungapped import UngappedConfig, UngappedHits, UngappedStats
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
@@ -103,6 +105,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..seqs.matrices import SubstitutionMatrix
 
 __all__ = [
+    "STEP3_MIN_LANES",
     "STEP3_MIN_PAIRS_PER_WORKER",
     "AnchorBlock",
     "Extensions",
@@ -167,6 +170,12 @@ Route = Literal["local", "small", "pool"]
 #: extends in-process.  On the warm pool the two routes cross between 5 and 10
 #: pairs at 2 workers (DESIGN §11, "The step-3 pair floor").
 STEP3_MIN_PAIRS_PER_WORKER = 4
+
+#: Step-3 lane floor (:func:`_extend_wave`): a wave of fewer X-drop halves
+#: than this runs one extension at a time on the plain-int loop, a larger
+#: one as lanes of one lockstep batch.  The two cross between 12 and 16
+#: halves (DESIGN §11, "The lockstep engine").
+STEP3_MIN_LANES = 16
 
 
 @dataclass(frozen=True)
@@ -468,8 +477,79 @@ def _score_local(
     return _package_hits(shard, hits, obstrace.clock() - t0, engine)
 
 
+def _deadline_tick(deadline: float | None) -> Callable[[], None] | None:
+    """A step-3 checkpoint: raises :class:`DeadlineExceeded` (one
+    cancelled unit) once the clock passes *deadline*; ``None`` when the
+    run is unbounded."""
+    if deadline is None:
+        return None
+
+    def tick() -> None:
+        if obstrace.clock() >= deadline:
+            raise DeadlineExceeded(
+                "request deadline expired during in-process gapped extension",
+                RunHealth(cancelled=1),
+                (0,),
+            )
+
+    return tick
+
+
+def _extend_wave(
+    buf0: np.ndarray,
+    buf1: np.ndarray,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    block: AnchorBlock,
+    tick: Callable[[], None] | None,
+) -> np.ndarray:
+    """Extend independent anchors at bank offsets *p0* / *p1*: one row
+    ``(score, start0, end0, start1, end1, cells)`` per anchor, in order.
+
+    Their halves (two per anchor) run as lanes of one lockstep batch
+    (:func:`~repro.extend.gapped.lockstep_halves`) from
+    :data:`STEP3_MIN_LANES` halves up, and one extension at a time on the
+    plain-int loop below it.
+    """
+    k = len(p0)
+    if 2 * k < STEP3_MIN_LANES:
+        rows = []
+        for a0, a1 in zip(p0.tolist(), p1.tolist()):
+            if tick is not None:
+                tick()
+            ext = xdrop_gapped_extend(
+                buf0, a0, buf1, a1,
+                matrix=block.matrix, gaps=block.gaps, x_drop=block.x_drop,
+            )
+            rows.append(
+                (ext.score, ext.start0, ext.end0, ext.start1, ext.end1, ext.cells)
+            )
+        return np.array(rows, dtype=np.int64).reshape(k, 6)
+    anchors0 = np.concatenate([p0, p0])
+    anchors1 = np.concatenate([p1, p1])
+    halves = lockstep_halves(
+        buf0, buf1, anchors0, anchors1, np.arange(2 * k, dtype=np.int64) >= k,
+        block.matrix.scores, block.gaps, block.x_drop, tick=tick,
+    )
+    right, left = halves[:k], halves[k:]
+    return np.stack(
+        [
+            right[:, 0] + left[:, 0],
+            p0 - left[:, 1],
+            p0 + right[:, 1],
+            p1 - left[:, 2],
+            p1 + right[:, 2],
+            right[:, 3] + left[:, 3],
+        ],
+        axis=1,
+    )
+
+
 def _extend_anchors(
-    buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock
+    buf0: np.ndarray,
+    buf1: np.ndarray,
+    block: AnchorBlock,
+    deadline: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
     """Step 3's loop: gapped X-drop over *block*'s anchors, in their order.
 
@@ -478,33 +558,62 @@ def _extend_anchors(
     interact and any partition by pair extends exactly what the serial loop
     would.  Containment is tested in bank offsets: a pair's anchors and
     extensions share one sequence start per bank, so the comparison is the
-    per-sequence one shifted by a constant.  Returns ``(ranks, spans,
-    scores, (anchors, contained, cells, extensions))``.
+    per-sequence one shifted by a constant.
+
+    The extensions run in waves.  Each wave extends, for every pair, its
+    first anchor (in order) that is neither extended nor contained, all
+    together (:func:`_extend_wave`); then every later anchor of a pair that
+    the pair's new extension contains is dropped.  A pair's extensions thus
+    run in order, and each anchor is tested against every earlier
+    extension of its pair, as in the serial loop.  Past *deadline* (the
+    :mod:`repro.obs.trace` clock) the loop raises
+    :class:`~repro.core.supervisor.DeadlineExceeded`.  Returns ``(ranks,
+    spans, scores, (anchors, contained, cells, extensions))``, the rows in
+    rank order.
     """
-    covered: dict[int, list[tuple[int, int, int, int]]] = {}
-    rows: list[tuple[int, int, int, int, int, int, int]] = []
-    cells = 0
-    for rank, p0, p1, key in zip(
-        block.ranks.tolist(),
-        block.offsets0.tolist(),
-        block.offsets1.tolist(),
-        block.pairs.tolist(),
-    ):
-        ranges = covered.setdefault(key, [])
-        if any(a0 <= p0 < b0 and a1 <= p1 < b1 for a0, b0, a1, b1 in ranges):
-            continue
-        ext = xdrop_gapped_extend(
-            buf0, p0, buf1, p1,
-            matrix=block.matrix, gaps=block.gaps, x_drop=block.x_drop,
+    tick = _deadline_tick(deadline)
+    n = len(block.ranks)
+    # Each pair's anchors side by side, still in order within the pair.
+    keys, pair = np.unique(block.pairs, return_inverse=True)
+    grouped = np.argsort(pair, kind="stable")
+    pair = pair[grouped]
+    p0 = block.offsets0[grouped].astype(np.int64)
+    p1 = block.offsets1[grouped].astype(np.int64)
+    pending = np.ones(n, dtype=np.bool_)
+    wave_of = np.full(keys.size, -1, dtype=np.int64)
+    waves: list[tuple[np.ndarray, np.ndarray]] = []
+    live = np.arange(n, dtype=np.int64)
+    while live.size:
+        # The first pending anchor of every pair still pending.
+        starts = np.ones(live.size, dtype=np.bool_)
+        np.not_equal(pair[live[1:]], pair[live[:-1]], out=starts[1:])
+        heads = live[starts]
+        table = _extend_wave(buf0, buf1, p0[heads], p1[heads], block, tick)
+        waves.append((heads, table))
+        pending[heads] = False
+        # Drop the later anchors each new extension contains.
+        wave_of[pair[heads]] = np.arange(heads.size, dtype=np.int64)
+        rest = np.flatnonzero(pending)
+        ext = wave_of[pair[rest]]
+        mine = ext >= 0
+        rest, ext = rest[mine], table[ext[mine]]
+        inside = (
+            (ext[:, 1] <= p0[rest]) & (p0[rest] < ext[:, 2])
+            & (ext[:, 3] <= p1[rest]) & (p1[rest] < ext[:, 4])
         )
-        cells += ext.cells
-        ranges.append((ext.start0, ext.end0, ext.start1, ext.end1))
-        rows.append(
-            (rank, ext.start0, ext.end0, ext.start1, ext.end1, ext.score, ext.cells)
-        )
-    n = len(rows)
-    table = np.array(rows, dtype=np.int64).reshape(n, 7)
-    counters = (len(block.ranks), len(block.ranks) - n, cells, n)
+        pending[rest[inside]] = False
+        wave_of[pair[heads]] = -1
+        live = np.flatnonzero(pending)
+    table = np.zeros((0, 7), dtype=np.int64)
+    if waves:
+        heads = np.concatenate([h for h, _ in waves])
+        rows = np.concatenate([t for _, t in waves])
+        table = np.column_stack(
+            [block.ranks[grouped[heads]], rows[:, 1:5], rows[:, 0], rows[:, 5]]
+        ).astype(np.int64)
+        table = table[np.argsort(table[:, 0])]
+    n_ext = table.shape[0]
+    counters = (n, n - n_ext, int(table[:, 6].sum()), n_ext)
     return table[:, 0], table[:, 1:5], table[:, 5:], counters
 
 
@@ -535,12 +644,16 @@ def _extend_rows(
 
 
 def _extend_here(
-    bank0: np.ndarray, bank1: np.ndarray, part: int, block: AnchorBlock
+    bank0: np.ndarray,
+    bank1: np.ndarray,
+    part: int,
+    block: AnchorBlock,
+    deadline: float | None = None,
 ) -> ExtendResult:
     """In-process :func:`_extend_rows`: the in-process route and the pool's
     last resort, over the host's own bank buffers."""
     t0 = obstrace.clock()
-    ranks, spans, scores, counters = _extend_anchors(bank0, bank1, block)
+    ranks, spans, scores, counters = _extend_anchors(bank0, bank1, block, deadline)
     return (part, ranks, spans, scores, counters, obstrace.clock() - t0, None)
 
 
@@ -776,10 +889,24 @@ def _merge_extensions(
     )
 
 
-def extend_local(buf0: np.ndarray, buf1: np.ndarray, block: AnchorBlock) -> Extensions:
+def extend_local(
+    buf0: np.ndarray,
+    buf1: np.ndarray,
+    block: AnchorBlock,
+    deadline_at: float | None = None,
+) -> Extensions:
     """Step 3 in-process: the pool task's loop over one partition of all
-    anchors, merged and published like a pooled run."""
-    result = _extend_here(buf0, buf1, 0, block)
+    anchors, merged and published like a pooled run.
+
+    Past ``deadline_at`` the loop stops at its next row step or extension
+    and raises :class:`~repro.core.supervisor.DeadlineExceeded`, published
+    as one cancelled step-3 unit, as a pooled run's cut-off is.
+    """
+    try:
+        result = _extend_here(buf0, buf1, 0, block, deadline_at)
+    except DeadlineExceeded as exc:
+        _publish_health_metrics(exc.health, "step3")
+        raise
     outcome = ShardOutcome(shard=0, result=result, attempts=1, via="local")
     return _merge_extensions([outcome], RunHealth(), None)
 
@@ -1074,12 +1201,12 @@ class ShardedStep2Executor:
         """
         with self._pool_lock:
             bank = self._bank
-        if bank is None or not use_pool or self.route_step3(block) != "pool":
-            return extend_local(buf0, buf1, block)
         supervisor = replace(
             self.supervisor, deadline=deadline_at, request_id=request_id
         )
         try:
+            if bank is None or not use_pool or self.route_step3(block) != "pool":
+                return extend_local(buf0, buf1, block, deadline_at)
             ext = self._extend(buf0, buf1, block, bank, supervisor)
         except DeadlineExceeded as exc:
             self._keep(exc.health)
@@ -1211,7 +1338,8 @@ class ShardedStep2Executor:
             self._degrade("step-3", exc)
         health = RunHealth(fallback_shards=1)
         _publish_health_metrics(health, "step3")
-        return replace(extend_local(buf0, buf1, block), health=health)
+        ext = extend_local(buf0, buf1, block, supervisor.deadline)
+        return replace(ext, health=health)
 
     def _extend_pooled(
         self,

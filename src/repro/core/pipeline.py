@@ -28,11 +28,11 @@ from typing import Any
 
 import numpy as np
 
-from ..extend.gapped import xdrop_gapped_extend
 from ..extend.stats import evalue as evalue_of
 from ..extend.stats import gapped_params
 from ..extend.ungapped import UngappedHits
 from ..index.kmer import BankIndex, TwoBankIndex
+from ..obs import metrics as obsmetrics
 from ..obs import trace
 from ..seqs.sequence import Sequence, SequenceBank
 from ..seqs.translate import translated_bank
@@ -144,6 +144,10 @@ def gapped_stage(
             )
         )
     report.n_gapped_extensions = int(ext.ranks.size)
+    registry = obsmetrics.active()
+    if registry is not None:
+        # The funnel's last stage: alignments kept by the E-value filter.
+        registry.counter("step3_alignments_total").inc(len(report.alignments))
     if profile is not None:
         profile.step3.operations += ext.cells
         profile.step3.items += int(ext.ranks.size)

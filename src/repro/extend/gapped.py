@@ -1,28 +1,38 @@
 """Step 3 — gapped extension.
 
-Pairs surviving the ungapped filter are re-examined with gaps allowed.  Two
-engines are provided:
+Pairs surviving the ungapped filter are re-examined with gaps allowed:
+BLAST's gapped X-drop extension with affine gap penalties, run left and
+right from the seed anchor (:func:`xdrop_gapped_extend`).  Dynamic
+programming rows keep an *active window* of columns; cells falling more
+than ``x_drop`` below the running best are killed, so cost tracks the
+alignment's true extent rather than the sequence lengths.  One direction
+of it — a *half* — has three engines, all returning the same
+``(best, best_i, best_j, cells)``:
 
-* :func:`xdrop_gapped_extend` — BLAST's gapped X-drop extension with affine
-  gap penalties, run left and right from the seed anchor.  Dynamic
-  programming rows keep an *active window* of columns; cells falling more
-  than ``x_drop`` below the running best are killed, so cost tracks the
-  alignment's true extent rather than the sequence lengths.  Each half is
-  a scalar loop over plain Python ints that visits only the live window of
-  each row (:func:`_xdrop_half`); :func:`xdrop_half_reference`, one fresh
-  numpy row per DP row, is its oracle in tests.  This is the engine the
-  host runs in the accelerated pipeline.
-* :func:`smith_waterman` — full (optionally banded) affine-gap local
-  alignment with traceback, used as the ground-truth oracle in tests and
-  for the CLC-style "sensitive" comparator of Table 5.
+* :func:`lockstep_halves` — the pipeline's engine: many halves as lanes
+  of one batch, every live lane advancing one DP row per NumPy step, the
+  way the PSC operator's array of PEs advances one residue per clock.
+  Step 3 runs each wave of extensions through it
+  (:func:`repro.core.executor._extend_wave`).
+* :func:`_xdrop_half` — a scalar loop over plain Python ints that visits
+  only the live window of each row: the engine for batches below the
+  lockstep lane floor, and :func:`xdrop_gapped_extend`'s own, which the
+  tblastn-style baseline calls once per hit.
+* :func:`xdrop_half_reference` — one fresh numpy row per DP row; the slow
+  oracle both are tested against.
 
-Both score with the shared substitution matrices; gap sentinels in bank
+:func:`smith_waterman` — full (optionally banded) affine-gap local
+alignment with traceback — is the ground-truth oracle in tests and the
+CLC-style "sensitive" comparator of Table 5.
+
+All score with the shared substitution matrices; gap sentinels in bank
 buffers carry :data:`~repro.seqs.matrices.GAP_SCORE` so extensions cannot
 cross sequence boundaries.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +44,7 @@ __all__ = [
     "GappedExtension",
     "xdrop_gapped_extend",
     "xdrop_half_reference",
+    "lockstep_halves",
     "smith_waterman",
     "SWAlignment",
     "NEG_INF",
@@ -165,6 +176,193 @@ def _xdrop_half(
         lo, hi = base + first, base + last
         H_prev, F_prev = H, F
     return best, best_i, best_j, cells
+
+
+def lockstep_halves(
+    buf0: np.ndarray,
+    buf1: np.ndarray,
+    anchors0: np.ndarray,
+    anchors1: np.ndarray,
+    leftward: np.ndarray,
+    sub: np.ndarray,
+    gaps: GapPenalties,
+    x_drop: int,
+    max_extent: int = 4096,
+    tick: Callable[[], None] | None = None,
+) -> np.ndarray:
+    """Many X-drop halves at once, one DP row of every live half per step.
+
+    Lane ``k`` is the half :func:`xdrop_gapped_extend` runs from
+    ``(anchors0[k], anchors1[k])``: rightward over ``buf0[anchor0:]`` ×
+    ``buf1[anchor1:]``, or, where ``leftward[k]``, over the reversed
+    prefixes ending at the anchor; each direction is capped at
+    *max_extent* residues.  Returns an ``(lanes, 4)`` int64 array of
+    ``(best, best_i, best_j, cells)``, lane for lane equal to
+    :func:`_xdrop_half` (DESIGN §11 has the argument).  Each row's residues
+    are gathered from the banks by lane anchor and direction, so no lane
+    copies its slices.  *sub* is the substitution matrix as int64;
+    *tick*, when given, is called once per row step and may raise to
+    abandon the batch.
+
+    A row is computed in full-window form: the vertical-gap state and the
+    diagonal are gathered from the previous row; the horizontal-gap state
+    is a prefix maximum (one ``np.maximum.accumulate``), and the X-drop cut
+    is applied after the row.  A lane leaves the batch on the
+    row where :func:`_xdrop_half` breaks; dead lanes are dropped from the
+    arrays once a quarter of them are done.
+    """
+    go, ge = gaps.open + gaps.extend, gaps.extend
+    a0 = np.asarray(anchors0, dtype=np.int64)
+    a1 = np.asarray(anchors1, dtype=np.int64)
+    left = np.asarray(leftward, dtype=np.bool_)
+    out = np.zeros((a0.size, 4), dtype=np.int64)
+    m = np.where(left, np.minimum(a0, max_extent), np.clip(buf0.size - a0, 0, max_extent))
+    n = np.where(left, np.minimum(a1, max_extent), np.clip(buf1.size - a1, 0, max_extent))
+    ids = np.flatnonzero((m > 0) & (n > 0))
+    if ids.size == 0:
+        return out
+    # Row 0, as in _xdrop_half: the anchor, then one growing horizontal gap
+    # alive out to column `hi`; no column past `hi + m` is ever reached.
+    if go > x_drop:
+        reach = 0
+    elif ge == 0:
+        reach = max_extent
+    else:
+        reach = (x_drop - go) // ge + 1
+    m, n, left = m[ids], n[ids], left[ids]
+    step = np.where(left, -1, 1).astype(np.int64)
+    # Row i of a lane reads buf0 at a_pos = anchor0 + step * (i - 1) (less
+    # one to the left), and column j reads buf1 at b_first + step * t.
+    a_pos, b_first = a0[ids] - left, a1[ids] - left
+    hi = np.minimum(n, reach)
+    n = np.minimum(n, hi + m)
+    lanes = ids.size
+    width0 = int(hi.max())
+    cols = np.arange(width0 + 2, dtype=np.int64)
+    # A stored row holds the cell left of the row's first column, the
+    # row's cells and one dead cell; `U` is max(H - go, F - ge), the
+    # vertical-gap state the cell below inherits.  Row 0 starts at column 0.
+    H_prev = np.where(cols > hi[:, None], NEG_INF, -(go + ge * (cols - 1)))
+    H_prev[:, 0] = 0
+    U_prev = H_prev - go
+    # The next row's first and last column, the shift of its first column
+    # past the stored row's, and whether its column 0 is still alive.
+    j_first = np.ones(lanes, dtype=np.int64)
+    hi_new = np.minimum(hi + 1, n)
+    shift = np.zeros(lanes, dtype=np.int64)
+    edge = np.ones(lanes, dtype=np.bool_)
+    best = np.zeros(lanes, dtype=np.int64)
+    best_i = np.zeros(lanes, dtype=np.int64)
+    best_j = np.zeros(lanes, dtype=np.int64)
+    cells = np.zeros(lanes, dtype=np.int64)
+    active = np.ones(lanes, dtype=np.bool_)
+    flat_sub = np.ascontiguousarray(sub, dtype=np.int64).ravel()
+    n_codes = sub.shape[1]
+    lane = np.arange(lanes, dtype=np.int64)
+    walk = step[:, None] * cols
+    rows_left = int(m.min())
+    i = 0
+    while True:
+        i += 1
+        if tick is not None:
+            tick()
+        if i > rows_left:
+            # Rows used up.  (j_first <= hi_new always holds for a live
+            # lane: its row keeps a live cell at or before hi_new.)
+            active &= m >= i
+            rows_left = int(m[active].min()) if active.any() else i
+        live = int(np.count_nonzero(active))
+        if live == 0:
+            break
+        if 4 * (lanes - live) >= lanes:
+            done = ~active
+            out[ids[done]] = np.stack([best, best_i, best_j, cells], axis=1)[done]
+            keep = np.flatnonzero(active)
+            ids, m, n, step, walk, a_pos, b_first = (
+                ids[keep], m[keep], n[keep], step[keep], walk[keep],
+                a_pos[keep], b_first[keep],
+            )
+            j_first, hi_new, shift, edge = (
+                j_first[keep], hi_new[keep], shift[keep], edge[keep]
+            )
+            best, best_i, best_j, cells = (
+                best[keep], best_i[keep], best_j[keep], cells[keep]
+            )
+            H_prev, U_prev = H_prev[keep], U_prev[keep]
+            lanes = live
+            lane = np.arange(lanes, dtype=np.int64)
+            active = np.ones(lanes, dtype=np.bool_)
+        width = hi_new - j_first + 1
+        if live < lanes:
+            width = np.where(active, width, 0)
+        W = int(width.max())
+        if cols.size < W + 1:
+            cols = np.arange(2 * W + 1, dtype=np.int64)
+            walk = step[:, None] * cols
+        t = cols[:W]
+        cutoff = best - x_drop
+        # Column 0 of row i scores h0; past the first rows it is below any
+        # cutoff (>= -x_drop) in every lane.
+        h0 = -(go + ge * (i - 1))
+        h_left = np.where(edge & (h0 >= cutoff), h0, NEG_INF) if h0 >= -x_drop else None
+        # Flat offsets of each column's diagonal cell in the stored row; the
+        # cell above is one to the right.  Columns past a lane's row read
+        # garbage (clipped to the array) and are killed below.
+        diag_at = (lane * H_prev.shape[1] + shift)[:, None] + t
+        F_row = U_prev.ravel().take(diag_at + 1, mode="clip")
+        diag = H_prev.ravel().take(diag_at, mode="clip")
+        a_codes = np.multiply(buf0.take(a_pos, mode="clip"), n_codes, dtype=np.int64)
+        a_pos += step
+        codes = np.add(
+            buf1.take(b_first[:, None] + walk[:, :W], mode="clip"), a_codes[:, None]
+        )
+        diag += flat_sub.take(codes)
+        np.maximum(diag, F_row, out=diag)
+        # E at column t: max(h_left - ge, max_{k<t}(c_k + ge*k)) - go - ge*(t-1).
+        run = np.empty((lanes, W), dtype=np.int64)
+        run[:, 0] = NEG_INF if h_left is None else h_left - ge
+        np.add(diag[:, :-1], ge * t[:-1], out=run[:, 1:])
+        np.maximum.accumulate(run, axis=1, out=run)
+        run -= go + ge * (t - 1)
+        H_next = np.empty((lanes, W + 2), dtype=np.int64)
+        H_row = H_next[:, 1 : W + 1]
+        np.maximum(diag, run, out=H_row)
+        dead = H_row < cutoff[:, None]
+        dead |= t >= width[:, None]
+        np.putmask(H_row, dead, NEG_INF)
+        H_next[:, 0] = NEG_INF if h_left is None else h_left
+        H_next[:, W + 1] = NEG_INF
+        U_next = np.empty((lanes, W + 2), dtype=np.int64)
+        U_row = U_next[:, 1 : W + 1]
+        np.subtract(H_row, go, out=U_row)
+        F_row -= ge
+        np.maximum(U_row, F_row, out=U_row)
+        # The next row reads at most one column past this one's cells.
+        U_next[lane, width + 1] = NEG_INF
+        first = H_row.argmax(axis=1)
+        row_best = H_row[lane, first]
+        better = row_best > best
+        best = np.where(better, row_best, best)
+        np.copyto(best_i, i, where=better)
+        best_j = np.where(better, j_first + first, best_j)
+        cells += width
+        any_alive = row_best > NEG_INF
+        # The next row spans the live cells' columns, one more to the right.
+        j_next = j_first + dead.argmin(axis=1)
+        hi_new = np.minimum(j_first + W - dead[:, ::-1].argmin(axis=1), n)
+        if h_left is None:
+            active &= any_alive
+        else:
+            edge = h_left > NEG_INF
+            active &= any_alive | edge
+            j_next = np.where(edge, 1, j_next)
+            hi_new = np.where(any_alive, hi_new, 1)
+        shift = j_next - j_first
+        b_first += step * shift
+        j_first = j_next
+        H_prev, U_prev = H_next, U_next
+    out[ids] = np.stack([best, best_i, best_j, cells], axis=1)
+    return out
 
 
 def xdrop_half_reference(

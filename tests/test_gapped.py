@@ -9,6 +9,7 @@ from repro.extend.gapped import (
     GappedExtension,
     GapPenalties,
     _xdrop_half,
+    lockstep_halves,
     smith_waterman,
     xdrop_gapped_extend,
     xdrop_half_reference,
@@ -272,3 +273,113 @@ class TestXdropOracle:
         b = encode_protein("W" * 10 + "D" * 6 + "W" * 60)
         got, want = self._both(a, b, GapPenalties(11, 1), 40)
         assert got == want == (324, 36, 36, 1110)
+
+    # -- the lockstep engine, lane for lane against both -------------------
+
+    @staticmethod
+    def _lanes(buf0, buf1, anchors, gaps, x_drop, matrix=BLOSUM62, max_extent=4096):
+        """Lockstep result of every ``(anchor0, anchor1, leftward)`` lane,
+        after checking it against the scalar loop and the oracle."""
+        a0 = np.array([a[0] for a in anchors], dtype=np.int64)
+        a1 = np.array([a[1] for a in anchors], dtype=np.int64)
+        left = np.array([a[2] for a in anchors], dtype=np.bool_)
+        sub = matrix.scores.astype(np.int64)
+        got = lockstep_halves(buf0, buf1, a0, a1, left, sub, gaps, x_drop, max_extent)
+        assert got.shape == (len(anchors), 4)
+        for (p0, p1, leftward), row in zip(anchors, got.tolist()):
+            if leftward:
+                a = buf0[max(0, p0 - max_extent) : p0][::-1]
+                b = buf1[max(0, p1 - max_extent) : p1][::-1]
+            else:
+                a, b = buf0[p0 : p0 + max_extent], buf1[p1 : p1 + max_extent]
+            scalar = _xdrop_half(a, b, matrix.scores.tolist(), gaps, x_drop)
+            assert tuple(row) == scalar, (p0, p1, leftward)
+            assert scalar == xdrop_half_reference(a, b, sub, gaps, x_drop)
+        return [tuple(row) for row in got.tolist()]
+
+    @given(st.data(), GAPS, X_DROPS, MATRICES)
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_matches_scalar_and_reference(self, data, gaps, x_drop, matrix):
+        buf0 = _codes(data.draw(_queries(80)))
+        buf1 = data.draw(_subjects(buf0.tolist()))
+        lane = st.tuples(
+            st.integers(0, len(buf0)),
+            st.integers(0, len(buf1)) | st.just(-1),
+            st.booleans(),
+        )
+        # -1 puts the lane on the query's own diagonal, where the shared
+        # prefix keeps it alive for many rows.
+        anchors = [
+            (p0, p0 if p1 < 0 else p1, left)
+            for p0, p1, left in data.draw(st.lists(lane, max_size=80))
+        ]
+        self._lanes(buf0, buf1, anchors, gaps, x_drop, matrix)
+
+    def test_lockstep_empty_halves(self):
+        buf = encode_protein("MKVLAWTRQ")
+        got = self._lanes(
+            buf, buf, [(0, 4, True), (9, 4, False), (4, 0, True), (4, 9, False), (4, 4, True)],
+            GapPenalties(), 38,
+        )
+        assert got[:4] == [(0, 0, 0, 0)] * 4
+        assert got[4] != (0, 0, 0, 0)
+        assert lockstep_halves(
+            buf, buf, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.bool_), BLOSUM62.scores.astype(np.int64),
+            GapPenalties(), 38,
+        ).shape == (0, 4)
+
+    def test_lockstep_gap_open_above_x_drop_and_free_extension(self):
+        a = encode_protein("MKVLAWTRQWWPPMKVLAW")
+        b = encode_protein("MKVLWTRQWWPPGGMKVLAWCC")
+        anchors = [(p, q, left) for p in (0, 5, 19) for q in (0, 4, 22) for left in (False, True)]
+        self._lanes(a, b, anchors, GapPenalties(11, 1), 5)  # go = 12 > x_drop
+        self._lanes(a, b, anchors, GapPenalties(5, 0), 30)  # ge = 0: row 0 spans b
+
+    def test_lockstep_caps_each_direction(self):
+        """Identical 5000-residue runs: the lanes stop at the 4096 cap."""
+        run = encode_protein("W" * 5000)
+        got = self._lanes(run, run, [(0, 0, False), (5000, 5000, True), (10, 4000, False)],
+                          GapPenalties(), 38)
+        assert got[0][1] == got[1][1] == 4096
+        assert got[2][1] == 1000
+        capped = self._lanes(run, run, [(0, 0, False), (100, 100, True)], GapPenalties(), 38,
+                             max_extent=64)
+        assert capped[0][1] == capped[1][1] == 64
+
+    def test_lockstep_lanes_end_on_row_one(self):
+        """Gap-sentinel rows die at once; the lane stops after one row."""
+        a = _codes([GAP_CODE] * 4)
+        b = encode_protein("MKVL")
+        got = self._lanes(a, b, [(0, 0, False), (4, 4, True)], GapPenalties(), 0)
+        assert [cells for *_, cells in got] == [1, 1]
+
+    def test_lockstep_every_lane_dies_on_one_row(self):
+        a = encode_protein("MKVLAWTRQ" + "P" * 20)
+        b = encode_protein("MKVLAWTRQ" + "D" * 20)
+        got = self._lanes(a, b, [(0, 0, False)] * 12, GapPenalties(), 20)
+        assert len(set(got)) == 1
+
+    def test_lockstep_one_lane_far_longer(self):
+        rng = np.random.default_rng(8)
+        core = random_protein(rng, 600)
+        buf0 = np.concatenate([random_protein(rng, 200), core])
+        buf1 = np.concatenate([random_protein(rng, 300), core])
+        anchors = [(200, 300, False)] + [
+            (int(p), int(q), bool(p % 2)) for p, q in rng.integers(0, 200, (30, 2))
+        ]
+        got = self._lanes(buf0, buf1, anchors, GapPenalties(), 38)
+        assert got[0][1] == 600 > 10 * max(row[1] for row in got[1:])
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_lockstep_at_the_lane_floor(self, extra):
+        from repro.core.executor import STEP3_MIN_LANES
+
+        rng = np.random.default_rng(9)
+        core = random_protein(rng, 80)
+        buf0 = np.concatenate([random_protein(rng, 40), core, random_protein(rng, 40)])
+        buf1 = np.concatenate([random_protein(rng, 60), core, random_protein(rng, 60)])
+        anchors = [
+            (40 + k, 60 + k, bool(k % 2)) for k in range(STEP3_MIN_LANES + extra)
+        ]
+        self._lanes(buf0, buf1, anchors, GapPenalties(), 38)

@@ -417,6 +417,49 @@ class TestDeadlines:
             svc.drain(timeout=30)
         assert live_segment_names() == ()
 
+    def test_in_process_step3_stops_at_the_deadline(
+        self, serve_workload, monkeypatch
+    ):
+        # The breaker is open, so step 3 runs in-process.  The clock jumps
+        # past the deadline on the third lockstep row step: the request
+        # answers 504 and step 3 stops right there, one cancelled unit.
+        from repro.core import executor
+        from repro.obs import trace
+
+        svc, queries = make_service(serve_workload)
+        skew, rows, expire_at = [0.0], [], [None]
+        clock, lockstep = trace.clock, executor.lockstep_halves
+        monkeypatch.setattr(trace, "clock", lambda: clock() + skew[0])
+
+        def late_rows(*args, tick, **kwargs):
+            def row():
+                rows.append(1)
+                if len(rows) == expire_at[0]:
+                    skew[0] = 3600.0
+                tick()
+
+            return lockstep(*args, tick=row, **kwargs)
+
+        monkeypatch.setattr(executor, "lockstep_halves", late_rows)
+        try:
+            for _ in range(svc.breaker.config.failure_threshold):
+                svc.breaker.record_failure()
+            full = svc.submit(queries, deadline_seconds=30.0)
+            assert full["code"] == 200 and full["degraded"]
+            all_rows, rows[:] = len(rows), []
+            expire_at[0] = 3
+            out = svc.submit(queries, deadline_seconds=30.0)
+            assert out["code"] == 504
+            assert "gapped extension" in out["error"]
+            assert len(rows) == 3 < all_rows
+            cancelled = metric_value(
+                svc.metrics_text(), 'step3_supervisor_events_total{kind="cancelled"}'
+            )
+            assert cancelled == 1
+        finally:
+            skew[0] = 0.0
+            svc.drain(timeout=30)
+
     def test_deadline_outlasting_max_wait_is_served_not_500(
         self, serve_workload, cold_rows
     ):
@@ -653,6 +696,9 @@ class TestMetricsSurface:
             assert extensions == out["n_gapped_extensions"] > 0
             assert metric_value(text, "step3_contained_total") == anchors - extensions
             assert metric_value(text, "step3_cells_total") > 0
+            alignments = metric_value(text, "step3_alignments_total")
+            assert alignments == out["n_alignments"] == len(out["alignments"])
+            assert 0 < alignments <= extensions
             assert metric_value(text, 'step3_partitions_total{via="pool"}') == 2
         finally:
             svc.drain(timeout=30)
