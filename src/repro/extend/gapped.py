@@ -216,8 +216,13 @@ def lockstep_halves(
     a1 = np.asarray(anchors1, dtype=np.int64)
     left = np.asarray(leftward, dtype=np.bool_)
     out = np.zeros((a0.size, 4), dtype=np.int64)
-    m = np.where(left, np.minimum(a0, max_extent), np.clip(buf0.size - a0, 0, max_extent))
-    n = np.where(left, np.minimum(a1, max_extent), np.clip(buf1.size - a1, 0, max_extent))
+    # A leftward half covers buf[max(0, a - max_extent) : a] reversed, as the
+    # slice in xdrop_gapped_extend does: an anchor past the bank's end
+    # starts from its last residue.
+    end0, end1 = np.minimum(a0, buf0.size), np.minimum(a1, buf1.size)
+    m = np.where(left, end0 - np.maximum(a0 - max_extent, 0), buf0.size - a0)
+    n = np.where(left, end1 - np.maximum(a1 - max_extent, 0), buf1.size - a1)
+    m, n = np.clip(m, 0, max_extent), np.clip(n, 0, max_extent)
     ids = np.flatnonzero((m > 0) & (n > 0))
     if ids.size == 0:
         return out
@@ -231,9 +236,10 @@ def lockstep_halves(
         reach = (x_drop - go) // ge + 1
     m, n, left = m[ids], n[ids], left[ids]
     step = np.where(left, -1, 1).astype(np.int64)
-    # Row i of a lane reads buf0 at a_pos = anchor0 + step * (i - 1) (less
-    # one to the left), and column j reads buf1 at b_first + step * t.
-    a_pos, b_first = a0[ids] - left, a1[ids] - left
+    # Row i of a lane reads buf0 at a_pos = anchor0 + step * (i - 1) (from
+    # end0 - 1 to the left), and column j reads buf1 at b_first + step * t.
+    a_pos = np.where(left, end0[ids] - 1, a0[ids])
+    b_first = np.where(left, end1[ids] - 1, a1[ids])
     hi = np.minimum(n, reach)
     n = np.minimum(n, hi + m)
     lanes = ids.size

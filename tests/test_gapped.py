@@ -329,6 +329,15 @@ class TestXdropOracle:
             GapPenalties(), 38,
         ).shape == (0, 4)
 
+    def test_lockstep_anchor_past_bank_end(self):
+        """A leftward lane anchored past a bank's end starts from its last
+        residue, as the scalar slice does; an empty bank gives no lane."""
+        buf = encode_protein("MKVLAWTRQ")
+        self._lanes(buf, buf[:4], [(9, 9, True), (9, 9, False), (6, 30, True)], GapPenalties(), 38)
+        self._lanes(buf, buf, [(20, 5, True)], GapPenalties(), 38, max_extent=16)
+        got = self._lanes(buf, buf[:0], [(1, 1, True), (1, 0, False)], GapPenalties(0, 0), 0)
+        assert got == [(0, 0, 0, 0)] * 2
+
     def test_lockstep_gap_open_above_x_drop_and_free_extension(self):
         a = encode_protein("MKVLAWTRQWWPPMKVLAW")
         b = encode_protein("MKVLWTRQWWPPGGMKVLAWCC")
