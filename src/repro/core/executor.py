@@ -34,31 +34,25 @@ This module is that protocol in software, and its only implementation:
   supervision health, one :class:`~repro.core.profile.ShardTiming` per
   shard and the detsan shard details.
 
-Step 3 rides the same protocol.  Its planner (:func:`_plan_partitions`)
-deals whole (query, subject) pairs to partitions, its task
-(:func:`_extend_rows`) runs step 3's containment loop
-(:func:`_extend_anchors`) over one partition against the same
-digest-checked bank-1 view, under the same supervisor, and its merge
-(:func:`_merge_extensions`) restores the serial extension order.  The
-in-process route (:func:`extend_local`) is that loop over one partition,
-under the request deadline.  The loop extends in waves, each a lockstep
-batch of X-drop halves (:func:`_extend_wave`).
+Step 3 stays on the host, as in the paper: :func:`extend_local` runs
+step 3's containment loop (:func:`_extend_anchors`) in-process, under the
+request deadline, in both front ends.  The loop extends in waves, each a
+lockstep batch of X-drop halves (:func:`_extend_wave`).
 
-One class drives all of it: :class:`ShardedStep2Executor` owns the staged
+One class drives the pool: :class:`ShardedStep2Executor` owns the staged
 bank 1, the pool and one lock over both, and runs its
-:meth:`~ShardedStep2Executor.step2` and :meth:`~ShardedStep2Executor.step3`
-for both front ends.  ``compare --workers N`` stages bank 1 on a pooled
-step 2 only, and releases pool and segment when its
-:meth:`~ShardedStep2Executor.holding` block exits;
+:meth:`~ShardedStep2Executor.step2` for both front ends.  ``compare
+--workers N`` stages bank 1 on a pooled step 2 only, and releases pool and
+segment as soon as that step 2 returns (:meth:`~ShardedStep2Executor.run`);
 :class:`repro.serve.pool.WarmPool` builds the same class over a resident
 bank staged at boot and hands one pool from request to request.  Outputs,
 routes, health counters, shard timings and the ``OSError`` fallback of the
 two are therefore one code path.
 
-Deterministic fault injection (:mod:`repro.core.faults`) hooks into both
-tasks: a :class:`~repro.core.faults.FaultPlan` addressed by ``(step,
-shard, attempt)`` can crash the process, stall it, truncate its result
-arrays or corrupt its bank-1 view.  The digest check catches the
+Deterministic fault injection (:mod:`repro.core.faults`) hooks into the
+task: a :class:`~repro.core.faults.FaultPlan` addressed by ``(shard,
+attempt)`` can crash the process, stall it, truncate its result arrays or
+corrupt its bank-1 view.  The digest check catches the
 corruption — injected or real — and re-maps the view from the clean
 segment rather than silently scoring garbage.
 """
@@ -72,8 +66,7 @@ import signal
 import threading
 import time
 import warnings
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Literal
 
@@ -106,7 +99,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "STEP3_MIN_LANES",
-    "STEP3_MIN_PAIRS_PER_WORKER",
     "AnchorBlock",
     "Extensions",
     "ShardedStep2Executor",
@@ -151,25 +143,11 @@ ShardResult = tuple[
     Any,
 ]
 
-#: Step-3 task payload: (partition id, ranks, spans, scores, (anchors,
-#: contained, cells, extensions), wall seconds, obs payload).  ``spans`` is
-#: ``(n, 4)`` — start0, end0, start1, end1 in bank offsets — and
-#: ``scores`` ``(n, 2)`` — raw score, DP cells — one row per extension.
-ExtendResult = tuple[
-    int, np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int], float, Any
-]
-
 #: One step-2 run: merged hits, one timing per shard, supervision health.
 Step2Run = tuple[UngappedHits, list[ShardTiming], RunHealth]
 
 #: Where one step-2 run scores (:meth:`ShardedStep2Executor.route`).
 Route = Literal["local", "small", "pool"]
-
-#: Step-3 pair floor per worker (:meth:`ShardedStep2Executor.route_step3`):
-#: below ``workers ×`` this many distinct (query, subject) pairs, step 3
-#: extends in-process.  On the warm pool the two routes cross between 5 and 10
-#: pairs at 2 workers (DESIGN §11, "The step-3 pair floor").
-STEP3_MIN_PAIRS_PER_WORKER = 4
 
 #: Step-3 lane floor (:func:`_extend_wave`): a wave of fewer X-drop halves
 #: than this runs one extension at a time on the plain-int loop, a larger
@@ -184,8 +162,8 @@ class AnchorBlock:
 
     ``ranks`` is each anchor's position in that order, ``offsets0`` /
     ``offsets1`` its bank offsets and ``pairs`` its (query, subject) pair
-    key; a partition is a row subset (:meth:`take`) that keeps the order.
-    The X-drop parameters ride along, so a pool task needs nothing else.
+    key.  The X-drop parameters ride along, so step 3 needs nothing else
+    but the two bank buffers.
     """
 
     ranks: np.ndarray
@@ -196,36 +174,19 @@ class AnchorBlock:
     gaps: GapPenalties
     x_drop: int
 
-    def take(self, rows: np.ndarray) -> AnchorBlock:
-        """The anchors at *rows* (ascending, so still in global order)."""
-        return replace(
-            self,
-            ranks=self.ranks[rows],
-            offsets0=self.offsets0[rows],
-            offsets1=self.offsets1[rows],
-            pairs=self.pairs[rows],
-        )
-
-    @property
-    def n_pairs(self) -> int:
-        """Distinct (query, subject) pairs among the anchors."""
-        return int(np.unique(self.pairs).size)
-
 
 @dataclass(frozen=True)
 class Extensions:
-    """Step 3's extensions, merged into the serial (ascending-rank) order.
+    """Step 3's extensions, in the serial (ascending-rank) order.
 
     One row per extension run — anchors skipped by containment have none.
-    ``health`` holds the supervision events of a pooled run (``shards``
-    stays 0: partitions are not step-2 shards); an in-process run has
-    none.
+    ``spans`` is ``(n, 4)`` — start0, end0, start1, end1 in bank offsets —
+    and ``scores`` ``(n, 2)`` — raw score, DP cells.
     """
 
     ranks: np.ndarray
     spans: np.ndarray
     scores: np.ndarray
-    health: RunHealth
 
     @property
     def cells(self) -> int:
@@ -382,15 +343,6 @@ def _package_hits(
     )
 
 
-def _inject_fault(unit: int, attempt: int, step: int) -> FaultSpec | None:
-    """Apply the plan's pre-work fault for ``(step, unit, attempt)``, if any."""
-    plan: FaultPlan | None = _WORKER["fault_plan"]
-    spec = plan.worker_fault(unit, attempt, step) if plan is not None else None
-    if spec is not None:
-        _apply_worker_fault(spec, unit)
-    return spec
-
-
 def _truncate(result: tuple[Any, ...], spec: FaultSpec | None) -> tuple[Any, ...]:
     """Apply an injected ``TRUNCATE``: short row arrays against untruncated
     counts — the supervisor's validation must catch this, never the merge."""
@@ -410,7 +362,7 @@ def _observed(
     """Run *work* in a pool task, inside a fresh tracer/registry when observed.
 
     The worker's spans and metrics ride back in the result tuple — the
-    parent adopts the spans under its own unit span and merges the metrics
+    parent adopts the spans under its own shard span and merges the metrics
     (worker ``perf_counter`` readings are meaningless in the parent, so
     spans are rebased there, not here).  *request_id* rides along so those
     spans carry the originating request's identity.
@@ -445,7 +397,10 @@ def _score_shard(
     shard is scored under :func:`_observed`.
     """
     t0 = obstrace.clock()
-    spec = _inject_fault(shard, attempt, step=2)
+    plan: FaultPlan | None = _WORKER["fault_plan"]
+    spec = plan.worker_fault(shard, attempt) if plan is not None else None
+    if spec is not None:
+        _apply_worker_fault(spec, shard)
     bank1 = _verified_bank1()
     bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
     engine = BatchedUngappedEngine(_WORKER["config"])
@@ -555,8 +510,8 @@ def _extend_anchors(
 
     An anchor inside an earlier extension of the *same* pair is skipped
     (BLAST's HSP-containment rule), so anchors of different pairs never
-    interact and any partition by pair extends exactly what the serial loop
-    would.  Containment is tested in bank offsets: a pair's anchors and
+    interact, and the loop may extend one anchor of every pair at once.
+    Containment is tested in bank offsets: a pair's anchors and
     extensions share one sequence start per bank, so the comparison is the
     per-sequence one shifted by a constant.
 
@@ -617,46 +572,6 @@ def _extend_anchors(
     return table[:, 0], table[:, 1:5], table[:, 5:], counters
 
 
-def _extend_rows(
-    part: int,
-    attempt: int,
-    request_id: str | None,
-    query_bytes: bytes,
-    observe: bool,
-    block: AnchorBlock,
-) -> ExtendResult:
-    """Pool task: extend one step-3 partition against the staged bank 1.
-
-    The step-3 twin of :func:`_score_shard`: the same fault hook (addressed
-    with ``step=3``), the same digest-checked bank-1 view, bank 0 as
-    *query_bytes*, and the same observation wrapper.
-    """
-    t0 = obstrace.clock()
-    spec = _inject_fault(part, attempt, step=3)
-    bank1 = _verified_bank1()
-    bank0 = np.frombuffer(query_bytes, dtype=np.uint8)
-    (ranks, spans, scores, counters), obs_payload = _observed(
-        observe, request_id, "step3.worker", {"partition": part, "attempt": attempt},
-        lambda: _extend_anchors(bank0, bank1, block),
-    )
-    wall = obstrace.clock() - t0
-    return _truncate((part, ranks, spans, scores, counters, wall, obs_payload), spec)
-
-
-def _extend_here(
-    bank0: np.ndarray,
-    bank1: np.ndarray,
-    part: int,
-    block: AnchorBlock,
-    deadline: float | None = None,
-) -> ExtendResult:
-    """In-process :func:`_extend_rows`: the in-process route and the pool's
-    last resort, over the host's own bank buffers."""
-    t0 = obstrace.clock()
-    ranks, spans, scores, counters = _extend_anchors(bank0, bank1, block, deadline)
-    return (part, ranks, spans, scores, counters, obstrace.clock() - t0, None)
-
-
 def _publish_shard_metrics(
     registry: obsmetrics.MetricsRegistry,
     pairs: int,
@@ -679,8 +594,9 @@ def _publish_health_metrics(health: RunHealth, stage: str = "step2") -> None:
     """Expose a run's supervision counters as one labelled counter family,
     ``<stage>_supervisor_events_total``.
 
-    Every step-2 run and every pooled step 3 publishes exactly once —
-    completed or cut off by its deadline — into the active registry.
+    Every step-2 run publishes exactly once — completed or cut off by its
+    deadline — into the active registry, and so does a step 3 its deadline
+    cut off (one cancelled unit, :func:`extend_local`).
     Every kind is published (zeros included) so a fault-free run exposes
     the same series set as a faulty one — dashboards and diffs never have
     to special-case missing series.
@@ -757,12 +673,23 @@ def _merge(
                 digest=detsan.shard_digest([o0, o1, sc]),
             )
         if tracer is not None:
-            _record_unit_span(
-                tracer, "step2.shard", wall, obs_payload,
+            # Backdated to end now (the merge runs right after completion);
+            # the worker's spans reparent under it, their timeline rebased
+            # onto its start (worker ``perf_counter`` origins are
+            # per-process).
+            shard_span = tracer.record(
+                "step2.shard", wall,
                 shard=shard, via=outcome.via, attempts=outcome.attempts,
                 pairs=pairs, hits=hits_n,
                 retry_wall_seconds=outcome.retry_wall_seconds, **ident,
             )
+            if obs_payload is not None and obs_payload[0]:
+                worker_spans = obs_payload[0]
+                tracer.adopt(
+                    worker_spans,
+                    shard_span.span_id,
+                    rebase=(worker_spans[0]["start"], shard_span.start),
+                )
         if registry is not None:
             if obs_payload is not None:
                 registry.merge(obs_payload[1])
@@ -796,119 +723,33 @@ def _merge(
     return UngappedHits(offsets0, offsets1, scores, stats), timings
 
 
-def _plan_partitions(
-    block: AnchorBlock, workers: int
-) -> tuple[dict[int, AnchorBlock], dict[int, int]]:
-    """Step-3 planner: whole (query, subject) pairs per partition.
-
-    Pairs are dealt longest-first by hit count (ties: the pair met first
-    in the global order) to the least-loaded partition (ties: the lowest
-    id).  Each partition keeps its anchors in the global order.  Returns
-    each partition's :class:`AnchorBlock` and its anchor count.
-    """
-    keys, first, inverse, counts = np.unique(
-        block.pairs, return_index=True, return_inverse=True, return_counts=True
-    )
-    n_parts = max(1, min(workers, keys.size))
-    load = [0] * n_parts
-    owner = np.zeros(keys.size, dtype=np.int64)
-    for pair in sorted(range(keys.size), key=lambda k: (-counts[k], first[k])):
-        part = min(range(n_parts), key=lambda q: (load[q], q))
-        owner[pair] = part
-        load[part] += int(counts[pair])
-    part_of = owner[inverse]
-    parts = {p: block.take(np.flatnonzero(part_of == p)) for p in range(n_parts)}
-    return parts, {p: len(b.ranks) for p, b in parts.items()}
-
-
-def _record_unit_span(
-    tracer: obstrace.Tracer,
-    name: str,
-    wall: float,
-    obs_payload: ObsPayload | None,
-    **attrs: Any,
-) -> None:
-    """A retrospective span for one accepted pool unit, its worker's spans
-    adopted under it.
-
-    The wall is known and the merge happens right after completion, so the
-    span is backdated to end now.  Worker spans reparent under it with
-    their timeline rebased onto its start (worker ``perf_counter`` origins
-    are per-process).
-    """
-    unit_span = tracer.record(name, wall, **attrs)
-    if obs_payload is not None and obs_payload[0]:
-        worker_spans = obs_payload[0]
-        tracer.adopt(
-            worker_spans,
-            unit_span.span_id,
-            rebase=(worker_spans[0]["start"], unit_span.start),
-        )
-
-
-def _merge_extensions(
-    outcomes: list[ShardOutcome], health: RunHealth, request_id: str | None
-) -> Extensions:
-    """Fold accepted step-3 partitions into the serial extension order.
-
-    Ranks are unique, so sorting the concatenated rows by rank restores
-    exactly the order the single loop runs its extensions in.  Like
-    :func:`_merge` it publishes: the step-3 funnel counters, one
-    ``step3.partition`` span per partition.  *health* is carried as is.
-    """
-    tracer = obstrace.active()
-    registry = obsmetrics.active()
-    ident = {} if request_id is None else {"request_id": request_id}
-    for outcome in outcomes:
-        part, _, _, _, (n_in, contained, cells, n_ext), wall = outcome.result[:6]
-        if tracer is not None:
-            _record_unit_span(
-                tracer, "step3.partition", wall, outcome.result[6],
-                partition=part, via=outcome.via, attempts=outcome.attempts,
-                anchors=n_in, extensions=n_ext, **ident,
-            )
-        if registry is not None:
-            if outcome.result[6] is not None:
-                registry.merge(outcome.result[6][1])
-            registry.counter("step3_anchors_total").inc(n_in)
-            registry.counter("step3_contained_total").inc(contained)
-            registry.counter("step3_extensions_total").inc(n_ext)
-            registry.counter("step3_cells_total").inc(cells)
-            registry.counter("step3_partitions_total", via=outcome.via).inc()
-    results = [o.result for o in outcomes]
-    if len(results) == 1:
-        # One partition (the in-process route): already in serial order.
-        return Extensions(*results[0][1:4], health=health)
-    ranks = np.concatenate([r[1] for r in results])
-    serial = np.argsort(ranks, kind="stable")
-    return Extensions(
-        ranks=ranks[serial],
-        spans=np.concatenate([r[2] for r in results])[serial],
-        scores=np.concatenate([r[3] for r in results])[serial],
-        health=health,
-    )
-
-
 def extend_local(
     buf0: np.ndarray,
     buf1: np.ndarray,
     block: AnchorBlock,
     deadline_at: float | None = None,
 ) -> Extensions:
-    """Step 3 in-process: the pool task's loop over one partition of all
-    anchors, merged and published like a pooled run.
+    """Step 3, in-process in both front ends: the containment loop over
+    every anchor of *block*, with the step-3 funnel counters published.
 
     Past ``deadline_at`` the loop stops at its next row step or extension
     and raises :class:`~repro.core.supervisor.DeadlineExceeded`, published
-    as one cancelled step-3 unit, as a pooled run's cut-off is.
+    as one cancelled step-3 unit.
     """
     try:
-        result = _extend_here(buf0, buf1, 0, block, deadline_at)
+        ranks, spans, scores, (n_in, contained, cells, n_ext) = _extend_anchors(
+            buf0, buf1, block, deadline_at
+        )
     except DeadlineExceeded as exc:
         _publish_health_metrics(exc.health, "step3")
         raise
-    outcome = ShardOutcome(shard=0, result=result, attempts=1, via="local")
-    return _merge_extensions([outcome], RunHealth(), None)
+    registry = obsmetrics.active()
+    if registry is not None:
+        registry.counter("step3_anchors_total").inc(n_in)
+        registry.counter("step3_contained_total").inc(contained)
+        registry.counter("step3_extensions_total").inc(n_ext)
+        registry.counter("step3_cells_total").inc(cells)
+    return Extensions(ranks, spans, scores)
 
 
 def _track_segment(shm: SharedMemory) -> None:
@@ -933,7 +774,7 @@ def release_all_segments() -> None:
 
     Registered with :mod:`atexit` at import.  Idempotent — releasing a
     :class:`StagedBank` untracks its segment (the ``finally`` of
-    :meth:`ShardedStep2Executor.holding` does so via ``_release``, as
+    :meth:`ShardedStep2Executor.run` does so via ``_release``, as
     does the serving pool on shutdown), so on a clean run this finds
     nothing.  Never raises: it runs on the way down, where a cleanup
     error must not mask the original exit reason.
@@ -1014,7 +855,7 @@ def _shut(pool: ProcessPoolExecutor | None, bank: StagedBank | None) -> None:
 
 class ShardedStep2Executor:
     """The pool front end: a staged bank 1, its worker pool, and the
-    supervised step-2 and step-3 runs on them.
+    supervised step-2 runs on them.
 
     Parameters
     ----------
@@ -1033,21 +874,20 @@ class ShardedStep2Executor:
     min_pairs_per_shard:
         Pair-count floor below which a multi-worker run scores in-process
         (:meth:`route`): on small workloads the pool's fixed costs exceed
-        the scoring itself.  ``0`` disables the floor — and the step-3
-        pair floor with it (:meth:`route_step3`).  The default ``1 << 18``
-        also covers pool spawn and staging, which a one-shot pays per run.
+        the scoring itself.  ``0`` disables the floor.  The default
+        ``1 << 18`` also covers pool spawn and staging, which a one-shot
+        pays per run.
     resident:
         Bank-1 bytes to stage now and keep until :meth:`close` — a
         server's resident bank (:class:`repro.serve.pool.WarmPool`).
-        Without one, a pooled :meth:`step2` stages its own bank 1, and the
-        :meth:`holding` block it runs in releases it with the pool.
+        Without one, a pooled step 2 stages its own bank 1, and
+        :meth:`run` releases it with the pool.
 
-    ``compare --workers N`` runs :meth:`step2` then :meth:`step3` in one
-    :meth:`holding` block, so a run spawns one pool; a server calls them
-    per request and hands the one pool from request to request.  The
-    merged hits are bit-identical — offsets, scores and order — to the
-    single-process batched run for any worker count, retry or injected
-    fault.
+    ``compare --workers N`` calls :meth:`run`, which spawns one pool and
+    releases it before step 3; a server calls :meth:`step2` per request
+    and hands the one pool from request to request.  The merged hits are
+    bit-identical — offsets, scores and order — to the single-process
+    batched run for any worker count, retry or injected fault.
     """
 
     def __init__(
@@ -1079,9 +919,8 @@ class ShardedStep2Executor:
     # -- shared state accessors -----------------------------------------
     @property
     def last_health(self) -> RunHealth:
-        """Supervision counters of the latest :meth:`step2` plus the
-        events of its pooled :meth:`step3` — also those of a run its
-        deadline cut off."""
+        """Supervision counters of the latest :meth:`step2` — also those of
+        a run its deadline cut off."""
         with self._pool_lock:
             return self._last_health
 
@@ -1114,7 +953,7 @@ class ShardedStep2Executor:
         with self._pool_lock:
             return self._pool is not None
 
-    # -- routes -----------------------------------------------------------
+    # -- step 2 -------------------------------------------------------------
     def route(self, index: TwoBankIndex) -> Route:
         """Where a step 2 over *index* scores.
 
@@ -1131,26 +970,6 @@ class ShardedStep2Executor:
             return "small"
         return "pool"
 
-    def route_step3(self, block: AnchorBlock) -> Literal["local", "pool"]:
-        """Where a step 3 over *block* extends, when a bank is staged.
-
-        ``"pool"`` once there are at least :data:`STEP3_MIN_PAIRS_PER_WORKER`
-        distinct pairs per worker (and at least two, to split).  The floor
-        was measured at two workers only; scaling it by the worker count
-        beyond two is unverified.
-
-        The step-3 floor follows the step-2 option: a front end built with
-        ``min_pairs_per_shard=0`` has no step-3 floor either.  That is what
-        lets the chaos drills and the determinism harness, which switch the
-        step-2 floor off to reach the pool on small inputs, also run and
-        fault the pooled step 3 without a second knob.
-        """
-        floor = STEP3_MIN_PAIRS_PER_WORKER if self.min_pairs_per_shard else 0
-        if self.workers == 1 or block.n_pairs < max(2, self.workers * floor):
-            return "local"
-        return "pool"
-
-    # -- step 2 and step 3 ------------------------------------------------
     def step2(
         self,
         index: TwoBankIndex,
@@ -1181,52 +1000,12 @@ class ShardedStep2Executor:
         self._keep(health, timings)
         return hits
 
-    def step3(
-        self,
-        buf0: np.ndarray,
-        buf1: np.ndarray,
-        block: AnchorBlock,
-        deadline_at: float | None = None,
-        use_pool: bool = True,
-        request_id: str | None = None,
-    ) -> Extensions:
-        """Extend *block* (step 3) after :meth:`step2`.
-
-        On the pool when a bank is staged — a server's resident bank, or
-        the one a one-shot's pooled step 2 left — and :meth:`route_step3`
-        says so; in-process otherwise.  The arguments mean what they mean
-        for :meth:`step2`.  A pooled run's supervision events, a deadline
-        cut-off's included, fold into :attr:`last_health`, so a breaker
-        judges the request's pool behaviour over both steps.
-        """
-        with self._pool_lock:
-            bank = self._bank
-        supervisor = replace(
-            self.supervisor, deadline=deadline_at, request_id=request_id
-        )
-        try:
-            if bank is None or not use_pool or self.route_step3(block) != "pool":
-                return extend_local(buf0, buf1, block, deadline_at)
-            ext = self._extend(buf0, buf1, block, bank, supervisor)
-        except DeadlineExceeded as exc:
-            self._keep(exc.health)
-            raise
-        self._keep(ext.health)
-        return ext
-
     def run(self, index: TwoBankIndex) -> UngappedHits:
-        """A one-shot step 2: :meth:`step2` in a :meth:`holding` block of
-        its own, so a pooled run's pool and staged bank go with it."""
-        with self.holding():
-            return self.step2(index)
-
-    @contextmanager
-    def holding(self) -> Iterator[ShardedStep2Executor]:
-        """Keep the pool and staged bank of the runs inside the block for
-        the next (step 3 after step 2), then stop the pool and release the
-        bank — a resident bank stays until :meth:`close`."""
+        """A one-shot step 2: :meth:`step2`, then stop the pool and release
+        the staged bank it used — a resident bank stays until
+        :meth:`close`."""
         try:
-            yield self
+            return self.step2(index)
         finally:
             self._release()
 
@@ -1324,70 +1103,6 @@ class ShardedStep2Executor:
         hits, timings = _merge(outcomes, health, supervisor.request_id)
         return hits, timings, health
 
-    def _extend(
-        self,
-        buf0: np.ndarray,
-        buf1: np.ndarray,
-        block: AnchorBlock,
-        bank: StagedBank,
-        supervisor: SupervisorConfig,
-    ) -> Extensions:
-        try:
-            return self._extend_pooled(buf0, buf1, block, bank, supervisor)
-        except OSError as exc:
-            self._degrade("step-3", exc)
-        health = RunHealth(fallback_shards=1)
-        _publish_health_metrics(health, "step3")
-        ext = extend_local(buf0, buf1, block, supervisor.deadline)
-        return replace(ext, health=health)
-
-    def _extend_pooled(
-        self,
-        buf0: np.ndarray,
-        buf1: np.ndarray,
-        block: AnchorBlock,
-        bank: StagedBank,
-        supervisor: SupervisorConfig,
-    ) -> Extensions:
-        """Supervise step 3 over *block* on the pool, one task per partition.
-
-        *bank* holds *buf1*'s bytes.  ``supervisor.deadline`` works as in
-        :meth:`_score_pooled`: a run it cuts off raises
-        :class:`~repro.core.supervisor.DeadlineExceeded` with the remaining
-        partitions cancelled.  A partition whose retries run out extends
-        in-process, so the result never changes.
-        """
-        parts, anchor_counts = _plan_partitions(block, self.workers)
-        query_bytes = buf0.tobytes()
-        observe = obstrace.active() is not None or obsmetrics.active() is not None
-        payloads = {
-            p: (supervisor.request_id, query_bytes, observe, part)
-            for p, part in parts.items()
-        }
-        size = min(self.workers, len(parts))
-        sup = ShardSupervisor(
-            supervisor,
-            lambda: self.make_pool(bank, size),
-            _extend_rows,
-            lambda p: _extend_here(buf0, buf1, p, parts[p]),
-            initial_pool=self._take_pool(),
-            keep_pool=True,
-            stage="step3",
-        )
-        # ``shards`` stays the step-2 count when these events fold into a
-        # run's health: partitions are counted by the step-3 metrics.
-        try:
-            outcomes, health = sup.run(payloads, anchor_counts)
-        except DeadlineExceeded as exc:
-            exc.health = replace(exc.health, shards=0)
-            _publish_health_metrics(exc.health, "step3")
-            raise
-        finally:
-            self._hold(sup.final_pool)
-        health = replace(health, shards=0)
-        _publish_health_metrics(health, "step3")
-        return _merge_extensions(outcomes, health, supervisor.request_id)
-
     # -- pool and staging ---------------------------------------------------
     def make_pool(self, bank: StagedBank, workers: int) -> ProcessPoolExecutor:
         """A fresh pool of *workers* processes, each mapping *bank*."""
@@ -1439,17 +1154,9 @@ class ShardedStep2Executor:
                 self._pool = pool
         _shut(leftover, None)
 
-    def _keep(
-        self, health: RunHealth, timings: list[ShardTiming] | None = None
-    ) -> None:
-        """Record a step-2 run with its *timings*, or — without them —
-        fold a step-3 run's *health* into the latest record."""
+    def _keep(self, health: RunHealth, timings: list[ShardTiming]) -> None:
+        """Record a step-2 run: its *health* and its *timings*."""
         with self._pool_lock:
-            if timings is None:
-                # A fresh record: readers may hold the step-2 one.
-                folded = replace(self._last_health)
-                folded.merge(health)
-                health, timings = folded, self._last_timings
             self._last_health, self._last_timings = health, timings
 
     def _release(self) -> None:
@@ -1463,9 +1170,8 @@ class ShardedStep2Executor:
 
     def _degrade(self, what: str, exc: OSError) -> None:
         """Restricted environments (no /dev/shm, no forks): warn, drop the
-        pool (and a one-shot's staged bank, so its step 3 stays
-        in-process too), and let the caller take the identical-output
-        in-process route rather than fail."""
+        pool (and a one-shot's staged bank), and let the caller take the
+        identical-output in-process route rather than fail."""
         warnings.warn(
             f"sharded {what} pool unavailable ({exc!r}); "
             "falling back to in-process execution",

@@ -4,13 +4,13 @@ The paper's two-FPGA runs assume every compute unit finishes every dispatch;
 a production host cannot.  To test the supervision layer
 (:mod:`repro.core.supervisor`) without flaky, timing-dependent tests, faults
 are *data*: a :class:`FaultPlan` is a seeded, serialisable list of
-:class:`FaultSpec` records addressed by step, shard (or partition) id and
-dispatch attempt (for worker faults) or by event count (for simulator
-faults).  The same plan can
+:class:`FaultSpec` records addressed by shard id and dispatch attempt (for
+worker faults) or by event count (for simulator faults).  The same plan
+can
 
-* make a step-2 or step-3 worker process crash, hang, return truncated
-  result arrays or corrupt its bank view (applied inside the pool task,
-  see :mod:`repro.core.executor`), and
+* make a step-2 worker process crash, hang, return truncated result
+  arrays or corrupt its bank view (applied inside the pool task, see
+  :mod:`repro.core.executor`), and
 * drive the :mod:`repro.hwsim` FIFO/DMA hooks, so the cycle simulator's
   overflow/transfer-error handling is exercised by the identical plan.
 
@@ -107,10 +107,9 @@ SERVICE_KINDS = frozenset(
 class FaultSpec:
     """One addressable fault.
 
-    Worker faults are addressed by ``(step, shard, attempt)``: the fault
-    fires when unit ``shard`` of pipeline step ``step`` (a step-2 shard,
-    or a step-3 partition; ``shard=None`` = any unit) is dispatched for the
-    ``attempt``-th time (``None`` = every attempt — an *unrecoverable*
+    Worker faults are addressed by ``(shard, attempt)``: the fault fires
+    when step-2 shard ``shard`` (``None`` = any shard) is dispatched for
+    the ``attempt``-th time (``None`` = every attempt — an *unrecoverable*
     fault that forces the supervisor's in-process fallback).  Simulator
     faults are addressed by ``at_count``, the 0-based event index at the
     hook site.  Service faults are addressed by ``request``, the 0-based
@@ -129,9 +128,6 @@ class FaultSpec:
     hang_seconds: float = 30.0
     #: ``TRUNCATE``: hits dropped from the tail of the result arrays.
     drop: int = 1
-    #: Worker faults: the pipeline step whose pool task the fault fires in
-    #: (2: a step-2 shard, 3: a step-3 partition).
-    step: int = 2
 
     @property
     def site(self) -> str:
@@ -142,9 +138,9 @@ class FaultSpec:
             return "service"
         return "hwsim"
 
-    def matches(self, shard: int, attempt: int, step: int = 2) -> bool:
-        """True when this worker fault fires for ``(step, shard, attempt)``."""
-        if self.kind not in WORKER_KINDS or self.step != step:
+    def matches(self, shard: int, attempt: int) -> bool:
+        """True when this worker fault fires for ``(shard, attempt)``."""
+        if self.kind not in WORKER_KINDS:
             return False
         if self.shard is not None and self.shard != shard:
             return False
@@ -166,7 +162,6 @@ class FaultSpec:
             "request": self.request,
             "hang_seconds": self.hang_seconds,
             "drop": self.drop,
-            "step": self.step,
         }
 
     @classmethod
@@ -204,12 +199,10 @@ class FaultPlan:
         return len(self.specs)
 
     # Worker-side addressing ------------------------------------------------
-    def worker_fault(
-        self, shard: int, attempt: int, step: int = 2
-    ) -> FaultSpec | None:
-        """First worker fault firing for ``(step, shard, attempt)``, if any."""
+    def worker_fault(self, shard: int, attempt: int) -> FaultSpec | None:
+        """First worker fault firing for ``(shard, attempt)``, if any."""
         for spec in self.specs:
-            if spec.matches(shard, attempt, step):
+            if spec.matches(shard, attempt):
                 return spec
         return None
 

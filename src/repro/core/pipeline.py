@@ -11,8 +11,8 @@ sequence banks:
 3. **gapped extension** — anchors are extended with the gapped X-drop
    engine, deduplicated BLAST-style (an anchor falling inside an already
    extended alignment of the same sequence pair is skipped), scored in
-   bits, and filtered at the configured E-value.  Pairs never interact,
-   so the extensions may run on the step-2 pool, partitioned by pair.
+   bits, and filtered at the configured E-value.  As in the paper, this
+   step runs on the host, in-process, whichever engine ran step 2.
 
 The pipeline is structured so step 2 is swappable: the accelerated pipeline
 (:mod:`repro.rasc.accelerated`) substitutes the PSC-operator model for
@@ -23,7 +23,7 @@ split the paper deploys on the Altix + RASC-100.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import AbstractContextManager, ExitStack, nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from typing import Any
 
 import numpy as np
@@ -38,7 +38,7 @@ from ..seqs.sequence import Sequence, SequenceBank
 from ..seqs.translate import translated_bank
 from . import determinism as detsan
 from .config import PipelineConfig
-from .executor import AnchorBlock, Extensions, ShardedStep2Executor, extend_local
+from .executor import AnchorBlock, ShardedStep2Executor, extend_local
 from .profile import PipelineProfile
 from .results import Alignment, ComparisonReport
 
@@ -46,10 +46,6 @@ __all__ = ["SeedComparisonPipeline", "gapped_stage"]
 
 #: Type of a step-2 implementation: index → surviving anchor pairs.
 Step2Fn = Callable[[TwoBankIndex], UngappedHits]
-
-#: Type of a step-3 runner: (bank-0 buffer, bank-1 buffer, anchors in the
-#: global order) → the extensions, in that order.
-Step3Fn = Callable[[np.ndarray, np.ndarray, AnchorBlock], Extensions]
 
 
 def _alignment_rows(report: ComparisonReport) -> list[np.ndarray]:
@@ -80,7 +76,7 @@ def gapped_stage(
     hits: UngappedHits,
     config: PipelineConfig,
     profile: PipelineProfile | None = None,
-    extend: Step3Fn | None = None,
+    deadline_at: float | None = None,
 ) -> ComparisonReport:
     """Step 3: gapped extension + dedup + statistics over anchor pairs.
 
@@ -90,12 +86,9 @@ def gapped_stage(
     (BLAST's HSP-containment rule), which collapses the many seed hits one
     true alignment generates.
 
-    The extensions themselves run in *extend* — in-process by default
-    (:func:`~repro.core.executor.extend_local`); a pool front end passes
-    its own runner, which may partition the anchors by pair across
-    workers.  Either way the extensions come back in the serial order, so
-    E-values and the alignment list (and thus the non-total
-    ``report.sort()`` key's tie order) are the same.
+    The extensions run in-process (:func:`~repro.core.executor.extend_local`),
+    which raises :class:`~repro.core.supervisor.DeadlineExceeded` once the
+    clock passes *deadline_at* (a served request's deadline).
     """
     params = gapped_params(config.matrix.name, config.gaps.open, config.gaps.extend)
     db_len = bank1.total_residues
@@ -116,7 +109,7 @@ def gapped_stage(
         gaps=config.gaps,
         x_drop=config.gapped_x_drop,
     )
-    ext = (extend or extend_local)(bank0.buffer, bank1.buffer, block)
+    ext = extend_local(bank0.buffer, bank1.buffer, block, deadline_at)
     ungapped = hits.scores[order]
     for rank, (start0, end0, start1, end1), score in zip(
         ext.ranks.tolist(), ext.spans.tolist(), ext.scores[:, 0].tolist()
@@ -151,11 +144,10 @@ def gapped_stage(
     if profile is not None:
         profile.step3.operations += ext.cells
         profile.step3.items += int(ext.ranks.size)
-        profile.run_health.merge(ext.health)
     if detsan.active() is not None:
-        # The extension *set* must not depend on how step 3 was
-        # partitioned — order-independent digest (the merge restores the
-        # order itself).
+        # The extension *set* must not depend on the worker count —
+        # order-independent digest (the rank order is checked by
+        # ``step3.alignments``).
         detsan.record_arrays(
             "step3.extensions",
             [ext.ranks, *ext.spans.T, *ext.scores.T],
@@ -177,22 +169,20 @@ class SeedComparisonPipeline:
         Optional replacement for the step-2 engine (signature
         ``TwoBankIndex -> UngappedHits``).  Used by the accelerated
         pipeline to deport step 2 to the PSC-operator model.
-    step3:
-        Optional step-3 runner (:data:`Step3Fn`) — the warm pool's, in
-        the serving layer.  Without it, step 3 extends on the one-shot
-        executor's pool when step 2 left one (``workers > 1``), else
-        in-process.
+    deadline_at:
+        Absolute deadline (:func:`repro.obs.trace.clock` timeline) that
+        step 3 stops at — a served request's; ``None`` runs unbounded.
     """
 
     def __init__(
         self,
         config: PipelineConfig | None = None,
         step2: Step2Fn | None = None,
-        step3: Step3Fn | None = None,
+        deadline_at: float | None = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self._step2 = step2
-        self._step3 = step3
+        self._deadline_at = deadline_at
         #: Profile of the most recent run.
         self.profile = PipelineProfile()
         #: Joint index of the most recent run (reused by cost models).
@@ -258,26 +248,20 @@ class SeedComparisonPipeline:
             min_pairs_per_shard=self.config.min_pairs_per_shard,
         )
 
-    def run_step2(
-        self, index: TwoBankIndex, executor: ShardedStep2Executor | None = None
-    ) -> UngappedHits:
+    def run_step2(self, index: TwoBankIndex) -> UngappedHits:
         """Step 2 only: ungapped extension over the joint index.
 
-        The default engine is the sharded executor at ``config.workers``
-        processes (in-process batched scoring at the default of 1) — a
-        fresh one-shot, or *executor*, whose :meth:`holding` block the
-        caller keeps open for step 3; its per-shard timings land in
-        ``profile.step2_shards``.
+        The default engine is a one-shot sharded executor at
+        ``config.workers`` processes (in-process batched scoring at the
+        default of 1), whose pool and staged bank go before this returns;
+        its per-shard timings land in ``profile.step2_shards``.
         """
         with self.profile.timing(self.profile.step2, "step2.ungapped") as ctr:
             if self._step2 is not None:
                 hits = self._step2(index)
             else:
-                if executor is None:
-                    executor = self._executor()
-                    hits = executor.run(index)
-                else:
-                    hits = executor.step2(index)
+                executor = self._executor()
+                hits = executor.run(index)
                 self.profile.step2_shards.extend(executor.last_timings)
                 self.profile.run_health.merge(executor.last_health)
             ctr.operations += hits.stats.cells
@@ -332,22 +316,15 @@ class SeedComparisonPipeline:
         if reset_profile:
             self.profile = PipelineProfile()
         recorder, created = detsan.ensure_recorder()
-        with detsan.activate(recorder), self._root_span(), ExitStack() as stack:
-            # Without a step-2 override the one-shot executor keeps its
-            # staged bank and pool from step 2 through step 3.
-            executor = (
-                stack.enter_context(self._executor().holding())
-                if self._step2 is None
-                else None
-            )
-            extend = self._step3 or (executor.step3 if executor else None)
+        with detsan.activate(recorder), self._root_span():
             index = self._step1(bank0, bank1, resident)
             self.last_index = index
-            hits = self.run_step2(index, executor)
+            hits = self.run_step2(index)
             self.last_hits = hits
             with self.profile.timing(self.profile.step3, "step3.gapped"):
                 report = gapped_stage(
-                    bank0, bank1, hits, self.config, self.profile, extend
+                    bank0, bank1, hits, self.config, self.profile,
+                    self._deadline_at,
                 )
             detsan.record_arrays(
                 "step3.alignments", _alignment_rows(report), order_sensitive=True

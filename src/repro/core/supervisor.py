@@ -1,11 +1,11 @@
-"""Fault-tolerant supervision of the worker pool (step 2 and step 3).
+"""Fault-tolerant supervision of the step-2 worker pool.
 
 The paper's host process drives two FPGAs and assumes both always answer; a
 production cluster host supervises its blades instead: detect a dead or
 stalled unit, re-dispatch its workload, degrade to a slower path when the
 unit never recovers, and report what happened.  :class:`ShardSupervisor`
 is that state machine for the pool of :mod:`repro.core.executor`, whose
-units are step-2 shards and step-3 partitions alike:
+units are step-2 shards:
 
 ::
 
@@ -180,14 +180,11 @@ def _stop_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _validate_result(result: ShardResult) -> bool:
-    """Check a worker result's row arrays agree with its reported count.
+    """Check a worker result's hit arrays agree with its reported count.
 
-    Both task layouts share a head: ``(unit, a, b, c, counters, ...)``
-    with ``a``, ``b``, ``c`` row-aligned arrays and ``counters[3]`` their
-    row count — step 2's ``(shard, offsets0, offsets1, scores, (entries,
-    pairs, cells, hits))``, step 3's ``(partition, ranks, spans, scores,
-    (anchors, contained, cells, extensions))``.  A truncated readback
-    shows up as arrays shorter than the count.
+    A result starts ``(shard, offsets0, offsets1, scores, (entries, pairs,
+    cells, hits), ...)``; a truncated readback shows up as arrays shorter
+    than ``hits``.
     """
     try:
         _, offsets0, offsets1, scores, counters = result[:5]
@@ -227,10 +224,6 @@ class ShardSupervisor:
         When true the surviving pool is *not* shut down after the run; it
         is published on :attr:`final_pool` (``None`` if the run consumed or
         killed it) for the caller to reuse on the next request.
-    stage:
-        Prefix of the supervision events it records (``step2.retry``,
-        ``step3.fallback`` …): the pipeline step whose units it runs.  Its
-        log lines name a unit ``step2 shard N`` or ``step3 partition N``.
     """
 
     def __init__(
@@ -242,11 +235,8 @@ class ShardSupervisor:
         *,
         initial_pool: ProcessPoolExecutor | None = None,
         keep_pool: bool = False,
-        stage: str = "step2",
     ) -> None:
         self.config = config
-        self._stage = stage
-        self._unit = f"{stage} {'shard' if stage == 'step2' else 'partition'}"
         self._make_pool = make_pool
         self._task = task
         self._local_score = local_score
@@ -328,13 +318,12 @@ class ShardSupervisor:
                 # identical-output in-process engine rather than fail the
                 # whole step.
                 _log.warning(
-                    "%s %d failed %d dispatch(es); running in-process",
-                    self._unit,
+                    "shard %d failed %d dispatch(es); running in-process",
                     shard,
                     attempts[shard],
                 )
                 trace.add_event(
-                    f"{self._stage}.fallback",
+                    "step2.fallback",
                     shard=shard,
                     attempts=attempts[shard] + 1,
                     **self._event_attrs,
@@ -384,16 +373,15 @@ class ShardSupervisor:
         if not already_counted:
             health.cancelled += len(shards)
         trace.add_event(
-            f"{self._stage}.cancelled", shards=len(shards), **self._event_attrs
+            "step2.cancelled", shards=len(shards), **self._event_attrs
         )
         _log.warning(
-            "run deadline expired; cancelling %d remaining %s(s): %s",
+            "run deadline expired; cancelling %d remaining shard(s): %s",
             len(shards),
-            self._unit,
             shards,
         )
         raise DeadlineExceeded(
-            f"run deadline expired with {len(shards)} {self._unit}(s) unfinished",
+            f"run deadline expired with {len(shards)} shard(s) unfinished",
             health,
             tuple(shards),
         )
@@ -428,7 +416,7 @@ class ShardSupervisor:
             # Initializer death or a pool broken before/while submitting:
             # everything not submitted counts as one crashed dispatch.
             _log.warning(
-                "%s pool unusable at submit (%r); rebuilding", self._stage, exc
+                "pool unusable at submit (%r); rebuilding", exc
             )
             health.crashes += len(pending) - len(futures)
             # One round-level retry event for the broken pool (the
@@ -436,7 +424,7 @@ class ShardSupervisor:
             # without this, a submit-time pool death is invisible on the
             # request's span tree).
             trace.add_event(
-                f"{self._stage}.retry",
+                "step2.retry",
                 reason="pool-broken",
                 shards=len(pending) - len(futures),
                 **self._event_attrs,
@@ -453,7 +441,7 @@ class ShardSupervisor:
             # moment it was given up on (its deadline, for timeouts).
             lost[shard] += (trace.clock() if until is None else until) - submit_t
             trace.add_event(
-                f"{self._stage}.retry",
+                "step2.retry",
                 shard=shard,
                 reason=reason,
                 attempt=attempts[shard],
@@ -489,8 +477,8 @@ class ShardSupervisor:
                     _stop_pool(pool)
                     return sorted(failed + cancelled), None, True
                 _log.warning(
-                    "%s %d exceeded its %.2fs deadline (attempt %d)",
-                    self._unit, shard, deadlines[shard] - submit_t,
+                    "shard %d exceeded its %.2fs deadline (attempt %d)",
+                    shard, deadlines[shard] - submit_t,
                     attempts[shard],
                 )
                 health.timeouts += 1
@@ -500,7 +488,7 @@ class ShardSupervisor:
                 continue
             except BrokenProcessPool as exc:
                 _log.warning(
-                    "%s %d lost to broken pool: %r", self._unit, shard, exc
+                    "shard %d lost to broken pool: %r", shard, exc
                 )
                 health.crashes += 1
                 abandon(shard, "crash")
@@ -508,22 +496,22 @@ class ShardSupervisor:
                 pool_dead = True
                 continue
             except BankCorruption as exc:
-                _log.warning("%s %d rejected: %s", self._unit, shard, exc)
+                _log.warning("shard %d rejected: %s", shard, exc)
                 health.corrupt += 1
                 abandon(shard, "corrupt")
                 failed.append(shard)
                 continue
             except Exception as exc:  # noqa: BLE001 - any worker error retries
-                _log.warning("%s %d raised %r (attempt %d)",
-                             self._unit, shard, exc, attempts[shard])
+                _log.warning("shard %d raised %r (attempt %d)",
+                             shard, exc, attempts[shard])
                 health.crashes += 1
                 abandon(shard, "error")
                 failed.append(shard)
                 continue
             if not _validate_result(result):
                 _log.warning(
-                    "%s %d returned truncated/inconsistent results "
-                    "(attempt %d)", self._unit, shard, attempts[shard],
+                    "shard %d returned truncated/inconsistent results "
+                    "(attempt %d)", shard, attempts[shard],
                 )
                 health.truncated += 1
                 abandon(shard, "truncated")

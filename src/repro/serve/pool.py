@@ -8,7 +8,7 @@ hoists it: it builds the resident bank's index once and stages the bank
 once, at boot.
 
 Everything else — the pool handed from request to request under one lock,
-the step-2 and step-3 routes, supervision, the merge, metrics, health,
+the step-2 route, supervision, the merge, metrics, health,
 the ``OSError`` fallback and the chaos hooks — is the one pool front end,
 :class:`~repro.core.executor.ShardedStep2Executor`, which ``compare``
 drives too.  Warm hits, health counters and shard timings therefore equal

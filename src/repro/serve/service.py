@@ -528,14 +528,7 @@ class SearchService:
                 use_pool=use_pool,
                 request_id=ticket.ctx.request_id,
             ),
-            step3=lambda buf0, buf1, block: self.pool.step3(
-                buf0,
-                buf1,
-                block,
-                deadline_at=ticket.deadline_at,
-                use_pool=use_pool,
-                request_id=ticket.ctx.request_id,
-            ),
+            deadline_at=ticket.deadline_at,
         )
 
     def _run(
@@ -543,8 +536,9 @@ class SearchService:
     ) -> tuple[ComparisonReport, bool]:
         """Run the pipeline for one ticket; returns (report, pool-healthy).
 
-        A pooled step 3 runs under the ticket's deadline; an in-process one
-        is checked here, once it is done.
+        Step 2 and step 3 each stop at the ticket's deadline themselves
+        (step 3 at its next row step or extension); the check here covers
+        only what follows the last of those ticks.
         """
         report = pipeline.compare_against_index(
             ticket.queries, self.pool.resident_index
@@ -588,9 +582,9 @@ class SearchService:
             for recorded in tracer.spans:
                 for event in recorded.events:
                     name = str(event["name"])
-                    if name in ("step2.retry", "step3.retry"):
+                    if name == "step2.retry":
                         retry_events += 1
-                    elif name in ("step2.fallback", "step3.fallback"):
+                    elif name == "step2.fallback":
                         fallback_events += 1
                     elif name.startswith("breaker.") or name == "serve.bank_heal":
                         breaker_events.append(name)

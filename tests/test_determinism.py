@@ -167,18 +167,6 @@ class TestVerify:
         assert stages["step3.extensions"]["n"] == 8
         assert manifests[1]["stages"]["step3.extensions"] == stages["step3.extensions"]
 
-    def test_two_worker_step3_runs_on_the_pool(self):
-        from repro.obs import metrics as obsmetrics
-
-        registry = obsmetrics.MetricsRegistry()
-        with obsmetrics.activate(registry):
-            ok, _, diffs = verify_pipeline_determinism(
-                str(QUERIES), str(GENOME), worker_counts=(2,)
-            )
-        assert ok, diffs
-        text = obsmetrics.prometheus_text(registry)
-        assert 'step3_partitions_total{via="pool"} 2' in text
-
     def test_seeded_ordering_bug_breaks_the_merged_digest(self, small_banks):
         """The runtime half of the acceptance gate.
 

@@ -170,8 +170,10 @@ class TestShardedExecutor:
         cfg = UngappedConfig(w=4, n=4, threshold=5)
         assert 0 < idx.n_shared_keys < 64
         ex = ShardedStep2Executor(cfg, workers=64)
-        with ex.holding():
+        try:
             hits, timings, _ = ex._score_pooled(idx, ex.supervisor)
+        finally:
+            ex.close()
         ref = ShardedStep2Executor(cfg, workers=1).run(idx)
         assert np.array_equal(ref.offsets0, hits.offsets0)
         assert np.array_equal(ref.offsets1, hits.offsets1)
@@ -713,64 +715,12 @@ class TestCli:
             main(["compare", str(qpath), str(gpath), "--max-retries", "-1"])
 
 
-def _anchor_block(pairs):
-    """An :class:`AnchorBlock` over synthetic pair keys, in global order."""
-    from repro.core.executor import AnchorBlock
-    from repro.extend.gapped import GapPenalties
-    from repro.seqs.matrices import BLOSUM62
-
-    pairs = np.asarray(pairs, dtype=np.int64)
-    rows = np.arange(pairs.size, dtype=np.int64)
-    return AnchorBlock(rows, rows, rows, pairs, BLOSUM62, GapPenalties(), 38)
-
-
 def _alignment_rows(report):
     return [
         (a.seq0_id, a.start0, a.end0, a.seq1_id, a.start1, a.end1,
          a.raw_score, a.ungapped_score, a.bit_score, a.evalue)
         for a in report.alignments
     ]
-
-
-class TestStep3Partition:
-    """Step 3 on the pool: whole pairs per partition, serial results."""
-
-    def test_partitions_hold_whole_pairs_in_global_order(self):
-        block = _anchor_block([5, 3, 5, 9, 3, 5, 7, 9, 5, 1])
-        parts, counts = executor._plan_partitions(block, 2)
-        assert sorted(parts) == [0, 1]
-        seen = {}
-        for p, part in parts.items():
-            assert np.all(np.diff(part.ranks) > 0)  # global order kept
-            assert counts[p] == part.ranks.size
-            for key in part.pairs.tolist():
-                assert seen.setdefault(key, p) == p  # a pair never splits
-        assert sorted(np.concatenate([b.ranks for b in parts.values()])) == list(
-            range(10)
-        )
-        # Longest-first by hit count to the least-loaded partition: 5 (4
-        # hits) → 0, 3 (2) → 1, 9 (2) → 1, then 7 and 1 (1 each) break the
-        # 4:4 tie towards partition 0, then 1.
-        assert parts[0].pairs.tolist() == [5, 5, 5, 7, 5]
-        assert parts[1].pairs.tolist() == [3, 9, 3, 9, 1]
-        assert counts == {0: 5, 1: 5}
-
-    def test_more_workers_than_pairs(self):
-        parts, _ = executor._plan_partitions(_anchor_block([4, 4, 2]), 5)
-        assert sorted(parts) == [0, 1]
-
-    def test_route_step3_pair_floor(self):
-        from repro.core.executor import STEP3_MIN_PAIRS_PER_WORKER
-
-        floor = 2 * STEP3_MIN_PAIRS_PER_WORKER
-        engine = ShardedStep2Executor(workers=2)
-        assert engine.route_step3(_anchor_block(range(floor - 1))) == "local"
-        assert engine.route_step3(_anchor_block(range(floor))) == "pool"
-        assert ShardedStep2Executor(workers=1).route_step3(_anchor_block(range(99))) == "local"
-        # A lifted step-2 floor lifts the step-3 one; one pair never splits.
-        lifted = ShardedStep2Executor(workers=2, min_pairs_per_shard=0)
-        assert lifted.route_step3(_anchor_block([3, 4])) == "pool"
-        assert lifted.route_step3(_anchor_block([3, 3, 3])) == "local"
 
 
 class TestStep3Waves:
@@ -896,9 +846,9 @@ class TestStep3Waves:
 
 
 class TestStep3Pool:
-    """``compare --workers 2``: step 3 extends on step 2's pool with the
-    alignments, cell counts and report order of the in-process loop, also
-    under injected step-3 faults."""
+    """``compare --workers 2``: step 3 extends in-process after step 2's
+    pool is gone, with the alignments, cell counts and report order of the
+    one-worker run."""
 
     @pytest.fixture(scope="class")
     def reference(self, planted_workload):
@@ -908,19 +858,12 @@ class TestStep3Pool:
         return _alignment_rows(report), pipe.profile.step3
 
     @staticmethod
-    def run(planted_workload, plan=None, **supervision):
-        from repro.obs import metrics as obsmetrics
-
+    def run(planted_workload):
         queries, genome, _ = planted_workload
-        config = PipelineConfig(
-            workers=2, fault_plan=plan, min_pairs_per_shard=0, **supervision
-        )
-        pipe = SeedComparisonPipeline(config)
-        registry = obsmetrics.MetricsRegistry()
-        with obsmetrics.activate(registry):
-            report = pipe.compare_with_genome(queries, genome)
+        pipe = SeedComparisonPipeline(PipelineConfig(workers=2, min_pairs_per_shard=0))
+        report = pipe.compare_with_genome(queries, genome)
         assert executor.live_segment_names() == ()
-        return report, pipe.profile, obsmetrics.prometheus_text(registry)
+        return report, pipe.profile
 
     @staticmethod
     def assert_same(reference, report, profile):
@@ -929,130 +872,37 @@ class TestStep3Pool:
         assert profile.step3.operations == step3.operations
         assert profile.step3.items == step3.items == report.n_gapped_extensions
 
-    def test_pooled_step3_matches_in_process(self, planted_workload, reference):
-        report, profile, metrics = self.run(planted_workload)
+    def test_one_shot_frees_its_pool_before_step3(
+        self, planted_workload, reference, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.core import pipeline
+
+        seen = []
+        extend = pipeline.extend_local
+
+        def spy(*args, **kwargs):
+            seen.append((executor.live_segment_names(), multiprocessing.active_children()))
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extend_local", spy)
+        report, profile = self.run(planted_workload)
         self.assert_same(reference, report, profile)
-        assert 'step3_partitions_total{via="pool"} 2' in metrics
+        assert [t.via for t in profile.step2_shards] == ["pool", "pool"]
         assert profile.run_health.healthy and profile.run_health.shards == 2
-
-    @pytest.mark.parametrize(
-        "spec, expect",
-        [
-            (FaultSpec(FaultKind.CRASH, shard=0, attempt=0, step=3),
-             {"crashes": 1, "retries": 1}),
-            (FaultSpec(FaultKind.TRUNCATE, shard=0, attempt=0, step=3),
-             {"truncated": 1, "retries": 1}),
-            (FaultSpec(FaultKind.CORRUPT_BANK, shard=0, attempt=0, step=3),
-             {"corrupt": 1, "retries": 1}),
-            (FaultSpec(FaultKind.CRASH, shard=0, attempt=None, step=3),
-             {"fallback_shards": 1}),
-        ],
-        ids=["crash-retried", "truncate-retried", "corrupt-retried", "fallback"],
-    )
-    def test_step3_faults_recover_identically(
-        self, planted_workload, reference, spec, expect
-    ):
-        report, profile, metrics = self.run(
-            planted_workload, FaultPlan((spec,), seed=4),
-            max_retries=1, shard_timeout=30.0,
-        )
-        self.assert_same(reference, report, profile)
-        health = profile.run_health
-        # Step-3 supervision reaches the metrics, zeros included.
-        step3_events = {
-            line.split('"')[1]: int(line.rsplit(" ", 1)[1])
-            for line in metrics.splitlines()
-            if line.startswith("step3_supervisor_events_total{")
-        }
-        assert step3_events["cancelled"] == 0
-        for counter, value in expect.items():
-            assert getattr(health, counter) >= value, (counter, health)
-            assert step3_events[counter] >= value, (counter, step3_events)
-        # The fault addressed step 3: every step-2 shard took one attempt,
-        # and ``shards`` still counts step-2 shards only.
-        assert [t.attempts for t in profile.step2_shards] == [1, 1]
-        assert health.shards == 2
-        if spec.attempt is None:
-            assert 'step3_partitions_total{via="local"}' in metrics
-
-    @pytest.mark.parametrize("front_end", ["compare", "serve"])
-    def test_step3_events_counted_once(
-        self, planted_workload, reference, front_end, monkeypatch
-    ):
-        # A step-3 crash lands in the run's profile and in the front end's
-        # record exactly as often as the supervisor published it: folding
-        # step 3 into ``last_health`` neither doubles nor drops it.
-        from repro.obs import metrics as obsmetrics
-        from repro.seqs.translate import translated_bank
-        from repro.serve.pool import WarmPool
-
-        queries, genome, _ = planted_workload
-        spec = FaultSpec(FaultKind.CRASH, shard=0, attempt=0, step=3)
-        config = PipelineConfig(
-            workers=2, fault_plan=FaultPlan((spec,), seed=4),
-            min_pairs_per_shard=0, max_retries=1, shard_timeout=30.0,
-        )
-        registry = obsmetrics.MetricsRegistry()
-        if front_end == "compare":
-            built = []
-            build = SeedComparisonPipeline._executor
-
-            def spy(pipe):
-                built.append(build(pipe))
-                return built[-1]
-
-            monkeypatch.setattr(SeedComparisonPipeline, "_executor", spy)
-            pipe = SeedComparisonPipeline(config)
-            with obsmetrics.activate(registry):
-                report = pipe.compare_with_genome(queries, genome)
-            [front] = built
-        else:
-            frames = translated_bank(genome, pad=max(64, config.flank + 8))
-            front = WarmPool(
-                config, frames, workers=2, fault_plan=config.fault_plan,
-                min_pairs_per_shard=0,
-            )
-            pipe = SeedComparisonPipeline(config, step2=front.step2, step3=front.step3)
-            try:
-                with obsmetrics.activate(registry):
-                    report = pipe.compare_against_index(queries, front.resident_index)
-            finally:
-                front.close()
-        self.assert_same(reference, report, pipe.profile)
-        [published] = [
-            int(line.rsplit(" ", 1)[1])
-            for line in obsmetrics.prometheus_text(registry).splitlines()
-            if line.startswith('step3_supervisor_events_total{kind="crashes"}')
-        ]
-        assert published >= 1
-        assert pipe.profile.run_health.crashes == published
-        assert front.last_health.crashes == published
-        assert [t.attempts for t in front.last_timings] == [1, 1]
+        # Step 3 ran once, with no staged segment and no worker left.
+        assert seen == [((), [])]
 
     def test_pool_unavailable_in_step2_extends_in_process(
         self, planted_workload, reference, monkeypatch
     ):
-        # No forks: step 2 degrades in-process, and step 3 must not try to
-        # reach a pool through the bank step 2 staged.
+        # No forks: step 2 degrades in-process, and step 3 runs as always.
         def no_pool(self, bank, workers):
             raise OSError("no forks in this environment")
 
         monkeypatch.setattr(executor.ShardedStep2Executor, "make_pool", no_pool)
         with pytest.warns(RuntimeWarning, match="step-2 pool unavailable"):
-            report, profile, metrics = self.run(planted_workload)
+            report, profile = self.run(planted_workload)
         self.assert_same(reference, report, profile)
         assert [t.via for t in profile.step2_shards] == ["local"]
-        assert 'step3_partitions_total{via="pool"}' not in metrics
-
-    def test_pool_unavailable_in_step3_extends_in_process(
-        self, planted_workload, reference, monkeypatch
-    ):
-        def no_pool(self, *args, **kwargs):
-            raise OSError("no forks in this environment")
-
-        monkeypatch.setattr(executor.ShardedStep2Executor, "_extend_pooled", no_pool)
-        with pytest.warns(RuntimeWarning, match="step-3 pool unavailable"):
-            report, profile, metrics = self.run(planted_workload)
-        self.assert_same(reference, report, profile)
-        assert [t.via for t in profile.step2_shards] == ["pool", "pool"]
-        assert 'step3_partitions_total{via="pool"}' not in metrics

@@ -42,20 +42,6 @@ class TestFaultSpec:
         assert all(spec.matches(1, a) for a in range(5))
         assert not spec.matches(0, 0)
 
-    def test_step_addressing(self):
-        # Default step 2: every existing plan keeps its meaning.
-        assert FaultSpec(FaultKind.CRASH, shard=0).step == 2
-        spec = FaultSpec(FaultKind.TRUNCATE, shard=1, attempt=0, step=3)
-        assert spec.matches(1, 0, step=3)
-        assert not spec.matches(1, 0)
-        assert not FaultSpec(FaultKind.TRUNCATE, shard=1).matches(1, 0, step=3)
-        plan = FaultPlan((spec,))
-        assert plan.worker_fault(1, 0) is None
-        assert plan.worker_fault(1, 0, step=3) is spec
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
-        legacy = {"kind": "crash", "shard": 0, "attempt": 0}
-        assert FaultSpec.from_dict(legacy).step == 2
-
     def test_hwsim_kinds_never_match_workers(self):
         assert not FaultSpec(FaultKind.FIFO_OVERFLOW, shard=0).matches(0, 0)
 
@@ -66,6 +52,15 @@ class TestFaultSpec:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown FaultSpec fields"):
             FaultSpec.from_dict({"kind": "crash", "sahrd": 1})
+
+    def test_from_dict_rejects_a_stale_step_field(self):
+        # Plans once addressed step-3 partitions with "step"; step 3 no
+        # longer runs on the pool, so such a plan must fail loudly, not
+        # silently fault step-2 shards instead.
+        with pytest.raises(ValueError, match="step"):
+            FaultSpec.from_dict({"kind": "crash", "shard": 0, "step": 3})
+        with pytest.raises(ValueError, match="step"):
+            FaultPlan.from_json('{"specs": [{"kind": "hang", "step": 2}]}')
 
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

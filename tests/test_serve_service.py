@@ -379,44 +379,6 @@ class TestDeadlines:
         finally:
             svc.drain(timeout=30)
 
-    def test_mid_step3_deadline_cancels_partitions_and_spares_breaker(
-        self, serve_workload, cold_rows
-    ):
-        # Step 2 is served; then step-3 partition 0 hangs past the request
-        # deadline.  The pooled step 3 runs under that deadline: the
-        # request answers 504 with its partitions cancelled, and a pool
-        # that did nothing wrong records a breaker success.
-        plan = FaultPlan(
-            seed=3,
-            specs=(
-                FaultSpec(
-                    FaultKind.HANG, shard=0, attempt=0, hang_seconds=30.0, step=3
-                ),
-            ),
-        )
-        svc, queries = make_service(serve_workload, fault_plan=plan)
-        try:
-            t0 = time.monotonic()
-            out = svc.submit(queries, deadline_seconds=1.5)
-            assert out["code"] == 504
-            assert time.monotonic() - t0 < 10.0  # not the 30-s hang
-            health = svc.pool.last_health
-            assert health.cancelled == 2
-            assert health.timeouts == health.crashes == 0
-            assert health.shards == 2  # step-2 shards, both served
-            assert svc.breaker.state is BreakerState.CLOSED
-            assert svc.breaker._consecutive_failures == 0
-            (record,) = svc.debug_requests()["records"]
-            assert record["breakdown"]["step3"] > 1.0
-            # Cancelled partitions leave nothing behind: the next request
-            # is served on a rebuilt pool and bit-identical.
-            survivor = svc.submit(queries)
-            assert survivor["code"] == 200
-            assert response_rows(survivor) == cold_rows
-        finally:
-            svc.drain(timeout=30)
-        assert live_segment_names() == ()
-
     def test_in_process_step3_stops_at_the_deadline(
         self, serve_workload, monkeypatch
     ):
@@ -699,30 +661,6 @@ class TestMetricsSurface:
             alignments = metric_value(text, "step3_alignments_total")
             assert alignments == out["n_alignments"] == len(out["alignments"])
             assert 0 < alignments <= extensions
-            assert metric_value(text, 'step3_partitions_total{via="pool"}') == 2
-        finally:
-            svc.drain(timeout=30)
-
-    def test_step3_pool_faults_reach_the_breaker(self, serve_workload, cold_rows):
-        # A pool that crashes on every step-3 dispatch still answers
-        # (partitions fall back in-process, bit-identical), but the
-        # request's health shows the faults and the breaker counts them.
-        plan = FaultPlan(
-            seed=6,
-            specs=(FaultSpec(FaultKind.CRASH, shard=None, attempt=None, step=3),),
-        )
-        svc, queries = make_service(
-            serve_workload,
-            fault_plan=plan,
-            breaker=BreakerConfig(failure_threshold=1, reset_seconds=300.0),
-        )
-        try:
-            out = svc.submit(queries)
-            assert out["code"] == 200
-            assert response_rows(out) == cold_rows
-            assert out["run_health"]["crashes"] >= 1
-            assert out["run_health"]["fallback_shards"] >= 1
-            assert svc.breaker.trips == 1
         finally:
             svc.drain(timeout=30)
 
