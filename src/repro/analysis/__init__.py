@@ -10,7 +10,7 @@ timing, and fully annotated public hot-path APIs (RC001–RC005), plus
 cross-module project rules over a call-graph/taint substrate (RC100, RC101,
 RC103, RC104: nondeterministic order reaching the merge, fork-unsafe module
 state, unordered float reductions, ad-hoc retry loops), serving hygiene
-(RC105, RC107, RC110) and thread/lock rules (RC300, RC301, RC303).  The
+(RC105, RC107, RC110) and thread/lock rules (RC300, RC303).  The
 step-2 kernel's allocation contract is a test of ``FusedKernel.score``
 (``tests/test_backends.py::TestAllocation``), not a rule.
 The runtime counterpart is the determinism sanitizer

@@ -3,7 +3,8 @@
 The RC1xx rules reason about *processes* (fork-inherited state); the serve
 layer added *threads*: a dispatcher, HTTP handler threads, a drain thread
 kicked from a signal handler, pool-worker initializers.  The RC300-series
-rules need three facts the call graph alone does not carry:
+rules and the lock-order pin need three facts the call graph alone does
+not carry:
 
 * **who runs what** — :class:`ThreadModel` identifies every thread root
   (``threading.Thread`` targets, ``signal.signal`` handlers, pool worker
@@ -17,8 +18,9 @@ rules need three facts the call graph alone does not carry:
   graph as a decreasing fixpoint, so ``CircuitBreaker._maybe_half_open``
   knows it always runs under ``_lock`` even though it never acquires it;
 * **in what order** — acquire events with a non-empty held set become
-  edges of the lock-order graph; :func:`find_lock_cycle` detects the
-  deadlock shape RC301 reports.
+  edges of the lock-order graph (``LockModel.order_edges``), which
+  ``test_thread_rules.py`` pins to the serve stack's one nesting, so a
+  second edge — the half of any deadlock cycle — fails a test.
 
 Locks are named canonically — ``module.Class.attr`` for instance locks,
 ``module.name`` for module-level locks — so every finding names the field
@@ -32,7 +34,7 @@ from __future__ import annotations
 import ast
 import re
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -50,7 +52,6 @@ __all__ = [
     "SignalHandlerInfo",
     "ThreadModel",
     "ThreadRoot",
-    "find_lock_cycle",
 ]
 
 #: Constructors whose results are synchronisation primitives — fields
@@ -1132,45 +1133,6 @@ class LockModel:
         """Source path of the module an access lives in."""
         info = self.graph.functions[access.func]
         return str(self.graph.modules[info.module].ctx.path)
-
-
-def find_lock_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """First cycle in the lock-order graph, as ``[a, b, …, a]``; else None.
-
-    Pure over the edge list so the hypothesis property tests can hammer it
-    with random DAGs (never a cycle) and planted cycles (always found).
-    """
-    adjacency: dict[str, list[str]] = {}
-    for outer, inner in edges:
-        adjacency.setdefault(outer, []).append(inner)
-    for nbrs in adjacency.values():
-        nbrs.sort()
-    visiting: dict[str, int] = {}  # 1 = on stack, 2 = done
-    for start in sorted(adjacency):
-        if visiting.get(start):
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path: list[str] = []
-        visiting[start] = 1
-        path.append(start)
-        while stack:
-            node, idx = stack[-1]
-            nbrs = adjacency.get(node, [])
-            if idx >= len(nbrs):
-                stack.pop()
-                path.pop()
-                visiting[node] = 2
-                continue
-            stack[-1] = (node, idx + 1)
-            nxt = nbrs[idx]
-            state = visiting.get(nxt, 0)
-            if state == 1:
-                return path[path.index(nxt) :] + [nxt]
-            if state == 0:
-                visiting[nxt] = 1
-                path.append(nxt)
-                stack.append((nxt, 0))
-    return None
 
 
 class LockAnalysis:

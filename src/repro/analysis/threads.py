@@ -9,9 +9,6 @@ RC300       A thread-shared mutable field (instance attribute of a
             This is the static shape of PR 8's drain race: the dispatcher
             wrote the busy flag outside the dequeue lock that drain's
             idle check sampled under.
-RC301       The lock-order graph (lock A held while acquiring lock B,
-            locally or through a callee) contains a cycle — two threads
-            taking the locks in opposite orders can deadlock.
 RC303       An ``Event.wait``/``Condition.wait`` result is discarded with
             no predicate re-check loop — a lost or spurious wakeup then
             silently corrupts the protocol.  ``Condition.wait`` must sit
@@ -22,7 +19,7 @@ RC303       An ``Event.wait``/``Condition.wait`` result is discarded with
             is always wrong.
 ==========  ==============================================================
 
-All three consume :mod:`repro.analysis.locks` — the thread-root model and
+Both consume :mod:`repro.analysis.locks` — the thread-root model and
 the interprocedural lockset fixpoint — via ``ProjectAnalyses.locks``.
 Signal handlers are thread roots there, so RC300 sees what they touch.
 The serve stack's one signal handler and its one fork point are pinned
@@ -38,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .graph import FunctionInfo, ProjectGraph, dotted_name
-from .locks import LockAnalysis, find_lock_cycle
+from .locks import LockAnalysis
 from .rules import ProjectRule, Violation, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "InconsistentLocksetRule",
-    "LockOrderCycleRule",
     "UncheckedWaitRule",
 ]
 
@@ -151,36 +147,6 @@ class InconsistentLocksetRule(ProjectRule):
             if not any(flag is True for flag in flags):
                 confined.add(qual)
         return confined
-
-
-@register
-class LockOrderCycleRule(ProjectRule):
-    """RC301 — the lock acquisition order graph must be acyclic."""
-
-    code = "RC301"
-    summary = (
-        "cycle in the lock-order graph (lock A held while acquiring lock "
-        "B, directly or through a callee, and vice versa elsewhere): two "
-        "threads taking the locks in opposite orders deadlock; acquire "
-        "locks in one global order"
-    )
-
-    def check_project(self, project: ProjectAnalyses) -> Iterator[Violation]:
-        analysis: LockAnalysis = project.locks
-        model = analysis.model
-        cycle = find_lock_cycle(model.order_edges.keys())
-        if cycle is None:
-            return
-        func, node = model.order_edges[(cycle[0], cycle[1])]
-        info = model.graph.functions[func]
-        yield self.violation_at(
-            _module_path(model.graph, info.module),
-            node,
-            "lock acquisition order cycle: "
-            + " -> ".join(cycle)
-            + "; acquire locks in one fixed global order to rule out "
-            "deadlock",
-        )
 
 
 @register

@@ -1,4 +1,4 @@
-"""The pool engine: one worker protocol over a bank staged once.
+"""The step-2 pool engine: one worker protocol over a bank staged once.
 
 The paper scales step 2 with one host protocol that drives N compute
 units over banks staged once in board memory (Table 3); Nguyen &
@@ -34,11 +34,6 @@ This module is that protocol in software, and its only implementation:
   supervision health, one :class:`~repro.core.profile.ShardTiming` per
   shard and the detsan shard details.
 
-Step 3 stays on the host, as in the paper: :func:`extend_local` runs
-step 3's containment loop (:func:`_extend_anchors`) in-process, under the
-request deadline, in both front ends.  The loop extends in waves, each a
-lockstep batch of X-drop halves (:func:`_extend_wave`).
-
 One class drives the pool: :class:`ShardedStep2Executor` owns the staged
 bank 1, the pool and one lock over both, and runs its
 :meth:`~ShardedStep2Executor.step2` for both front ends.  ``compare
@@ -67,13 +62,12 @@ import threading
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Literal
 
 import numpy as np
 
 from ..extend.batched import BatchedUngappedEngine, EntryBlock
-from ..extend.gapped import GapPenalties, lockstep_halves, xdrop_gapped_extend
 from ..extend.ungapped import UngappedConfig, UngappedHits, UngappedStats
 from ..index.kmer import TwoBankIndex
 from ..obs import metrics as obsmetrics
@@ -95,15 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.context import BaseContext
     from multiprocessing.shared_memory import SharedMemory
 
-    from ..seqs.matrices import SubstitutionMatrix
-
 __all__ = [
-    "STEP3_MIN_LANES",
-    "AnchorBlock",
-    "Extensions",
     "ShardedStep2Executor",
     "StagedBank",
-    "extend_local",
     "live_segment_names",
     "release_all_segments",
 ]
@@ -148,50 +136,6 @@ Step2Run = tuple[UngappedHits, list[ShardTiming], RunHealth]
 
 #: Where one step-2 run scores (:meth:`ShardedStep2Executor.route`).
 Route = Literal["local", "small", "pool"]
-
-#: Step-3 lane floor (:func:`_extend_wave`): a wave of fewer X-drop halves
-#: than this runs one extension at a time on the plain-int loop, a larger
-#: one as lanes of one lockstep batch.  The two cross between 12 and 16
-#: halves (DESIGN §11, "The lockstep engine").
-STEP3_MIN_LANES = 16
-
-
-@dataclass(frozen=True)
-class AnchorBlock:
-    """Step-3 work: anchors in the global descending-score order.
-
-    ``ranks`` is each anchor's position in that order, ``offsets0`` /
-    ``offsets1`` its bank offsets and ``pairs`` its (query, subject) pair
-    key.  The X-drop parameters ride along, so step 3 needs nothing else
-    but the two bank buffers.
-    """
-
-    ranks: np.ndarray
-    offsets0: np.ndarray
-    offsets1: np.ndarray
-    pairs: np.ndarray
-    matrix: SubstitutionMatrix
-    gaps: GapPenalties
-    x_drop: int
-
-
-@dataclass(frozen=True)
-class Extensions:
-    """Step 3's extensions, in the serial (ascending-rank) order.
-
-    One row per extension run — anchors skipped by containment have none.
-    ``spans`` is ``(n, 4)`` — start0, end0, start1, end1 in bank offsets —
-    and ``scores`` ``(n, 2)`` — raw score, DP cells.
-    """
-
-    ranks: np.ndarray
-    spans: np.ndarray
-    scores: np.ndarray
-
-    @property
-    def cells(self) -> int:
-        """DP cells computed over every extension."""
-        return int(self.scores[:, 1].sum())
 
 
 def _pool_context() -> tuple[BaseContext, bool]:
@@ -432,146 +376,6 @@ def _score_local(
     return _package_hits(shard, hits, obstrace.clock() - t0, engine)
 
 
-def _deadline_tick(deadline: float | None) -> Callable[[], None] | None:
-    """A step-3 checkpoint: raises :class:`DeadlineExceeded` (one
-    cancelled unit) once the clock passes *deadline*; ``None`` when the
-    run is unbounded."""
-    if deadline is None:
-        return None
-
-    def tick() -> None:
-        if obstrace.clock() >= deadline:
-            raise DeadlineExceeded(
-                "request deadline expired during in-process gapped extension",
-                RunHealth(cancelled=1),
-                (0,),
-            )
-
-    return tick
-
-
-def _extend_wave(
-    buf0: np.ndarray,
-    buf1: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    block: AnchorBlock,
-    tick: Callable[[], None] | None,
-) -> np.ndarray:
-    """Extend independent anchors at bank offsets *p0* / *p1*: one row
-    ``(score, start0, end0, start1, end1, cells)`` per anchor, in order.
-
-    Their halves (two per anchor) run as lanes of one lockstep batch
-    (:func:`~repro.extend.gapped.lockstep_halves`) from
-    :data:`STEP3_MIN_LANES` halves up, and one extension at a time on the
-    plain-int loop below it.
-    """
-    k = len(p0)
-    if 2 * k < STEP3_MIN_LANES:
-        rows = []
-        for a0, a1 in zip(p0.tolist(), p1.tolist()):
-            if tick is not None:
-                tick()
-            ext = xdrop_gapped_extend(
-                buf0, a0, buf1, a1,
-                matrix=block.matrix, gaps=block.gaps, x_drop=block.x_drop,
-            )
-            rows.append(
-                (ext.score, ext.start0, ext.end0, ext.start1, ext.end1, ext.cells)
-            )
-        return np.array(rows, dtype=np.int64).reshape(k, 6)
-    anchors0 = np.concatenate([p0, p0])
-    anchors1 = np.concatenate([p1, p1])
-    halves = lockstep_halves(
-        buf0, buf1, anchors0, anchors1, np.arange(2 * k, dtype=np.int64) >= k,
-        block.matrix.scores, block.gaps, block.x_drop, tick=tick,
-    )
-    right, left = halves[:k], halves[k:]
-    return np.stack(
-        [
-            right[:, 0] + left[:, 0],
-            p0 - left[:, 1],
-            p0 + right[:, 1],
-            p1 - left[:, 2],
-            p1 + right[:, 2],
-            right[:, 3] + left[:, 3],
-        ],
-        axis=1,
-    )
-
-
-def _extend_anchors(
-    buf0: np.ndarray,
-    buf1: np.ndarray,
-    block: AnchorBlock,
-    deadline: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
-    """Step 3's loop: gapped X-drop over *block*'s anchors, in their order.
-
-    An anchor inside an earlier extension of the *same* pair is skipped
-    (BLAST's HSP-containment rule), so anchors of different pairs never
-    interact, and the loop may extend one anchor of every pair at once.
-    Containment is tested in bank offsets: a pair's anchors and
-    extensions share one sequence start per bank, so the comparison is the
-    per-sequence one shifted by a constant.
-
-    The extensions run in waves.  Each wave extends, for every pair, its
-    first anchor (in order) that is neither extended nor contained, all
-    together (:func:`_extend_wave`); then every later anchor of a pair that
-    the pair's new extension contains is dropped.  A pair's extensions thus
-    run in order, and each anchor is tested against every earlier
-    extension of its pair, as in the serial loop.  Past *deadline* (the
-    :mod:`repro.obs.trace` clock) the loop raises
-    :class:`~repro.core.supervisor.DeadlineExceeded`.  Returns ``(ranks,
-    spans, scores, (anchors, contained, cells, extensions))``, the rows in
-    rank order.
-    """
-    tick = _deadline_tick(deadline)
-    n = len(block.ranks)
-    # Each pair's anchors side by side, still in order within the pair.
-    keys, pair = np.unique(block.pairs, return_inverse=True)
-    grouped = np.argsort(pair, kind="stable")
-    pair = pair[grouped]
-    p0 = block.offsets0[grouped].astype(np.int64)
-    p1 = block.offsets1[grouped].astype(np.int64)
-    pending = np.ones(n, dtype=np.bool_)
-    wave_of = np.full(keys.size, -1, dtype=np.int64)
-    waves: list[tuple[np.ndarray, np.ndarray]] = []
-    live = np.arange(n, dtype=np.int64)
-    while live.size:
-        # The first pending anchor of every pair still pending.
-        starts = np.ones(live.size, dtype=np.bool_)
-        np.not_equal(pair[live[1:]], pair[live[:-1]], out=starts[1:])
-        heads = live[starts]
-        table = _extend_wave(buf0, buf1, p0[heads], p1[heads], block, tick)
-        waves.append((heads, table))
-        pending[heads] = False
-        # Drop the later anchors each new extension contains.
-        wave_of[pair[heads]] = np.arange(heads.size, dtype=np.int64)
-        rest = np.flatnonzero(pending)
-        ext = wave_of[pair[rest]]
-        mine = ext >= 0
-        rest, ext = rest[mine], table[ext[mine]]
-        inside = (
-            (ext[:, 1] <= p0[rest]) & (p0[rest] < ext[:, 2])
-            & (ext[:, 3] <= p1[rest]) & (p1[rest] < ext[:, 4])
-        )
-        pending[rest[inside]] = False
-        wave_of[pair[heads]] = -1
-        live = np.flatnonzero(pending)
-    table = np.zeros((0, 7), dtype=np.int64)
-    if waves:
-        heads = np.concatenate([h for h, _ in waves])
-        rows = np.concatenate([t for _, t in waves])
-        table = np.column_stack(
-            [block.ranks[grouped[heads]], rows[:, 1:5], rows[:, 0], rows[:, 5]]
-        ).astype(np.int64)
-        table = table[np.argsort(table[:, 0])]
-    n_ext = table.shape[0]
-    counters = (n, n - n_ext, int(table[:, 6].sum()), n_ext)
-    return table[:, 0], table[:, 1:5], table[:, 5:], counters
-
-
 def _publish_shard_metrics(
     registry: obsmetrics.MetricsRegistry,
     pairs: int,
@@ -588,34 +392,6 @@ def _publish_shard_metrics(
     registry.histogram("step2_shard_pairs").observe(pairs)
     if retry_wall > 0:
         registry.counter("step2_retry_wall_seconds_total").inc(retry_wall)
-
-
-def _publish_health_metrics(health: RunHealth, stage: str = "step2") -> None:
-    """Expose a run's supervision counters as one labelled counter family,
-    ``<stage>_supervisor_events_total``.
-
-    Every step-2 run publishes exactly once — completed or cut off by its
-    deadline — into the active registry, and so does a step 3 its deadline
-    cut off (one cancelled unit, :func:`extend_local`).
-    Every kind is published (zeros included) so a fault-free run exposes
-    the same series set as a faulty one — dashboards and diffs never have
-    to special-case missing series.
-    """
-    registry = obsmetrics.active()
-    if registry is None:
-        return
-    for kind, value in (
-        ("retries", health.retries),
-        ("timeouts", health.timeouts),
-        ("crashes", health.crashes),
-        ("truncated", health.truncated),
-        ("corrupt", health.corrupt),
-        ("pool_rebuilds", health.pool_rebuilds),
-        ("fallback_shards", health.fallback_shards),
-        ("cancelled", health.cancelled),
-        ("small_workload_fallbacks", health.small_workload_fallbacks),
-    ):
-        registry.counter(f"{stage}_supervisor_events_total", kind=kind).inc(value)
 
 
 def _plan_shards(
@@ -651,7 +427,7 @@ def _merge(
     """
     tracer = obstrace.active()
     registry = obsmetrics.active()
-    _publish_health_metrics(health)
+    health.publish("step2")
     ident = {} if request_id is None else {"request_id": request_id}
     stats = UngappedStats()
     timings: list[ShardTiming] = []
@@ -721,35 +497,6 @@ def _merge(
         offsets1 = np.concatenate([r[2] for r in results])
         scores = np.concatenate([r[3] for r in results]).astype(np.int32)
     return UngappedHits(offsets0, offsets1, scores, stats), timings
-
-
-def extend_local(
-    buf0: np.ndarray,
-    buf1: np.ndarray,
-    block: AnchorBlock,
-    deadline_at: float | None = None,
-) -> Extensions:
-    """Step 3, in-process in both front ends: the containment loop over
-    every anchor of *block*, with the step-3 funnel counters published.
-
-    Past ``deadline_at`` the loop stops at its next row step or extension
-    and raises :class:`~repro.core.supervisor.DeadlineExceeded`, published
-    as one cancelled step-3 unit.
-    """
-    try:
-        ranks, spans, scores, (n_in, contained, cells, n_ext) = _extend_anchors(
-            buf0, buf1, block, deadline_at
-        )
-    except DeadlineExceeded as exc:
-        _publish_health_metrics(exc.health, "step3")
-        raise
-    registry = obsmetrics.active()
-    if registry is not None:
-        registry.counter("step3_anchors_total").inc(n_in)
-        registry.counter("step3_contained_total").inc(contained)
-        registry.counter("step3_extensions_total").inc(n_ext)
-        registry.counter("step3_cells_total").inc(cells)
-    return Extensions(ranks, spans, scores)
 
 
 def _track_segment(shm: SharedMemory) -> None:
@@ -884,7 +631,7 @@ class ShardedStep2Executor:
         :meth:`run` releases it with the pool.
 
     ``compare --workers N`` calls :meth:`run`, which spawns one pool and
-    releases it before step 3; a server calls :meth:`step2` per request
+    releases it as soon as step 2 returns; a server calls :meth:`step2` per request
     and hands the one pool from request to request.  The merged hits are
     bit-identical — offsets, scores and order — to the single-process
     batched run for any worker count, retry or injected fault.
@@ -1032,7 +779,7 @@ class ShardedStep2Executor:
         """
         if supervisor.deadline is not None and obstrace.clock() >= supervisor.deadline:
             health = RunHealth(shards=1, cancelled=1)
-            _publish_health_metrics(health)
+            health.publish("step2")
             raise DeadlineExceeded(
                 "request deadline expired before in-process scoring",
                 health,
@@ -1096,7 +843,7 @@ class ShardedStep2Executor:
         try:
             outcomes, health = sup.run(payloads, pair_counts)
         except DeadlineExceeded as exc:
-            _publish_health_metrics(exc.health)
+            exc.health.publish("step2")
             raise
         finally:
             self._hold(sup.final_pool)

@@ -12,7 +12,10 @@ sequence banks:
    engine, deduplicated BLAST-style (an anchor falling inside an already
    extended alignment of the same sequence pair is skipped), scored in
    bits, and filtered at the configured E-value.  As in the paper, this
-   step runs on the host, in-process, whichever engine ran step 2.
+   step runs on the host, in-process, whichever engine ran step 2, and
+   all of its policy lives here (:func:`gapped_stage`): anchor order, pair
+   key, containment, waves, lane floor, deadline, funnel counters and
+   E-values.  The X-drop engines it drives are :mod:`repro.extend.gapped`'s.
 
 The pipeline is structured so step 2 is swappable: the accelerated pipeline
 (:mod:`repro.rasc.accelerated`) substitutes the PSC-operator model for
@@ -28,24 +31,33 @@ from typing import Any
 
 import numpy as np
 
+from ..extend.gapped import GapPenalties, lockstep_halves, xdrop_gapped_extend
 from ..extend.stats import evalue as evalue_of
 from ..extend.stats import gapped_params
 from ..extend.ungapped import UngappedHits
 from ..index.kmer import BankIndex, TwoBankIndex
 from ..obs import metrics as obsmetrics
 from ..obs import trace
+from ..seqs.matrices import SubstitutionMatrix
 from ..seqs.sequence import Sequence, SequenceBank
 from ..seqs.translate import translated_bank
 from . import determinism as detsan
 from .config import PipelineConfig
-from .executor import AnchorBlock, ShardedStep2Executor, extend_local
-from .profile import PipelineProfile
+from .executor import ShardedStep2Executor
+from .profile import PipelineProfile, RunHealth
 from .results import Alignment, ComparisonReport
+from .supervisor import DeadlineExceeded
 
-__all__ = ["SeedComparisonPipeline", "gapped_stage"]
+__all__ = ["STEP3_MIN_LANES", "SeedComparisonPipeline", "gapped_stage"]
 
 #: Type of a step-2 implementation: index → surviving anchor pairs.
 Step2Fn = Callable[[TwoBankIndex], UngappedHits]
+
+#: Step-3 lane floor (:func:`_extend_wave`): a wave of fewer X-drop halves
+#: than this runs one extension at a time on the plain-int loop, a larger
+#: one as lanes of one lockstep batch.  The two cross between 12 and 16
+#: halves (DESIGN §11, "The lockstep engine").
+STEP3_MIN_LANES = 16
 
 
 def _alignment_rows(report: ComparisonReport) -> list[np.ndarray]:
@@ -70,6 +82,153 @@ def _alignment_rows(report: ComparisonReport) -> list[np.ndarray]:
     ]
 
 
+def _deadline_tick(deadline: float | None) -> Callable[[], None] | None:
+    """A step-3 checkpoint: raises :class:`DeadlineExceeded` (one
+    cancelled unit) once the clock passes *deadline*; ``None`` when the
+    run is unbounded."""
+    if deadline is None:
+        return None
+
+    def tick() -> None:
+        if trace.clock() >= deadline:
+            raise DeadlineExceeded(
+                "request deadline expired during in-process gapped extension",
+                RunHealth(cancelled=1),
+                (0,),
+            )
+
+    return tick
+
+
+def _extend_wave(
+    buf0: np.ndarray,
+    buf1: np.ndarray,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    matrix: SubstitutionMatrix,
+    gaps: GapPenalties,
+    x_drop: int,
+    tick: Callable[[], None] | None,
+) -> np.ndarray:
+    """Extend independent anchors at bank offsets *p0* / *p1*: one row
+    ``(score, start0, end0, start1, end1, cells)`` per anchor, in order.
+
+    Their halves (two per anchor) run as lanes of one lockstep batch
+    (:func:`~repro.extend.gapped.lockstep_halves`) from
+    :data:`STEP3_MIN_LANES` halves up, and one extension at a time on the
+    plain-int loop below it.
+    """
+    k = len(p0)
+    if 2 * k < STEP3_MIN_LANES:
+        rows = []
+        for a0, a1 in zip(p0.tolist(), p1.tolist()):
+            if tick is not None:
+                tick()
+            ext = xdrop_gapped_extend(
+                buf0, a0, buf1, a1, matrix=matrix, gaps=gaps, x_drop=x_drop
+            )
+            rows.append(
+                (ext.score, ext.start0, ext.end0, ext.start1, ext.end1, ext.cells)
+            )
+        return np.array(rows, dtype=np.int64).reshape(k, 6)
+    anchors0 = np.concatenate([p0, p0])
+    anchors1 = np.concatenate([p1, p1])
+    halves = lockstep_halves(
+        buf0, buf1, anchors0, anchors1, np.arange(2 * k, dtype=np.int64) >= k,
+        matrix.scores, gaps, x_drop, tick=tick,
+    )
+    right, left = halves[:k], halves[k:]
+    return np.stack(
+        [
+            right[:, 0] + left[:, 0],
+            p0 - left[:, 1],
+            p0 + right[:, 1],
+            p1 - left[:, 2],
+            p1 + right[:, 2],
+            right[:, 3] + left[:, 3],
+        ],
+        axis=1,
+    )
+
+
+def _extend_anchors(
+    buf0: np.ndarray,
+    buf1: np.ndarray,
+    offsets0: np.ndarray,
+    offsets1: np.ndarray,
+    pairs: np.ndarray,
+    matrix: SubstitutionMatrix,
+    gaps: GapPenalties,
+    x_drop: int,
+    deadline: float | None = None,
+) -> np.ndarray:
+    """Step 3's loop: gapped X-drop over the anchors at bank offsets
+    *offsets0* / *offsets1*, in their order; *pairs* is each anchor's
+    (query, subject) pair key.
+
+    An anchor inside an earlier extension of the *same* pair is skipped
+    (BLAST's HSP-containment rule), so anchors of different pairs never
+    interact, and the loop may extend one anchor of every pair at once.
+    Containment is tested in bank offsets: a pair's anchors and
+    extensions share one sequence start per bank, so the comparison is the
+    per-sequence one shifted by a constant.
+
+    The extensions run in waves.  Each wave extends, for every pair, its
+    first anchor (in order) that is neither extended nor contained, all
+    together (:func:`_extend_wave`); then every later anchor of a pair that
+    the pair's new extension contains is dropped.  A pair's extensions thus
+    run in order, and each anchor is tested against every earlier
+    extension of its pair, as in the serial loop.  Past *deadline* (the
+    :mod:`repro.obs.trace` clock) the loop raises
+    :class:`~repro.core.supervisor.DeadlineExceeded`.  Returns one row
+    ``(anchor, start0, end0, start1, end1, score, cells)`` per extension,
+    *anchor* being the anchor's position in the input, in that order.
+    """
+    tick = _deadline_tick(deadline)
+    n = len(pairs)
+    # Each pair's anchors side by side, still in order within the pair.
+    keys, pair = np.unique(pairs, return_inverse=True)
+    grouped = np.argsort(pair, kind="stable")
+    pair = pair[grouped]
+    p0 = offsets0[grouped].astype(np.int64)
+    p1 = offsets1[grouped].astype(np.int64)
+    pending = np.ones(n, dtype=np.bool_)
+    wave_of = np.full(keys.size, -1, dtype=np.int64)
+    waves: list[tuple[np.ndarray, np.ndarray]] = []
+    live = np.arange(n, dtype=np.int64)
+    while live.size:
+        # The first pending anchor of every pair still pending.
+        starts = np.ones(live.size, dtype=np.bool_)
+        np.not_equal(pair[live[1:]], pair[live[:-1]], out=starts[1:])
+        heads = live[starts]
+        table = _extend_wave(
+            buf0, buf1, p0[heads], p1[heads], matrix, gaps, x_drop, tick
+        )
+        waves.append((heads, table))
+        pending[heads] = False
+        # Drop the later anchors each new extension contains.
+        wave_of[pair[heads]] = np.arange(heads.size, dtype=np.int64)
+        rest = np.flatnonzero(pending)
+        ext = wave_of[pair[rest]]
+        mine = ext >= 0
+        rest, ext = rest[mine], table[ext[mine]]
+        inside = (
+            (ext[:, 1] <= p0[rest]) & (p0[rest] < ext[:, 2])
+            & (ext[:, 3] <= p1[rest]) & (p1[rest] < ext[:, 4])
+        )
+        pending[rest[inside]] = False
+        wave_of[pair[heads]] = -1
+        live = np.flatnonzero(pending)
+    if not waves:
+        return np.zeros((0, 7), dtype=np.int64)
+    heads = np.concatenate([h for h, _ in waves])
+    rows = np.concatenate([t for _, t in waves])
+    table = np.column_stack(
+        [grouped[heads], rows[:, 1:5], rows[:, 0], rows[:, 5]]
+    ).astype(np.int64)
+    return table[np.argsort(table[:, 0])]
+
+
 def gapped_stage(
     bank0: SequenceBank,
     bank1: SequenceBank,
@@ -86,9 +245,10 @@ def gapped_stage(
     (BLAST's HSP-containment rule), which collapses the many seed hits one
     true alignment generates.
 
-    The extensions run in-process (:func:`~repro.core.executor.extend_local`),
-    which raises :class:`~repro.core.supervisor.DeadlineExceeded` once the
-    clock passes *deadline_at* (a served request's deadline).
+    The extensions run in-process (:func:`_extend_anchors`), and raise
+    :class:`~repro.core.supervisor.DeadlineExceeded` once the clock passes
+    *deadline_at* (a served request's deadline), published as one
+    cancelled step-3 unit.
     """
     params = gapped_params(config.matrix.name, config.gaps.open, config.gaps.extend)
     db_len = bank1.total_residues
@@ -100,21 +260,18 @@ def gapped_stage(
     offsets1 = hits.offsets1[order].astype(np.int64)
     seq0_ids = bank0.seq_id_of(offsets0)
     seq1_ids = bank1.seq_id_of(offsets1)
-    block = AnchorBlock(
-        ranks=np.arange(order.size, dtype=np.int64),
-        offsets0=offsets0,
-        offsets1=offsets1,
-        pairs=seq0_ids.astype(np.int64) * len(bank1) + seq1_ids,
-        matrix=config.matrix,
-        gaps=config.gaps,
-        x_drop=config.gapped_x_drop,
-    )
-    ext = extend_local(bank0.buffer, bank1.buffer, block, deadline_at)
+    try:
+        table = _extend_anchors(
+            bank0.buffer, bank1.buffer, offsets0, offsets1,
+            seq0_ids.astype(np.int64) * len(bank1) + seq1_ids,
+            config.matrix, config.gaps, config.gapped_x_drop, deadline_at,
+        )
+    except DeadlineExceeded as exc:
+        exc.health.publish("step3")
+        raise
     ungapped = hits.scores[order]
-    for rank, (start0, end0, start1, end1), score in zip(
-        ext.ranks.tolist(), ext.spans.tolist(), ext.scores[:, 0].tolist()
-    ):
-        s0, s1 = int(seq0_ids[rank]), int(seq1_ids[rank])
+    for anchor, start0, end0, start1, end1, score, _ in table.tolist():
+        s0, s1 = int(seq0_ids[anchor]), int(seq1_ids[anchor])
         e = evalue_of(score, int(bank0.lengths[s0]), db_len, params)
         if e > config.max_evalue:
             continue
@@ -133,26 +290,29 @@ def gapped_stage(
                 raw_score=score,
                 bit_score=params.bit_score(score),
                 evalue=e,
-                ungapped_score=int(ungapped[rank]),
+                ungapped_score=int(ungapped[anchor]),
             )
         )
-    report.n_gapped_extensions = int(ext.ranks.size)
+    n_ext = table.shape[0]
+    cells = int(table[:, 6].sum())
+    report.n_gapped_extensions = n_ext
     registry = obsmetrics.active()
     if registry is not None:
-        # The funnel's last stage: alignments kept by the E-value filter.
+        # The step-3 funnel: anchors in, contained ones skipped, extensions
+        # run, their DP cells, and the alignments the E-value filter keeps.
+        registry.counter("step3_anchors_total").inc(order.size)
+        registry.counter("step3_contained_total").inc(order.size - n_ext)
+        registry.counter("step3_extensions_total").inc(n_ext)
+        registry.counter("step3_cells_total").inc(cells)
         registry.counter("step3_alignments_total").inc(len(report.alignments))
     if profile is not None:
-        profile.step3.operations += ext.cells
-        profile.step3.items += int(ext.ranks.size)
+        profile.step3.operations += cells
+        profile.step3.items += n_ext
     if detsan.active() is not None:
         # The extension *set* must not depend on the worker count —
-        # order-independent digest (the rank order is checked by
+        # order-independent digest (the anchor order is checked by
         # ``step3.alignments``).
-        detsan.record_arrays(
-            "step3.extensions",
-            [ext.ranks, *ext.spans.T, *ext.scores.T],
-            order_sensitive=False,
-        )
+        detsan.record_arrays("step3.extensions", list(table.T), order_sensitive=False)
     report.sort()
     return report
 

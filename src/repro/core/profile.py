@@ -15,6 +15,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..obs import metrics as obsmetrics
 from ..obs import trace
 from ..util.reporting import fractions
 from .partition import partition_imbalance
@@ -162,6 +163,22 @@ class RunHealth:
         self.fallback_shards += other.fallback_shards
         self.cancelled += other.cancelled
         self.small_workload_fallbacks += other.small_workload_fallbacks
+
+    def publish(self, stage: str) -> None:
+        """Expose the supervision counters in the active registry as one
+        labelled counter family, ``<stage>_supervisor_events_total``.
+
+        Every kind is published (zeros included) so a fault-free run exposes
+        the same series set as a faulty one — dashboards and diffs never have
+        to special-case missing series.
+        """
+        registry = obsmetrics.active()
+        if registry is None:
+            return
+        family = f"{stage}_supervisor_events_total"
+        for kind, value in self.as_dict().items():
+            if kind not in ("shards", "healthy", "degraded"):
+                registry.counter(family, kind=kind).inc(value)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able form (run-report ``run_health`` section)."""

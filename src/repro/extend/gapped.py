@@ -13,7 +13,7 @@ of it — a *half* — has three engines, all returning the same
   of one batch, every live lane advancing one DP row per NumPy step, the
   way the PSC operator's array of PEs advances one residue per clock.
   Step 3 runs each wave of extensions through it
-  (:func:`repro.core.executor._extend_wave`).
+  (:func:`repro.core.pipeline.gapped_stage`).
 * :func:`_xdrop_half` — a scalar loop over plain Python ints that visits
   only the live window of each row: the engine for batches below the
   lockstep lane floor, and :func:`xdrop_gapped_extend`'s own, which the

@@ -1,6 +1,5 @@
 """Sharded step-2 executor tests: determinism, profile plumbing, CLI."""
 
-from dataclasses import replace
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
@@ -723,128 +722,6 @@ def _alignment_rows(report):
     ]
 
 
-class TestStep3Waves:
-    """The in-process loop extends in waves, one anchor per pair per wave,
-    with exactly the serial loop's containment and results."""
-
-    @staticmethod
-    def serial(buf0, buf1, block):
-        """The containment loop one extension at a time, in rank order."""
-        from repro.extend.gapped import xdrop_gapped_extend
-
-        covered, rows = {}, []
-        for rank, p0, p1, key in zip(
-            block.ranks.tolist(), block.offsets0.tolist(),
-            block.offsets1.tolist(), block.pairs.tolist(),
-        ):
-            ranges = covered.setdefault(key, [])
-            if any(a0 <= p0 < b0 and a1 <= p1 < b1 for a0, b0, a1, b1 in ranges):
-                continue
-            ext = xdrop_gapped_extend(
-                buf0, p0, buf1, p1,
-                matrix=block.matrix, gaps=block.gaps, x_drop=block.x_drop,
-            )
-            ranges.append((ext.start0, ext.end0, ext.start1, ext.end1))
-            rows.append(
-                [rank, ext.start0, ext.end0, ext.start1, ext.end1, ext.score, ext.cells]
-            )
-        return rows
-
-    @pytest.fixture(scope="class")
-    def banks(self):
-        """Two homologous cores, A and B, apart on both banks."""
-        from repro.seqs.generate import random_protein
-
-        rng = np.random.default_rng(12)
-        core_a, core_b = random_protein(rng, 60), random_protein(rng, 60)
-        buf0 = np.concatenate([random_protein(rng, 40), core_a,
-                               random_protein(rng, 40), core_b, random_protein(rng, 40)])
-        buf1 = np.concatenate([random_protein(rng, 50), core_a,
-                               random_protein(rng, 50), core_b, random_protein(rng, 50)])
-        return buf0, buf1
-
-    @staticmethod
-    def block(anchors):
-        from repro.core.executor import AnchorBlock
-        from repro.extend.gapped import GapPenalties
-        from repro.seqs.matrices import BLOSUM62
-
-        p0, p1, keys = (np.array(col, dtype=np.int64) for col in zip(*anchors))
-        ranks = np.arange(p0.size, dtype=np.int64)
-        return AnchorBlock(ranks, p0, p1, keys, BLOSUM62, GapPenalties(), 38)
-
-    # Pair 0: rank 0 in core A, a later anchor on the same diagonal of A
-    # (inside the first extension), then one in core B (outside it).
-    PAIR0 = {0: (50, 60), 5: (70, 80), 11: (160, 180)}
-
-    def anchors(self, others):
-        """Pair 0's anchors at their ranks among *others* one-anchor pairs."""
-        if not others:
-            return [(*spot, 0) for spot in self.PAIR0.values()]
-        rng = np.random.default_rng(13)
-        out, key = [], 1
-        for rank in range(len(self.PAIR0) + others):
-            if rank in self.PAIR0:
-                out.append((*self.PAIR0[rank], 0))
-            else:
-                out.append((int(rng.integers(0, 240)), int(rng.integers(0, 270)), key))
-                key += 1
-        return out
-
-    def test_second_anchor_contained_third_extended(self, banks, monkeypatch):
-        buf0, buf1 = banks
-        calls = []
-        lockstep = executor.lockstep_halves
-
-        def spy(*args, **kwargs):
-            calls.append(len(args[2]))
-            return lockstep(*args, **kwargs)
-
-        monkeypatch.setattr(executor, "lockstep_halves", spy)
-        block = self.block(self.anchors(others=15))
-        ranks, spans, scores, counters = executor._extend_anchors(buf0, buf1, block)
-        got = np.column_stack([ranks, spans, scores]).tolist()
-        assert got == self.serial(buf0, buf1, block)
-        assert [r for r, *_ in got if r in self.PAIR0] == [0, 11]
-        assert counters == (18, 1, int(scores[:, 1].sum()), 17)
-        # Wave 1 (16 pairs, 32 halves) ran in lockstep; wave 2 (pair 0's
-        # third anchor alone) on the scalar loop.
-        assert calls == [32]
-
-    def test_scalar_waves_match_serial(self, banks):
-        buf0, buf1 = banks
-        block = self.block(self.anchors(others=0))
-        ranks, spans, scores, counters = executor._extend_anchors(buf0, buf1, block)
-        got = np.column_stack([ranks, spans, scores]).tolist()
-        assert got == self.serial(buf0, buf1, block)
-        assert counters[:2] == (3, 1)
-
-    def test_lane_floor_picks_the_engine(self, banks, monkeypatch):
-        from repro.core.executor import STEP3_MIN_LANES
-
-        buf0, buf1 = banks
-        calls = []
-        lockstep = executor.lockstep_halves
-        monkeypatch.setattr(
-            executor, "lockstep_halves",
-            lambda *a, **k: calls.append(len(a[2])) or lockstep(*a, **k),
-        )
-        block = self.block(self.anchors(others=20))
-        for k in (STEP3_MIN_LANES // 2 - 1, STEP3_MIN_LANES // 2):
-            first = replace(
-                block, ranks=block.ranks[:k], offsets0=block.offsets0[:k],
-                offsets1=block.offsets1[:k], pairs=np.arange(k, dtype=np.int64),
-            )
-            rows = executor._extend_wave(
-                buf0, buf1, first.offsets0, first.offsets1, first, None
-            )
-            assert rows.tolist() == [
-                [score, s0, e0, s1, e1, cells]
-                for _, s0, e0, s1, e1, score, cells in self.serial(buf0, buf1, first)
-            ]
-        assert calls == [STEP3_MIN_LANES]
-
-
 class TestStep3Pool:
     """``compare --workers 2``: step 3 extends in-process after step 2's
     pool is gone, with the alignments, cell counts and report order of the
@@ -880,13 +757,13 @@ class TestStep3Pool:
         from repro.core import pipeline
 
         seen = []
-        extend = pipeline.extend_local
+        extend = pipeline.gapped_stage
 
         def spy(*args, **kwargs):
             seen.append((executor.live_segment_names(), multiprocessing.active_children()))
             return extend(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "extend_local", spy)
+        monkeypatch.setattr(pipeline, "gapped_stage", spy)
         report, profile = self.run(planted_workload)
         self.assert_same(reference, report, profile)
         assert [t.via for t in profile.step2_shards] == ["pool", "pool"]

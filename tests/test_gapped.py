@@ -382,7 +382,7 @@ class TestXdropOracle:
 
     @pytest.mark.parametrize("extra", [-1, 0])
     def test_lockstep_at_the_lane_floor(self, extra):
-        from repro.core.executor import STEP3_MIN_LANES
+        from repro.core.pipeline import STEP3_MIN_LANES
 
         rng = np.random.default_rng(9)
         core = random_protein(rng, 80)

@@ -385,12 +385,12 @@ class TestDeadlines:
         # The breaker is open, so step 3 runs in-process.  The clock jumps
         # past the deadline on the third lockstep row step: the request
         # answers 504 and step 3 stops right there, one cancelled unit.
-        from repro.core import executor
+        from repro.core import pipeline
         from repro.obs import trace
 
         svc, queries = make_service(serve_workload)
         skew, rows, expire_at = [0.0], [], [None]
-        clock, lockstep = trace.clock, executor.lockstep_halves
+        clock, lockstep = trace.clock, pipeline.lockstep_halves
         monkeypatch.setattr(trace, "clock", lambda: clock() + skew[0])
 
         def late_rows(*args, tick, **kwargs):
@@ -402,7 +402,7 @@ class TestDeadlines:
 
             return lockstep(*args, tick=row, **kwargs)
 
-        monkeypatch.setattr(executor, "lockstep_halves", late_rows)
+        monkeypatch.setattr(pipeline, "lockstep_halves", late_rows)
         try:
             for _ in range(svc.breaker.config.failure_threshold):
                 svc.breaker.record_failure()

@@ -1,4 +1,4 @@
-"""RC3xx thread/lock project-rule tests: fixtures, real tree, properties."""
+"""RC3xx thread/lock project-rule tests: fixtures, real tree, mutations."""
 
 import ast
 import pathlib
@@ -6,17 +6,15 @@ import re
 import shutil
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.analysis.checker import check_paths, collect_files, parse_file
 from repro.analysis.graph import ProjectGraph
-from repro.analysis.locks import LockAnalysis, find_lock_cycle
+from repro.analysis.locks import LockAnalysis
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "analysis_fixtures"
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-RC3XX = ["RC300", "RC301", "RC303"]
+RC3XX = ["RC300", "RC303"]
 
 
 def codes_for(tree):
@@ -44,11 +42,6 @@ class TestFixtures:
         assert "_busy" in v.message
         assert "thread:_dispatch_loop" in v.message
 
-    def test_rc301_names_the_cycle(self):
-        result = check_paths([FIXTURES / "rc301_flags"], select=["RC301"])
-        [v] = result.violations
-        assert "_accounts" in v.message and "_journal" in v.message
-
 
 class TestRealTree:
     def test_src_is_clean_under_rc3xx(self):
@@ -60,6 +53,8 @@ class TestRealTree:
     def test_serve_locks_keep_their_canonical_names(self):
         # The names every RC3xx finding carries, and the one nesting the
         # serve stack has: the dispatcher records metrics under its lock.
+        # A lock-order cycle (a deadlock) needs a second edge, so pinning
+        # the edge set fails on any new nesting before it can close one.
         contexts = [parse_file(p) for p in collect_files([REPO / "src" / "repro"])]
         model = LockAnalysis(
             ProjectGraph.from_contexts(c for c in contexts if c.in_package)
@@ -143,57 +138,3 @@ class TestRealServeMutations:
             named = re.search(r"shared field `([^`]+)`", v.message)
             found.add((v.rule, named.group(1) if named else v.message))
         assert found == {("RC300", self.PREFIX[module] + f) for f in fields}
-
-
-def _named(edges):
-    return [(f"L{a}", f"L{b}") for a, b in edges]
-
-
-@st.composite
-def dag_edges(draw):
-    n = draw(st.integers(min_value=2, max_value=12))
-    pairs = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, n - 1)
-            ).filter(lambda e: e[0] < e[1]),
-            max_size=30,
-        )
-    )
-    return _named(pairs)
-
-
-@st.composite
-def cycle_plus_noise(draw):
-    n = draw(st.integers(min_value=2, max_value=8))
-    cycle = [(f"C{i}", f"C{(i + 1) % n}") for i in range(n)]
-    noise = draw(
-        st.lists(
-            st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(
-                lambda e: e[0] < e[1]
-            ),
-            max_size=20,
-        )
-    )
-    edges = cycle + [(f"N{a}", f"N{b}") for a, b in noise]
-    return draw(st.permutations(edges))
-
-
-class TestCycleDetectorProperties:
-    @given(dag_edges())
-    def test_random_dags_are_never_flagged(self, edges):
-        assert find_lock_cycle(edges) is None
-
-    @given(cycle_plus_noise())
-    def test_planted_cycles_are_always_found(self, edges):
-        cycle = find_lock_cycle(edges)
-        assert cycle is not None
-        # The witness must be a genuine closed walk over the given edges.
-        assert cycle[0] == cycle[-1] and len(cycle) >= 3
-        edge_set = set(edges)
-        for a, b in zip(cycle, cycle[1:]):
-            assert (a, b) in edge_set
-
-    def test_deterministic_witness(self):
-        edges = [("B", "A"), ("A", "B"), ("C", "A")]
-        assert find_lock_cycle(edges) == find_lock_cycle(list(reversed(edges)))
